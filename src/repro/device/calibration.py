@@ -30,6 +30,7 @@ from scipy.optimize import curve_fit
 from ..circuit.circuit import QuantumCircuit
 from ..exceptions import CalibrationError, DeviceError
 from ..exec import Job, get_executor
+from ..obs import runtime as obs
 from .device import RigettiAspenDevice
 from .native_gates import NATIVE_TWO_QUBIT_GATES
 from .topology import Link, make_link
@@ -343,10 +344,13 @@ class CalibrationService:
 
     def full_calibration(self) -> None:
         """Benchmark everything once (a fresh calibration cycle)."""
-        for gate_name in self.device.native_gates.two_qubit:
-            self.calibrate_gate(gate_name)
-        self.calibrate_single_qubit()
-        self.calibrate_readout()
+        tracer = obs.active_tracer()
+        span = tracer.span("calibration.full") if tracer else obs.NULL_SPAN
+        with span:
+            for gate_name in self.device.native_gates.two_qubit:
+                self.calibrate_gate(gate_name)
+            self.calibrate_single_qubit()
+            self.calibrate_readout()
 
     def maybe_recalibrate(self) -> List[str]:
         """Refresh any gate whose cadence has elapsed; returns refreshed.
@@ -354,16 +358,20 @@ class CalibrationService:
         This is the staleness mechanism: between refreshes the published
         records are frozen while the device keeps drifting.
         """
-        refreshed: List[str] = []
-        now = self.device.clock_us
-        for gate_name in self.device.native_gates.two_qubit:
-            period = self.refresh_period_us.get(
-                gate_name, DEFAULT_REFRESH_PERIOD_US["cz"]
-            )
-            last = self._last_calibrated_us.get(gate_name)
-            if last is None or now - last >= period:
-                self.calibrate_gate(gate_name)
-                refreshed.append(gate_name)
+        tracer = obs.active_tracer()
+        span = tracer.span("calibration.refresh") if tracer else obs.NULL_SPAN
+        with span:
+            refreshed: List[str] = []
+            now = self.device.clock_us
+            for gate_name in self.device.native_gates.two_qubit:
+                period = self.refresh_period_us.get(
+                    gate_name, DEFAULT_REFRESH_PERIOD_US["cz"]
+                )
+                last = self._last_calibrated_us.get(gate_name)
+                if last is None or now - last >= period:
+                    self.calibrate_gate(gate_name)
+                    refreshed.append(gate_name)
+            span.set(gates=len(refreshed))
         return refreshed
 
     def staleness_us(self, gate_name: str) -> float:

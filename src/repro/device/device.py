@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -55,6 +55,9 @@ from .noise_parameters import (
     single_qubit_coherent_error,
 )
 from .topology import Link, Topology, make_link
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..exec.executor import BatchExecutor
 
 __all__ = ["RigettiAspenDevice", "ExecutionRecord"]
 
@@ -216,6 +219,9 @@ class RigettiAspenDevice:
         self._sample_rng = np.random.default_rng(seed + 1)
         # (epoch, digest) memo for parameter_fingerprint().
         self._param_fingerprint: Optional[Tuple[int, bytes]] = None
+        #: The sequential executor every caller shares for this device,
+        #: created by :func:`repro.exec.get_executor` on first use.
+        self.shared_executor: Optional["BatchExecutor"] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -404,16 +410,18 @@ class RigettiAspenDevice:
     # Pickling (what crosses the process boundary to pool workers)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle without cache contents.
+        """Pickle without cache contents or the shared executor.
 
         The channel and simulation caches are pure memo tables — every
         entry is reconstructible from the (pickled) noise parameters —
         and their payloads dwarf the rest of the device (fused
         superoperators, density-matrix snapshots up to the prefix byte
         budget). A worker replica starts with fresh, empty caches of the
-        same configuration and warms its own.
+        same configuration and warms its own, and a copy gets its own
+        executor (and ledger) on first use.
         """
         state = dict(self.__dict__)
+        state["shared_executor"] = None
         cache = state["channel_cache"]
         if cache is not None:
             fresh = ChannelCache(cache._max_entries)
@@ -1170,40 +1178,48 @@ class RigettiAspenDevice:
     def true_pulse_fidelity(self, link: Link, gate_name: str) -> float:
         """Exact average gate fidelity of one entangling pulse, now.
 
-        This composes the pulse's coherent error, depolarizing channel,
-        and both qubits' thermal relaxation analytically — the value a
-        perfect, instantaneous randomized-benchmarking experiment would
-        converge to. The calibration service adds staleness and
-        estimation noise on top of this ground truth.
+        The pulse is the ideal unitary ``U``, its coherent error ``E``,
+        the 2-qubit depolarizing channel (weight ``p``) and both qubits'
+        thermal relaxation (Kraus ``A_j``, ``B_k``) — the value a perfect,
+        instantaneous randomized-benchmarking experiment would converge
+        to. The calibration service adds staleness and estimation noise
+        on top of this ground truth.
+
+        Closed form of that composed channel: ``U`` cancels under the
+        trace of ``U^dag K U``, and the Pauli sum of the depolarizing
+        channel turns each ``|Tr(D_m M)|^2`` into ``Tr(M^dag M)`` terms
+        that sum to the dimension for trace-preserving relaxation, so
+        ``16 F_e = (1 - 16p/15) sum_jk |Tr((A_j x B_k) E)|^2 + 16p/15``.
         """
         link = make_link(*link)
         params = self.gate_params.get((link, gate_name))
         if params is None:
             raise DeviceError(f"link {link} lacks gate {gate_name!r}")
-        ideal = _pulse_unitary(gate_name)
-        error_unitary = coherent_error_unitary(
+        error = coherent_error_unitary(
             gate_name,
             params.over_rotation.current,
             params.zz_error.current,
         )
-        kraus = [error_unitary @ ideal]
-        depol = params.depolarizing.current
-        if depol > 0:
-            channel = two_qubit_depolarizing_channel(depol)
-            kraus = [k @ base for base in kraus for k in channel.operators]
         duration_us = params.duration_ns / _NS_PER_US
-        for position, qubit in enumerate(link):
+        relaxation = []
+        for qubit in link:
             qparams = self.qubit_params[qubit]
             thermal = thermal_relaxation_channel(
                 duration_us,
                 qparams.t1_us.current,
                 min(qparams.t2_us.current, 2 * qparams.t1_us.current),
             )
-            expanded = [
-                _embed_single(op, position) for op in thermal.operators
-            ]
-            kraus = [k @ base for base in kraus for k in expanded]
-        return channel_average_fidelity(ideal, kraus)
+            relaxation.append(np.asarray(thermal.operators))
+        first, second = relaxation
+        # Tr((A_j x B_k) E) with E indexed (row_a, row_b, col_a, col_b).
+        overlaps = np.einsum(
+            "jca,kdb,abcd->jk", first, second, error.reshape(2, 2, 2, 2)
+        )
+        white = 16.0 * params.depolarizing.current / 15.0
+        entanglement = (
+            (1.0 - white) * float(np.sum(np.abs(overlaps) ** 2)) + white
+        ) / 16.0
+        return (4.0 * entanglement + 1.0) / 5.0
 
     def true_rx_fidelity(self, qubit: int) -> float:
         """Exact average fidelity of one RX(pi/2) pulse on *qubit*, now."""
@@ -1224,22 +1240,3 @@ class RigettiAspenDevice:
         )
         kraus = [k @ base for base in kraus for k in thermal.operators]
         return channel_average_fidelity(ideal, kraus)
-
-
-def _pulse_unitary(gate_name: str) -> np.ndarray:
-    """The ideal unitary of one entangling pulse as used inside a CNOT."""
-    if gate_name == "cz":
-        return Gate("cz", (0, 1)).matrix()
-    if gate_name == "xy":
-        return Gate("xy", (0, 1), (math.pi,)).matrix()
-    if gate_name == "cphase":
-        return Gate("cphase", (0, 1), (math.pi / 2,)).matrix()
-    raise DeviceError(f"unknown native two-qubit gate {gate_name!r}")
-
-
-def _embed_single(op: np.ndarray, position: int) -> np.ndarray:
-    """Embed a 1-qubit Kraus operator into the 2-qubit link space."""
-    identity = np.eye(2, dtype=complex)
-    if position == 0:
-        return np.kron(op, identity)
-    return np.kron(identity, op)

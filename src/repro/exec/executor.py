@@ -21,7 +21,6 @@ Modes:
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
@@ -441,15 +440,18 @@ class BatchExecutor:
         return demuxed
 
 
-# One executor per device so that every caller (ANGEL, CDR, calibration,
-# experiments, CLI) shares a single stats ledger for the same hardware.
-_EXECUTORS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def get_executor(device: "RigettiAspenDevice") -> BatchExecutor:
-    """The shared sequential executor for ``device`` (created on demand)."""
-    executor = _EXECUTORS.get(device)
+    """The shared sequential executor for ``device`` (created on demand).
+
+    One executor per device, so every caller (ANGEL, CDR, calibration,
+    experiments, CLI) shares a single stats ledger for the same
+    hardware. It is held by the device itself: the executor's backend
+    references the device, so any registry keyed by the device would
+    keep it — and its caches — alive forever.
+    """
+    executor = device.shared_executor
     if executor is None:
-        executor = BatchExecutor(LocalBackend(device))
-        _EXECUTORS[device] = executor
+        executor = device.shared_executor = BatchExecutor(
+            LocalBackend(device)
+        )
     return executor

@@ -164,27 +164,8 @@ class ExperimentContext:
                 :class:`~repro.obs.MetricsRegistry` absorbing executor,
                 cache, and service counters (implied by ``trace``).
         """
-        if device_name == "aspen-11":
-            device = aspen11(
-                seed=seed,
-                profile=profile,
-                idle_noise=idle_noise,
-                crosstalk_zz=crosstalk_zz,
-                sim_cache=sim_cache,
-                batched_sim=batched_sim,
-                clifford_fast_path=clifford_fast_path,
-            )
-        elif device_name == "aspen-m-1":
-            device = aspen_m1(
-                seed=seed,
-                profile=profile,
-                idle_noise=idle_noise,
-                crosstalk_zz=crosstalk_zz,
-                sim_cache=sim_cache,
-                batched_sim=batched_sim,
-                clifford_fast_path=clifford_fast_path,
-            )
-        else:
+        build = {"aspen-11": aspen11, "aspen-m-1": aspen_m1}.get(device_name)
+        if build is None:
             raise ReproError(f"unknown device preset {device_name!r}")
         if backend not in ("local", "remote"):
             raise ReproError(
@@ -195,14 +176,32 @@ class ExperimentContext:
             if isinstance(fault_profile, FaultProfile)
             else resolve_fault_profile(str(fault_profile))
         )
-        service = CalibrationService(device, seed=calibration_seed)
-        service.full_calibration()
-        elapsed = 0.0
-        while elapsed < drift_hours:
-            step = min(drift_step_hours, drift_hours - elapsed)
-            device.advance_time(step * _HOUR_US)
-            service.maybe_recalibrate()
-            elapsed += step
+        active = obs.active_tracer()
+        create_span = (
+            active.span(
+                "context.create", device=device_name, drift_hours=drift_hours
+            )
+            if active
+            else obs.NULL_SPAN
+        )
+        with create_span:
+            device = build(
+                seed=seed,
+                profile=profile,
+                idle_noise=idle_noise,
+                crosstalk_zz=crosstalk_zz,
+                sim_cache=sim_cache,
+                batched_sim=batched_sim,
+                clifford_fast_path=clifford_fast_path,
+            )
+            service = CalibrationService(device, seed=calibration_seed)
+            service.full_calibration()
+            elapsed = 0.0
+            while elapsed < drift_hours:
+                step = min(drift_step_hours, drift_hours - elapsed)
+                device.advance_time(step * _HOUR_US)
+                service.maybe_recalibrate()
+                elapsed += step
         tracer = None
         registry = None
         previous = None

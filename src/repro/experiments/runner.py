@@ -242,6 +242,16 @@ def main(argv: Optional[list] = None) -> int:
         )
         print("known experiments:", ", ".join(sorted(EXPERIMENTS)))
         return 0
+    # Reject typos before any context is built (and calibrated).
+    unknown = [arg for arg in argv if arg not in EXPERIMENTS]
+    if unknown:
+        known = ", ".join(sorted(EXPERIMENTS))
+        for experiment_id in unknown:
+            print(
+                f"unknown experiment {experiment_id!r}; known: {known}",
+                file=sys.stderr,
+            )
+        return 2
     for experiment_id in argv:
         # Each experiment gets a fresh context (a fresh chip-day) so the
         # per-experiment executor ledger is attributable to it alone.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import QuantumCircuit
+from repro.circuit.gates import Gate
 from repro.device import (
     NOISELESS_PROFILE,
     RigettiAspenDevice,
@@ -14,9 +15,16 @@ from repro.device import (
     build_device,
     small_test_device,
 )
+from repro.device.drift import DriftingValue
 from repro.device.native_gates import cnot_decomposition, hadamard_native
+from repro.device.noise_parameters import coherent_error_unitary
 from repro.device.topology import linear_topology
 from repro.exceptions import DeviceError
+from repro.linalg import channel_average_fidelity
+from repro.sim.channels import (
+    thermal_relaxation_channel,
+    two_qubit_depolarizing_channel,
+)
 
 
 def _bell_native(qubit_a, qubit_b, native="cz"):
@@ -189,3 +197,103 @@ class TestTrueFidelity:
     def test_rx_fidelity(self, device):
         fid = device.true_rx_fidelity(0)
         assert 0.9 < fid <= 1.0
+
+
+_PULSE_GATES = {
+    "cz": Gate("cz", (0, 1)),
+    "xy": Gate("xy", (0, 1), (math.pi,)),
+    "cphase": Gate("cphase", (0, 1), (math.pi / 2,)),
+}
+
+
+def _kraus_reference(dev, link, gate_name):
+    """Average pulse fidelity from the explicitly composed Kraus list:
+    ideal pulse, coherent error, 2q depolarizing, then each qubit's
+    thermal relaxation, traced term by term."""
+    params = dev.gate_params[(link, gate_name)]
+    ideal = _PULSE_GATES[gate_name].matrix()
+    error = coherent_error_unitary(
+        gate_name, params.over_rotation.current, params.zz_error.current
+    )
+    kraus = [error @ ideal]
+    depol = params.depolarizing.current
+    if depol > 0:
+        channel = two_qubit_depolarizing_channel(depol)
+        kraus = [k @ base for base in kraus for k in channel.operators]
+    identity = np.eye(2)
+    for position, qubit in enumerate(link):
+        qparams = dev.qubit_params[qubit]
+        thermal = thermal_relaxation_channel(
+            params.duration_ns / 1000.0,
+            qparams.t1_us.current,
+            min(qparams.t2_us.current, 2 * qparams.t1_us.current),
+        )
+        embedded = [
+            np.kron(op, identity) if position == 0 else np.kron(identity, op)
+            for op in thermal.operators
+        ]
+        kraus = [k @ base for base in kraus for k in embedded]
+    return channel_average_fidelity(ideal, kraus)
+
+
+def _set_no_depolarizing(dev, link, gate_name):
+    dev.gate_params[(link, gate_name)].depolarizing = DriftingValue.fixed(0.0)
+
+
+def _set_t2_at_limit(dev, link, gate_name):
+    for qubit in link:
+        params = dev.qubit_params[qubit]
+        params.t2_us = DriftingValue.fixed(2 * params.t1_us.current)
+
+
+def _set_short_t1(dev, link, gate_name):
+    for qubit in link:
+        dev.qubit_params[qubit].t1_us = DriftingValue.fixed(0.01)
+        dev.qubit_params[qubit].t2_us = DriftingValue.fixed(0.015)
+
+
+def _set_no_zz(dev, link, gate_name):
+    dev.gate_params[(link, gate_name)].zz_error = DriftingValue.fixed(0.0)
+
+
+def _set_all(dev, link, gate_name):
+    for edit in (_set_no_depolarizing, _set_t2_at_limit, _set_no_zz):
+        edit(dev, link, gate_name)
+
+
+class TestPulseFidelityClosedForm:
+    """``true_pulse_fidelity`` is a closed form of the Kraus sum."""
+
+    @pytest.mark.parametrize("hours", [0.0, 4.0, 30.0])
+    def test_matches_kraus_sum_on_every_aspen11_pulse(self, hours):
+        aspen = aspen11(seed=11)
+        aspen.advance_time(hours * 3_600e6)
+        assert len(aspen.gate_params) == 128
+        for link, gate_name in aspen.gate_params:
+            assert aspen.true_pulse_fidelity(
+                link, gate_name
+            ) == pytest.approx(
+                _kraus_reference(aspen, link, gate_name), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("gate_name", sorted(_PULSE_GATES))
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set_no_depolarizing,
+            _set_t2_at_limit,
+            _set_short_t1,
+            _set_no_zz,
+            _set_all,
+        ],
+    )
+    def test_matches_kraus_sum_at_edge_parameters(self, edit, gate_name):
+        dev = small_test_device(3, seed=4)
+        link = (0, 1)
+        assert gate_name in dev.supported_gates(*link)
+        edit(dev, link, gate_name)
+        fidelity = dev.true_pulse_fidelity(link, gate_name)
+        assert fidelity == pytest.approx(
+            _kraus_reference(dev, link, gate_name), abs=1e-12
+        )
+        assert 0.25 <= fidelity <= 1.0

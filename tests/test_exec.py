@@ -1,8 +1,13 @@
 """Execution-service tests: jobs, backends, executor, ANGEL equivalence."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.circuit import QuantumCircuit
 from repro.compiler import transpile
 from repro.compiler.nativization import nativize
 from repro.core.angel import Angel, AngelConfig, _CopycatNativizer
@@ -19,8 +24,10 @@ from repro.exec import (
     LocalBackend,
     get_executor,
 )
+from repro.experiments import ExperimentContext
 from repro.metrics import success_rate_from_counts
 from repro.programs.ghz import ghz
+from repro.service import RequestSpec, run_standalone
 
 
 def _env(seed=31, cal_seed=2):
@@ -240,6 +247,51 @@ class TestBatchExecutor:
         device_b, _ = _env(seed=32)
         assert get_executor(device_a) is get_executor(device_a)
         assert get_executor(device_a) is not get_executor(device_b)
+
+    def test_pickled_device_gets_its_own_executor(self):
+        device, _ = _env()
+        executor = get_executor(device)
+        copy = pickle.loads(pickle.dumps(device))
+        assert copy.shared_executor is None
+        assert get_executor(copy) is not executor
+        assert get_executor(copy).backend.device is copy
+
+
+class TestDeviceLifetime:
+    """The shared executor must not keep finished requests' devices
+    (and their channel and simulation caches) alive."""
+
+    def test_closed_context_device_is_collected(self):
+        context = ExperimentContext.create(drift_hours=0.0)
+        qubit = context.device.topology.qubits[0]
+        circuit = QuantumCircuit(qubit + 1).rx(np.pi, qubit).measure(qubit)
+        context.executor.submit(Job(circuit, 16, seed=0))
+        assert context.executor is get_executor(context.device)
+        device = weakref.ref(context.device)
+        context.close()
+        del context
+        gc.collect()
+        assert device() is None
+
+    def test_run_standalone_device_is_collected(self, monkeypatch):
+        devices = []
+        create = ExperimentContext.create.__func__
+
+        def recording_create(cls, *args, **kwargs):
+            context = create(cls, *args, **kwargs)
+            devices.append(weakref.ref(context.device))
+            return context
+
+        monkeypatch.setattr(
+            ExperimentContext, "create", classmethod(recording_create)
+        )
+        outcome = run_standalone(
+            RequestSpec("tele_n2", shots=64, probe_shots=16, drift_hours=0.0)
+        )
+        assert outcome.probes_run > 0
+        assert len(devices) == 1
+        gc.collect()
+        assert devices[0]() is None
 
 
 class TestCopycatNativizer:

@@ -62,6 +62,27 @@ class TestRegistry:
         with pytest.raises(ReproError, match="unknown experiment"):
             run_experiment("fig99")
 
+    @pytest.mark.parametrize(
+        "argv", [["--stats", "no_such_id"], ["fig1c", "no_such_id"]]
+    )
+    def test_runner_rejects_unknown_id_before_building(
+        self, argv, monkeypatch, capsys
+    ):
+        from repro.experiments import runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("context built for an invalid command")
+
+        monkeypatch.setattr(runner.ExperimentContext, "create", refuse)
+        monkeypatch.setitem(runner.EXPERIMENTS, "fig1c", refuse)
+        assert runner.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "unknown experiment 'no_such_id'; known: "
+        )
+        assert all(name in captured.err for name in runner.EXPERIMENTS)
+
 
 class TestMotivation:
     def test_fig1c(self, context):

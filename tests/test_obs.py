@@ -383,6 +383,25 @@ class TestContextPlumbing:
         assert "angel.select" in rendered
         assert "backend.job" in rendered
 
+    def test_context_create_nests_calibration_spans(self):
+        tracer = Tracer()
+        with observed(tracer):
+            context = ExperimentContext.create(drift_hours=6.0)
+        context.close()
+        by_name = {}
+        for span in tracer.spans:
+            by_name.setdefault(span.name, []).append(span)
+        (create,) = by_name["context.create"]
+        assert create.parent_id is None
+        assert create.attributes == {"device": "aspen-11", "drift_hours": 6.0}
+        (full,) = by_name["calibration.full"]
+        assert full.parent_id == create.span_id
+        # 6 h in 3 h steps: nothing is due at 3 h; XY and CZ (4 h
+        # cadence) are at 6 h, CPHASE (24 h) is not.
+        refreshes = by_name["calibration.refresh"]
+        assert [s.parent_id for s in refreshes] == [create.span_id] * 2
+        assert [s.attributes["gates"] for s in refreshes] == [0, 2]
+
     def test_cli_angel_alias_with_trace(self, tmp_path, capsys):
         from repro.cli import main
 
