@@ -6,7 +6,7 @@ repository root. This script reduces them to a single
 its ``--check`` gate is built around), the direction that counts as
 better, and a regression flag comparing against the previously pinned
 trajectory — so the repo's perf history stays monotone-checkable from
-one file instead of nine.
+one file instead of one per benchmark.
 
 Usage::
 
@@ -29,9 +29,6 @@ from pathlib import Path
 #: Per-benchmark headline: (dotted path into the report, direction,
 #: short label). Direction ``higher`` means bigger is better.
 HEADLINES = {
-    "batched_candidate_engine": (
-        "per_probe.mean_speedup", "higher", "mean per-probe speedup (x)"
-    ),
     "exec_probe_throughput": ("speedup", "higher", "cache speedup (x)"),
     "sim_cache_probe_workload": (
         "speedup", "higher", "hierarchy speedup (x)"
@@ -41,9 +38,6 @@ HEADLINES = {
     ),
     "obs_overhead": (
         "enabled_overhead", "lower", "obs overhead (fraction)"
-    ),
-    "multi_tenant_service_load": (
-        "throughput_rps", "higher", "service throughput (req/s)"
     ),
     "service_resilience": (
         "local.wall_time_s", "lower", "local-baseline wall time (s)"

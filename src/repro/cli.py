@@ -62,20 +62,11 @@ def _make_context(args: argparse.Namespace) -> ExperimentContext:
         fault_profile=getattr(args, "fault_profile", "none"),
         fault_seed=getattr(args, "fault_seed", 0),
         sim_cache=not getattr(args, "no_sim_cache", False),
-        batched_sim=not getattr(args, "no_batched_sim", False),
-        clifford_fast_path=(
-            getattr(args, "clifford_fast_path", False)
-            and not getattr(args, "no_clifford_fast_path", False)
-        ),
         parallel=getattr(args, "parallel", False),
         max_workers=getattr(args, "max_workers", None),
         trace=getattr(args, "trace", None),
         metrics=getattr(args, "metrics", False),
-        optimization_level=(
-            0
-            if getattr(args, "no_opt_passes", False)
-            else getattr(args, "opt_level", 0)
-        ),
+        optimization_level=getattr(args, "opt_level", 0),
     )
 
 
@@ -133,26 +124,6 @@ def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
         "distribution memoization) for A/B runs against the uncached path",
     )
     parser.add_argument(
-        "--no-batched-sim",
-        action="store_true",
-        help="disable the batched candidate-simulation engine "
-        "(shared-suffix stacked contractions) for A/B runs against "
-        "the one-at-a-time path",
-    )
-    parser.add_argument(
-        "--clifford-fast-path",
-        action="store_true",
-        help="route pure-Clifford probes through the stabilizer "
-        "simulator with a perturbative noise treatment (counts are "
-        "differential-test-bounded, not bit-identical)",
-    )
-    parser.add_argument(
-        "--no-clifford-fast-path",
-        action="store_true",
-        help="force the dense engine even when --clifford-fast-path "
-        "is set (A/B bisection flag)",
-    )
-    parser.add_argument(
         "--parallel",
         action="store_true",
         help="run executor batches on the persistent worker pool "
@@ -173,12 +144,6 @@ def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
         help="pre-routing circuit optimization level (0 = off, the "
         "bit-identical default; 1 = cancellation/merging/fusion; "
         "2 = level 1 plus two-qubit rewrites and native cleanup)",
-    )
-    parser.add_argument(
-        "--no-opt-passes",
-        action="store_true",
-        help="force optimization level 0 regardless of --opt-level "
-        "(A/B bisection flag)",
     )
     parser.add_argument(
         "--trace",
@@ -484,11 +449,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         fault_profile=args.fault_profile,
         fault_seed=args.fault_seed,
-        batched_sim=not args.no_batched_sim,
-        clifford_fast_path=(
-            args.clifford_fast_path and not args.no_clifford_fast_path
-        ),
-        opt_level=(0 if args.no_opt_passes else args.opt_level),
+        opt_level=args.opt_level,
     )
     workload = {
         f"tenant-{index}": [

@@ -91,8 +91,8 @@ def _snap_half_pi(angle: float) -> float:
     """Snap an angle to an exact multiple of pi/2 when within tolerance.
 
     Keeps merged/fused rotations on the Clifford grid the gate registry's
-    predicates (and the PR 8 Clifford fast path) test for, instead of
-    drifting off it by accumulated float error.
+    predicates test for, instead of drifting off it by accumulated float
+    error.
     """
     ratio = angle / _HALF_PI
     nearest = round(ratio)

@@ -140,49 +140,65 @@ def transpile(
     Returns:
         A :class:`CompiledProgram` awaiting native gate selection.
     """
-    opt_report: Optional[OptimizationReport] = None
-    if optimization_level:
-        tracer = obs.active_tracer()
-        span = (
-            tracer.span(
-                "opt.run",
-                program=circuit.name,
-                level=optimization_level,
-            )
-            if tracer
-            else obs.NULL_SPAN
+    tracer = obs.active_tracer()
+    span = (
+        tracer.span(
+            "compiler.transpile",
+            program=circuit.name,
+            level=optimization_level,
         )
-        with span:
-            circuit_to_route, opt_report = optimize_circuit(
-                circuit, optimization_level
-            )
-            if tracer:
-                span.set(
-                    gates_removed=opt_report.gates_removed,
-                    links_removed=opt_report.links_removed,
+        if tracer
+        else obs.NULL_SPAN
+    )
+    with span:
+        opt_report: Optional[OptimizationReport] = None
+        if optimization_level:
+            opt_span = (
+                tracer.span(
+                    "opt.run",
+                    program=circuit.name,
+                    level=optimization_level,
                 )
-    else:
-        circuit_to_route = circuit
-    if layout is None:
-        if calibration is not None:
-            layout = noise_adaptive_layout(
-                circuit_to_route, device, calibration
+                if tracer
+                else obs.NULL_SPAN
             )
+            with opt_span:
+                circuit_to_route, opt_report = optimize_circuit(
+                    circuit, optimization_level
+                )
+                if tracer:
+                    opt_span.set(
+                        gates_removed=opt_report.gates_removed,
+                        links_removed=opt_report.links_removed,
+                    )
         else:
-            layout = trivial_layout(circuit_to_route, device.topology)
-    routed = route_circuit(
-        circuit_to_route, device.topology, layout, calibration=calibration
-    )
-    scheduled = asap_schedule(routed.circuit)
-    sites = extract_cnot_sites(scheduled)
-    compiled = CompiledProgram(
-        source=circuit,
-        routed=routed,
-        scheduled=scheduled,
-        sites=sites,
-        device=device,
-        optimization_level=optimization_level,
-        opt_report=opt_report,
-    )
+            circuit_to_route = circuit
+        if layout is None:
+            if calibration is not None:
+                layout = noise_adaptive_layout(
+                    circuit_to_route, device, calibration
+                )
+            else:
+                layout = trivial_layout(circuit_to_route, device.topology)
+        routed = route_circuit(
+            circuit_to_route, device.topology, layout, calibration=calibration
+        )
+        scheduled = asap_schedule(routed.circuit)
+        sites = extract_cnot_sites(scheduled)
+        compiled = CompiledProgram(
+            source=circuit,
+            routed=routed,
+            scheduled=scheduled,
+            sites=sites,
+            device=device,
+            optimization_level=optimization_level,
+            opt_report=opt_report,
+        )
+        if tracer:
+            span.set(
+                cnot_sites=compiled.num_cnot_sites,
+                links_used=len(compiled.links_used()),
+                swaps=routed.swap_count,
+            )
     compiled.gate_options()  # fail fast if a used link supports nothing
     return compiled

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -30,19 +30,15 @@ from ..linalg import channel_average_fidelity
 from ..sim.channel_cache import ChannelCache
 from ..sim.channels import (
     KrausChannel,
-    ReadoutError,
     Superoperator,
     thermal_relaxation_channel,
     two_qubit_depolarizing_channel,
     depolarizing_channel,
     unitary_channel,
 )
-from ..exceptions import SimulationError
-from ..sim.circuit_compiler import circuit_fingerprint
-from ..sim.density_matrix import DensityMatrixSimulator, _apply_readout_confusion
+from ..sim.density_matrix import DensityMatrixSimulator
 from ..sim.sampler import Counts, sample_distribution
 from ..sim.sim_cache import SimulationCache
-from ..sim.stabilizer import StabilizerSimulator
 from .native_gates import (
     DEFAULT_PULSE_DURATIONS_NS,
     NativeGateSet,
@@ -67,19 +63,6 @@ _SHOT_OVERHEAD_US = 10.0
 _JOB_OVERHEAD_US = 50_000.0
 
 _NS_PER_US = 1000.0
-
-#: Clifford fast path: largest coherent error angle (radians) the
-#: perturbative noise treatment will absorb. Coherent rotations beyond
-#: this are state-dependent in a way the white-noise mix cannot bound,
-#: so the circuit falls back to the dense engine. Realistic calibrated
-#: profiles (DEFAULT_PROFILE draws ~0.1 rad link errors) always exceed
-#: it — the fast path engages only on clean or near-Clifford physics.
-_CLIFFORD_MAX_COHERENT = 0.02
-#: Entry cap for the per-epoch Clifford distribution memo.
-_CLIFFORD_MEMO_ENTRIES = 4096
-#: Sentinel distinguishing "not memoized" from a memoized fallback
-#: (``None`` is a legitimate memo value meaning "took the dense path").
-_CLIFFORD_MEMO_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -149,22 +132,6 @@ class RigettiAspenDevice:
             lowering path goes through the fused operation compiler);
             on by default, disable for A/B runs against the uncached
             simulation path (``--no-sim-cache`` in the CLI).
-        batched_sim: Enable the batched candidate engine: batch entry
-            points (:meth:`noisy_distribution_batch`) stack candidates
-            sharing a lowered suffix onto a leading candidate axis and
-            contract the shared suffix once
-            (:mod:`repro.sim.batched`), after deduplicating identical
-            circuits within the batch. Requires ``sim_cache``;
-            bit-identical to sequential evaluation, on by default
-            (``--no-batched-sim`` for A/B runs).
-        clifford_fast_path: Route circuits that are gate-wise Clifford
-            through the stabilizer tableau simulator with a
-            perturbative (white-noise) treatment of the stochastic
-            error budget, falling back to the dense engine whenever any
-            coherent error angle exceeds ``_CLIFFORD_MAX_COHERENT`` or
-            any gate is non-Clifford. Exact when the noise budget is
-            zero; approximate otherwise — off by default because it can
-            change counts (``--clifford-fast-path`` opts in).
     """
 
     def __init__(
@@ -178,8 +145,6 @@ class RigettiAspenDevice:
         crosstalk_zz: float = 0.0,
         channel_cache: bool = True,
         sim_cache: bool = True,
-        batched_sim: bool = True,
-        clifford_fast_path: bool = False,
     ) -> None:
         missing = [q for q in topology.qubits if q not in qubit_params]
         if missing:
@@ -206,15 +171,6 @@ class RigettiAspenDevice:
         self.sim_cache: Optional[SimulationCache] = (
             SimulationCache() if (sim_cache and channel_cache) else None
         )
-        self.batched_sim = bool(batched_sim)
-        self.clifford_fast_path = bool(clifford_fast_path)
-        #: Distributions served by the stabilizer fast path (memo
-        #: hits included) / eligible attempts that fell back dense.
-        self.clifford_fast_hits = 0
-        self.clifford_fallbacks = 0
-        # Per-epoch memo: key -> distribution (or None for a remembered
-        # fallback, so repeated non-Clifford probes skip the re-check).
-        self._clifford_memo: Dict[Tuple, Optional[Dict[str, float]]] = {}
         self._drift_rng = np.random.default_rng(seed)
         self._sample_rng = np.random.default_rng(seed + 1)
         # (epoch, digest) memo for parameter_fingerprint().
@@ -281,7 +237,6 @@ class RigettiAspenDevice:
             self.channel_cache.invalidate(self.drift_epoch)
         if self.sim_cache is not None:
             self.sim_cache.invalidate(self.drift_epoch)
-        self._clifford_memo.clear()
 
     # ------------------------------------------------------------------
     # Parameter-state export (epoch-delta sync for pool workers)
@@ -393,7 +348,6 @@ class RigettiAspenDevice:
                 self.channel_cache.invalidate(epoch)
             if self.sim_cache is not None:
                 self.sim_cache.invalidate(epoch)
-            self._clifford_memo.clear()
 
     def _drifting_value(self, key: Tuple):
         if key[0] == "q":
@@ -437,7 +391,6 @@ class RigettiAspenDevice:
             )
             fresh_sim.epoch = self.drift_epoch
             state["sim_cache"] = fresh_sim
-        state["_clifford_memo"] = {}
         return state
 
     def circuit_duration_us(self, circuit: QuantumCircuit) -> float:
@@ -953,57 +906,6 @@ class RigettiAspenDevice:
             compact = self._with_idle_markers(compact)
         return self._exact_distribution(compact, used)
 
-    def noisy_distribution_batch(
-        self, circuits: Sequence[QuantumCircuit]
-    ) -> List[Dict[str, float]]:
-        """Batched oracle: exact distributions for many circuits at the
-        current parameter snapshot (no clock advance, no shots).
-
-        The batch entry point of the batched candidate engine: circuits
-        are grouped by physical placement, Clifford-eligible ones are
-        served by the stabilizer fast path, and each remaining
-        placement group goes through
-        :meth:`~repro.sim.sim_cache.SimulationCache.distribution_batch`
-        — in-batch dedup, then stacked candidate-axis contraction of
-        shared suffixes. Results are bit-identical to calling
-        :meth:`noisy_distribution` per circuit (the engine's contract);
-        with ``batched_sim`` disabled or no sim cache, that is
-        literally what happens.
-        """
-        if not self.batched_sim or self.sim_cache is None or len(circuits) < 2:
-            return [self.noisy_distribution(c) for c in circuits]
-        results: List[Optional[Dict[str, float]]] = [None] * len(circuits)
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        compacts: List[Optional[QuantumCircuit]] = [None] * len(circuits)
-        for index, circuit in enumerate(circuits):
-            self._validate(circuit)
-            used = self._used_qubits(circuit)
-            compact, _ = self._compact_circuit(circuit, used)
-            if self.idle_noise:
-                compact = self._with_idle_markers(compact)
-            fast = self._clifford_distribution(compact, used)
-            if fast is not None:
-                results[index] = fast
-                continue
-            compacts[index] = compact
-            groups.setdefault(tuple(used), []).append(index)
-        for placement, indices in groups.items():
-            used = list(placement)
-            readout = [
-                self.qubit_params[phys].readout_error() for phys in used
-            ]
-            batch = self.sim_cache.distribution_batch(
-                [compacts[i] for i in indices],
-                readout,
-                operation_compiler=self._operation_compiler_factory(used),
-                noise_callback=self._noise_callback_factory(used),
-                placement=placement,
-            )
-            for index, distribution in zip(indices, batch):
-                results[index] = distribution
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
-
     def _exact_distribution(
         self, compact: QuantumCircuit, used: List[int]
     ) -> Dict[str, float]:
@@ -1014,9 +916,6 @@ class RigettiAspenDevice:
         equal compact circuits on different physical qubits see
         different noise and must never share entries.
         """
-        fast = self._clifford_distribution(compact, used)
-        if fast is not None:
-            return fast
         readout = [self.qubit_params[phys].readout_error() for phys in used]
         if self.sim_cache is not None:
             return self.sim_cache.distribution(
@@ -1031,146 +930,6 @@ class RigettiAspenDevice:
             operation_compiler=self._operation_compiler_factory(used),
         )
         return simulator.distribution(compact, readout_errors=readout)
-
-    # ------------------------------------------------------------------
-    # Clifford stabilizer fast path
-    # ------------------------------------------------------------------
-    def _clifford_distribution(
-        self, compact: QuantumCircuit, used: List[int]
-    ) -> Optional[Dict[str, float]]:
-        """Stabilizer-tableau distribution with perturbative noise, or
-        ``None`` when the circuit must take the dense path.
-
-        Routing rules: the fast path is attempted only when enabled and
-        the device models no idle decay or spectator crosstalk (both
-        are structured multi-qubit effects the white-noise treatment
-        cannot absorb). A circuit is eligible when every gate is
-        Clifford at its exact angle and every coherent error angle at
-        the current parameter values is at most
-        ``_CLIFFORD_MAX_COHERENT`` radians. The stochastic error budget
-        (depolarizing weights, T1/T2 decay over pulse durations, and
-        the Pauli-twirled ``sin^2(angle/2)`` weight of the small
-        coherent angles) is folded into one survival probability and
-        applied as a white-noise mix over the measured register:
-        ``P = survival * ideal + (1 - survival) * uniform``, followed by
-        the exact readout confusion. With a zero budget the result is
-        exact (stabilizer == density matrix, pinned by the differential
-        sweep); otherwise it is an approximation bounded by the budget,
-        which is why the fast path is opt-in.
-        """
-        if not self.clifford_fast_path:
-            return None
-        if self.idle_noise or self.crosstalk_zz:
-            return None
-        readout = [self.qubit_params[phys].readout_error() for phys in used]
-        key = (
-            tuple(used),
-            circuit_fingerprint(compact),
-            tuple(
-                None if e is None else (e.p0_given_1, e.p1_given_0)
-                for e in readout
-            ),
-        )
-        memo = self._clifford_memo.get(key, _CLIFFORD_MEMO_MISS)
-        if memo is not _CLIFFORD_MEMO_MISS:
-            if memo is None:
-                self.clifford_fallbacks += 1
-                return None
-            self.clifford_fast_hits += 1
-            return dict(memo)
-        result = self._clifford_attempt(compact, used, readout)
-        if len(self._clifford_memo) >= _CLIFFORD_MEMO_ENTRIES:
-            self._clifford_memo.clear()
-        self._clifford_memo[key] = result
-        if result is None:
-            self.clifford_fallbacks += 1
-            return None
-        self.clifford_fast_hits += 1
-        return dict(result)
-
-    def _clifford_attempt(
-        self,
-        compact: QuantumCircuit,
-        used: List[int],
-        readout: List[Optional[ReadoutError]],
-    ) -> Optional[Dict[str, float]]:
-        """One un-memoized fast-path evaluation (see caller for rules)."""
-        survival = self._clifford_survival(compact, used)
-        if survival is None:
-            return None
-        try:
-            ideal = StabilizerSimulator().distribution(compact)
-        except SimulationError:
-            return None  # non-Clifford gate or too many random outcomes
-        measured = compact.measured_qubits() or tuple(
-            range(compact.num_qubits)
-        )
-        width = len(measured)
-        probs = np.full(1 << width, (1.0 - survival) / (1 << width))
-        for bits, weight in ideal.items():
-            probs[int(bits, 2)] += survival * weight
-        probs = _apply_readout_confusion(probs, measured, readout)
-        return {
-            format(i, f"0{width}b"): float(p)
-            for i, p in enumerate(probs)
-            if p > 1e-14
-        }
-
-    def _clifford_survival(
-        self, compact: QuantumCircuit, used: List[int]
-    ) -> Optional[float]:
-        """Probability that no stochastic error fires anywhere in the
-        circuit, or ``None`` when a coherent angle is too large for the
-        perturbative treatment."""
-        phys_of = dict(enumerate(used))
-        survival = 1.0
-        for gate in compact:
-            if gate.is_barrier or gate.is_measurement:
-                continue
-            if gate.name == "rz":
-                continue  # virtual frame update: noiseless
-            if gate.num_qubits == 1:
-                params = self.qubit_params[phys_of[gate.qubits[0]]]
-                angle = params.rx_over_rotation.current
-                if abs(angle) > _CLIFFORD_MAX_COHERENT:
-                    return None
-                survival *= (1.0 - math.sin(angle / 2.0) ** 2)
-                survival *= 1.0 - params.rx_depolarizing.current
-                survival *= self._thermal_survival(
-                    params, params.rx_duration_ns / _NS_PER_US
-                )
-                continue
-            if gate.num_qubits == 2:
-                link = make_link(
-                    phys_of[gate.qubits[0]], phys_of[gate.qubits[1]]
-                )
-                params2 = self.gate_params[(link, gate.name)]
-                for angle in (
-                    params2.over_rotation.current,
-                    params2.zz_error.current,
-                ):
-                    if abs(angle) > _CLIFFORD_MAX_COHERENT:
-                        return None
-                    survival *= (1.0 - math.sin(angle / 2.0) ** 2)
-                survival *= 1.0 - params2.depolarizing.current
-                duration_us = params2.duration_ns / _NS_PER_US
-                for phys in link:
-                    survival *= self._thermal_survival(
-                        self.qubit_params[phys], duration_us
-                    )
-                continue
-            return None  # unknown arity: dense path decides
-        return max(0.0, min(1.0, survival))
-
-    @staticmethod
-    def _thermal_survival(
-        params: QubitNoiseParameters, duration_us: float
-    ) -> float:
-        """Probability a qubit survives *duration_us* with no T1 reset
-        and no T2 phase flip (the white-noise weight of relaxation)."""
-        t1 = params.t1_us.current
-        t2 = min(params.t2_us.current, 2 * t1)
-        return math.exp(-duration_us / t1) * math.exp(-duration_us / t2)
 
     # ------------------------------------------------------------------
     # Ground-truth fidelities (what an oracle — not the vendor — knows)

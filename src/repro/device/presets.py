@@ -192,8 +192,6 @@ def build_device(
     crosstalk_zz: float = 0.0,
     channel_cache: bool = True,
     sim_cache: bool = True,
-    batched_sim: bool = True,
-    clifford_fast_path: bool = False,
 ) -> RigettiAspenDevice:
     """Sample a full device from *profile* on the given topology.
 
@@ -226,8 +224,6 @@ def build_device(
         crosstalk_zz=crosstalk_zz,
         channel_cache=channel_cache,
         sim_cache=sim_cache,
-        batched_sim=batched_sim,
-        clifford_fast_path=clifford_fast_path,
     )
 
 
@@ -237,8 +233,6 @@ def aspen11(
     idle_noise: bool = False,
     crosstalk_zz: float = 0.0,
     sim_cache: bool = True,
-    batched_sim: bool = True,
-    clifford_fast_path: bool = False,
 ) -> RigettiAspenDevice:
     """A 38-qubit Aspen-11-like device (one row of five octagons).
 
@@ -258,8 +252,6 @@ def aspen11(
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
         sim_cache=sim_cache,
-        batched_sim=batched_sim,
-        clifford_fast_path=clifford_fast_path,
     )
 
 
@@ -269,8 +261,6 @@ def aspen_m1(
     idle_noise: bool = False,
     crosstalk_zz: float = 0.0,
     sim_cache: bool = True,
-    batched_sim: bool = True,
-    clifford_fast_path: bool = False,
 ) -> RigettiAspenDevice:
     """An 80-qubit Aspen-M-1-like device (two rows of five octagons).
 
@@ -290,8 +280,6 @@ def aspen_m1(
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
         sim_cache=sim_cache,
-        batched_sim=batched_sim,
-        clifford_fast_path=clifford_fast_path,
     )
 
 
@@ -301,8 +289,6 @@ def small_test_device(
     profile: NoiseProfile = DEFAULT_PROFILE,
     channel_cache: bool = True,
     sim_cache: bool = True,
-    batched_sim: bool = True,
-    clifford_fast_path: bool = False,
 ) -> RigettiAspenDevice:
     """A linear-chain device for unit tests and quick examples."""
     # Force all three gates available on every link so tests are stable.
@@ -318,6 +304,4 @@ def small_test_device(
         profile=forced,
         channel_cache=channel_cache,
         sim_cache=sim_cache,
-        batched_sim=batched_sim,
-        clifford_fast_path=clifford_fast_path,
     )

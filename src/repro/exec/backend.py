@@ -310,12 +310,14 @@ class LocalBackend:
         are CPU-bound and independent); computes in-process when a
         single worker is requested, or when pools are unavailable
         (restricted environments) — both paths are bit-identical by the
-        epoch-delta synchronization contract.
+        epoch-delta synchronization contract. Either way each circuit
+        goes through ``device.noisy_distribution``, so the simulation
+        cache's distribution memo serves duplicates within the batch.
         """
         if max_workers is not None and max_workers < 2:
-            return self.device.noisy_distribution_batch(
-                [job.circuit for job in jobs]
-            )
+            return [
+                self.device.noisy_distribution(job.circuit) for job in jobs
+            ]
         try:
             pool = self._ensure_pool(max_workers)
             distributions, info = pool.run([job.circuit for job in jobs])
@@ -335,9 +337,9 @@ class LocalBackend:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            return self.device.noisy_distribution_batch(
-                [job.circuit for job in jobs]
-            )
+            return [
+                self.device.noisy_distribution(job.circuit) for job in jobs
+            ]
         self._affinity_hits += info.affinity_hits
         self._ship_bytes += info.ship_bytes
         for key, value in info.cache_deltas.items():
@@ -372,12 +374,6 @@ class LocalBackend:
         sim = getattr(self.device, "sim_cache", None)
         if sim is not None:
             stats.update(sim.stats())
-        stats["clifford_fast_hits"] = getattr(
-            self.device, "clifford_fast_hits", 0
-        )
-        stats["clifford_fallbacks"] = getattr(
-            self.device, "clifford_fallbacks", 0
-        )
         for key, value in self._worker_cache_totals.items():
             stats[key] = stats.get(key, 0) + value
         pool = self.pool

@@ -91,17 +91,6 @@ class ExecutorStats:
     #: Probe batches that were merged into a larger submission via
     #: ``submit_grouped`` (counts source groups, not merged batches).
     coalesced_groups: int = 0
-    #: Identical candidate streams deduplicated inside grouped batches
-    #: (simulated once, result fanned out to every duplicate).
-    batch_dedup_hits: int = 0
-    #: Candidate clusters the batched engine stacked (and how many
-    #: candidates rode those stacked contractions in total).
-    batch_groups: int = 0
-    batch_candidates: int = 0
-    #: Probes served by the Clifford stabilizer fast path, and probes
-    #: that were checked but fell back to the dense engine.
-    clifford_fast_hits: int = 0
-    clifford_fallbacks: int = 0
     jobs_by_tag: Dict[str, int] = field(default_factory=dict)
     shots_by_tag: Dict[str, int] = field(default_factory=dict)
     wall_time_by_tag_s: Dict[str, float] = field(default_factory=dict)
@@ -157,11 +146,6 @@ class ExecutorStats:
             "affinity_hits": self.affinity_hits,
             "ship_bytes": self.ship_bytes,
             "coalesced_groups": self.coalesced_groups,
-            "batch_dedup_hits": self.batch_dedup_hits,
-            "batch_groups": self.batch_groups,
-            "batch_candidates": self.batch_candidates,
-            "clifford_fast_hits": self.clifford_fast_hits,
-            "clifford_fallbacks": self.clifford_fallbacks,
             "jobs_by_tag": dict(self.jobs_by_tag),
             "shots_by_tag": dict(self.shots_by_tag),
             "wall_time_by_tag_s": dict(self.wall_time_by_tag_s),
@@ -197,17 +181,6 @@ class ExecutorStats:
         if self.coalesced_groups:
             lines.append(
                 f"coalescing: {self.coalesced_groups} probe batches merged"
-            )
-        if self.batch_groups or self.batch_dedup_hits:
-            lines.append(
-                f"batched sim: {self.batch_groups} stacked clusters "
-                f"({self.batch_candidates} candidates), "
-                f"{self.batch_dedup_hits} in-batch dedup hits"
-            )
-        if self.clifford_fast_hits or self.clifford_fallbacks:
-            lines.append(
-                f"clifford fast path: {self.clifford_fast_hits} hits, "
-                f"{self.clifford_fallbacks} dense fallbacks"
             )
         if self.workers or self.affinity_hits or self.ship_bytes:
             lines.append(
@@ -308,9 +281,8 @@ class BatchExecutor:
                 backend=self.backend.name,
                 mode=self.mode,
                 jobs=len(jobs),
-                # Per-candidate histogram amortization: a grouped batch
-                # collapses many candidates into few contractions, so
-                # the wall-time histogram records per-unit time.
+                # The wall-time histogram records the batch's time per
+                # job, once per job.
                 units=len(jobs),
                 tag=jobs[0].tag or "untagged",
             )
@@ -367,21 +339,6 @@ class BatchExecutor:
         self.stats.sim_shared_publishes += after.get(
             "dist_shared_publishes", 0
         ) - before.get("dist_shared_publishes", 0)
-        self.stats.batch_dedup_hits += after.get(
-            "batch_dedup_hits", 0
-        ) - before.get("batch_dedup_hits", 0)
-        self.stats.batch_groups += after.get(
-            "batch_groups", 0
-        ) - before.get("batch_groups", 0)
-        self.stats.batch_candidates += after.get(
-            "batch_candidates", 0
-        ) - before.get("batch_candidates", 0)
-        self.stats.clifford_fast_hits += after.get(
-            "clifford_fast_hits", 0
-        ) - before.get("clifford_fast_hits", 0)
-        self.stats.clifford_fallbacks += after.get(
-            "clifford_fallbacks", 0
-        ) - before.get("clifford_fallbacks", 0)
         self.stats.pool_fallbacks += after.get(
             "pool_fallbacks", 0
         ) - before.get("pool_fallbacks", 0)

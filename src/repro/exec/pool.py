@@ -79,11 +79,6 @@ _MONOTONIC_COUNTERS = (
     "prefix_stores",
     "prefix_evictions",
     "sim_invalidations",
-    "batch_dedup_hits",
-    "batch_groups",
-    "batch_candidates",
-    "clifford_fast_hits",
-    "clifford_fallbacks",
 )
 
 
@@ -391,8 +386,6 @@ def _worker_counters(device: "RigettiAspenDevice") -> Dict[str, int]:
         merged.update(device.channel_cache.stats())
     if device.sim_cache is not None:
         merged.update(device.sim_cache.stats())
-    merged["clifford_fast_hits"] = getattr(device, "clifford_fast_hits", 0)
-    merged["clifford_fallbacks"] = getattr(device, "clifford_fallbacks", 0)
     return {
         key: int(merged[key]) for key in _MONOTONIC_COUNTERS if key in merged
     }
@@ -417,7 +410,7 @@ def _pool_worker_main(connection, payload: bytes) -> None:  # pragma: no cover
         try:
             _, epoch, delta, circuits = message
             device.apply_parameter_state(epoch, delta)
-            results = device.noisy_distribution_batch(circuits)
+            results = [device.noisy_distribution(c) for c in circuits]
             reply = (
                 "ok",
                 results,

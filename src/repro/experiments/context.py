@@ -107,8 +107,6 @@ class ExperimentContext:
         fault_seed: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
         sim_cache: bool = True,
-        batched_sim: bool = True,
-        clifford_fast_path: bool = False,
         parallel: bool = False,
         max_workers: Optional[int] = None,
         optimization_level: int = 0,
@@ -140,15 +138,6 @@ class ExperimentContext:
             sim_cache: Enable the device's simulation cache hierarchy
                 (prefix-state + distribution memoization); disable for
                 A/B runs against the uncached simulation path.
-            batched_sim: Stack candidate batches into shared-suffix
-                contractions (the batched engine); disable for A/B runs
-                against the one-at-a-time path.
-            clifford_fast_path: Route pure-Clifford probes through the
-                stabilizer simulator with a white-noise perturbative
-                treatment where the coherent-error budget allows
-                (off by default: its counts are distribution-level
-                approximations, differential-test-bounded rather than
-                bit-identical).
             parallel: Dispatch executor batches through the persistent
                 worker pool (snapshot discipline) instead of running
                 them sequentially.
@@ -191,8 +180,6 @@ class ExperimentContext:
                 idle_noise=idle_noise,
                 crosstalk_zz=crosstalk_zz,
                 sim_cache=sim_cache,
-                batched_sim=batched_sim,
-                clifford_fast_path=clifford_fast_path,
             )
             service = CalibrationService(device, seed=calibration_seed)
             service.full_calibration()

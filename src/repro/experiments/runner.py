@@ -198,13 +198,6 @@ def main(argv: Optional[list] = None) -> int:
     argv = [arg for arg in argv if arg != "--stats"]
     no_sim_cache = "--no-sim-cache" in argv
     argv = [arg for arg in argv if arg != "--no-sim-cache"]
-    no_batched_sim = "--no-batched-sim" in argv
-    argv = [arg for arg in argv if arg != "--no-batched-sim"]
-    clifford_fast_path = "--clifford-fast-path" in argv
-    argv = [arg for arg in argv if arg != "--clifford-fast-path"]
-    if "--no-clifford-fast-path" in argv:
-        clifford_fast_path = False
-        argv = [arg for arg in argv if arg != "--no-clifford-fast-path"]
     parallel = "--parallel" in argv
     argv = [arg for arg in argv if arg != "--parallel"]
     show_metrics = "--metrics" in argv
@@ -217,9 +210,6 @@ def main(argv: Optional[list] = None) -> int:
     max_workers_raw = _pop_option(argv, "--max-workers", "")
     max_workers = int(max_workers_raw) if max_workers_raw else None
     opt_level = int(_pop_option(argv, "--opt-level", "0"))
-    if "--no-opt-passes" in argv:
-        opt_level = 0
-        argv = [arg for arg in argv if arg != "--no-opt-passes"]
     fleet_raw = _pop_option(argv, "--fleet", "")
     tenants_raw = _pop_option(argv, "--tenants", "")
     if tenants_raw:
@@ -234,10 +224,9 @@ def main(argv: Optional[list] = None) -> int:
         print(
             "usage: python -m repro.experiments.runner [--stats] "
             "[--backend local|remote] [--fault-profile NAME] "
-            "[--fault-seed N] [--no-sim-cache] [--no-batched-sim] "
-            "[--clifford-fast-path] [--no-clifford-fast-path] "
+            "[--fault-seed N] [--no-sim-cache] "
             "[--parallel] [--max-workers N] [--opt-level {0,1,2}] "
-            "[--no-opt-passes] [--trace FILE] [--metrics] "
+            "[--trace FILE] [--metrics] "
             "[--tenants N [--fleet M]] <experiment-id>..."
         )
         print("known experiments:", ", ".join(sorted(EXPERIMENTS)))
@@ -259,8 +248,6 @@ def main(argv: Optional[list] = None) -> int:
             show_stats
             or backend != "local"
             or no_sim_cache
-            or no_batched_sim
-            or clifford_fast_path
             or parallel
             or show_metrics
             or trace is not None
@@ -272,8 +259,6 @@ def main(argv: Optional[list] = None) -> int:
                 fault_profile=fault_profile,
                 fault_seed=fault_seed,
                 sim_cache=not no_sim_cache,
-                batched_sim=not no_batched_sim,
-                clifford_fast_path=clifford_fast_path,
                 parallel=parallel,
                 max_workers=max_workers,
                 trace=trace,

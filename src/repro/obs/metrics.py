@@ -121,9 +121,9 @@ class Histogram:
         """Record ``count`` observations of ``value`` in one update.
 
         Used when one measured region amortizes over many units of work
-        (a grouped batch collapsing many candidates into one
-        contraction): the per-unit value lands ``count`` times, so
-        percentiles stay comparable with the one-span-per-unit shape.
+        (an executor batch of many jobs): the per-unit value lands
+        ``count`` times, so percentiles stay comparable with the
+        one-span-per-unit shape.
         """
         if count <= 0:
             return

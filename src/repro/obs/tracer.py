@@ -324,10 +324,9 @@ class Tracer:
             histogram = self.registry.histogram(f"span.{span.name}.wall_s")
             units = span.attributes.get("units")
             if isinstance(units, int) and units > 1:
-                # A grouped batch collapses many candidates into one
-                # span (batched contraction); record the amortized
-                # per-unit wall time once per unit so percentiles stay
-                # comparable across engine modes.
+                # One span covers several units of work (a batch of
+                # jobs); record the per-unit wall time once per unit so
+                # percentiles compare batches of different sizes.
                 histogram.observe_many(span.wall_time_s / units, units)
             else:
                 histogram.observe(span.wall_time_s)

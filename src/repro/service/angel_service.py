@@ -95,12 +95,6 @@ class RequestSpec:
     backend: str = "local"
     fault_profile: str = "none"
     fault_seed: int = 0
-    #: Engine toggles (see :meth:`ExperimentContext.create`): the
-    #: batched candidate engine is on by default; the Clifford fast
-    #: path is opt-in because its counts are differential-test-bounded
-    #: approximations rather than bit-identical.
-    batched_sim: bool = True
-    clifford_fast_path: bool = False
     #: Window-aligned batch admission for remote backends (see
     #: :meth:`CloudQPUService.align_window`). Part of the spec so the
     #: standalone reference run takes the identical clock trajectory.
@@ -273,8 +267,6 @@ class _Request:
                 backend=effective.backend,
                 fault_profile=effective.fault_profile,
                 fault_seed=effective.fault_seed,
-                batched_sim=effective.batched_sim,
-                clifford_fast_path=effective.clifford_fast_path,
             )
         except BaseException:
             self._release_binding()

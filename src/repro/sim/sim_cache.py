@@ -40,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
-from .batched import BatchedDensityMatrix, plan_batches
 from .channels import ReadoutError
 from .circuit_compiler import (
     CircuitCompiler,
@@ -184,10 +183,6 @@ class SimulationCache:
         self.ops_replayed = 0
         self.ops_skipped = 0
         self.invalidations = 0
-        # Batched-candidate engine counters (distribution_batch).
-        self.batch_dedup_hits = 0
-        self.batch_groups = 0
-        self.batch_candidates = 0
 
     # ------------------------------------------------------------------
     # Invalidation (the drift contract)
@@ -272,70 +267,20 @@ class SimulationCache:
         noise_callback: Optional[Callable] = None,
         placement: Tuple = (),
     ) -> List[Dict[str, float]]:
-        """Exact distributions for a batch sharing one placement/epoch.
+        """:meth:`distribution` for several circuits on one placement.
 
-        The batched-candidate engine: identical circuits within the
-        batch are deduplicated before any simulation (counted in
-        ``batch_dedup_hits``), memo/shared-store hits short-circuit per
-        unique circuit exactly as :meth:`distribution` would, and the
-        remaining misses are partitioned by
-        :func:`~repro.sim.batched.plan_batches` into clusters whose
-        shared prefix is contracted once on a plain state (resuming
-        from and feeding the prefix snapshot cache), whose per-candidate
-        middles evolve individually, and whose shared suffix is
-        contracted once across the stacked candidates. Prefix and middle
-        evolution reuse the exact sequential code path and the stacked
-        suffix lowers to the same per-candidate GEMM columns, so results
-        are bit-identical to ``[self.distribution(c) for c in circuits]``.
+        A duplicate circuit is simulated once: the distribution memo
+        serves every repeat. Kept as a named entry point because
+        ``bench/tracing.py`` wraps it as part of the ``sim.distribution``
+        layer.
         """
-        readout_key = self._readout_key(readout_errors)
-        results: List[Optional[Dict[str, float]]] = [None] * len(circuits)
-        pending: "OrderedDict[Tuple, List[int]]" = OrderedDict()
-        for index, circuit in enumerate(circuits):
-            key = ((placement, circuit_fingerprint(circuit)), readout_key)
-            slot = pending.get(key)
-            if slot is not None:
-                slot.append(index)
-                self.batch_dedup_hits += 1
-            else:
-                pending[key] = [index]
-        misses: List[Tuple[Tuple, List[int]]] = []
-        for key, indices in pending.items():
-            cached = self._lookup(key)
-            if cached is not None:
-                for index in indices:
-                    results[index] = dict(cached)
-            else:
-                misses.append((key, indices))
-        lowered = [
-            self._lower(
-                circuits[indices[0]], key[0], operation_compiler,
+        return [
+            self.distribution(
+                circuit, readout_errors, operation_compiler,
                 noise_callback, placement,
             )
-            for key, indices in misses
+            for circuit in circuits
         ]
-        for plan in plan_batches(lowered):
-            if len(plan.indices) == 1:
-                position = plan.indices[0]
-                states = [self._evolve(lowered[position])]
-            else:
-                states = self._evolve_cluster(
-                    [lowered[i] for i in plan.indices],
-                    plan.prefix_len,
-                    plan.suffix_len,
-                )
-                self.batch_groups += 1
-                self.batch_candidates += len(plan.indices)
-            for position, state in zip(plan.indices, states):
-                key, indices = misses[position]
-                result = self._finish(
-                    circuits[indices[0]], state, readout_errors
-                )
-                self._store(key, result)
-                for index in indices:
-                    results[index] = dict(result)
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
 
     @staticmethod
     def _readout_key(
@@ -451,83 +396,6 @@ class SimulationCache:
                 self.prefix.put(hashes[index], state._tensor)
         return state
 
-    def _evolve_cluster(
-        self,
-        members: List[LoweredCircuit],
-        prefix_len: int,
-        suffix_len: int,
-    ) -> List[DensityMatrix]:
-        """Evolve one candidate cluster: shared prefix once, middles per
-        candidate, shared suffix batched over the candidate axis.
-
-        Prefix and middle evolution run on plain :class:`DensityMatrix`
-        states through the identical operator-application code as
-        :meth:`_evolve`, storing prefix snapshots under the same keys
-        (so later clusters and sequential runs resume from them); only
-        the shared suffix is applied on the stacked state, whose
-        per-candidate slices are bit-identical to individual
-        application. Batched-computed suffix states are *not* stored as
-        prefix snapshots — every cached snapshot stays a product of the
-        sequential path.
-        """
-        base = members[0]
-        num_qubits = base.num_qubits
-        stride = self._checkpoint_stride(
-            max(len(m.operations) for m in members),
-            DensityMatrix(num_qubits).snapshot().nbytes,
-        )
-        covered = 0
-        tensor = None
-        if prefix_len:
-            covered, tensor = self.prefix.longest_prefix(
-                base.prefix_hashes[:prefix_len]
-            )
-        if tensor is not None:
-            prefix_state = DensityMatrix.from_snapshot(num_qubits, tensor)
-            self.ops_skipped += covered
-        else:
-            prefix_state = DensityMatrix(num_qubits)
-        for index in range(covered, prefix_len):
-            op = base.operations[index]
-            prefix_state.apply_superoperator(op.superop, op.qubits)
-            self.ops_replayed += 1
-            if (index + 1) % stride == 0 or index + 1 == prefix_len:
-                self.prefix.put(
-                    base.prefix_hashes[index], prefix_state._tensor
-                )
-        # Every member beyond the first rides the shared prefix for free.
-        self.ops_skipped += prefix_len * (len(members) - 1)
-        finals = []
-        for member in members:
-            middle_end = len(member.operations) - suffix_len
-            state = DensityMatrix.from_snapshot(
-                num_qubits, prefix_state._tensor
-            )
-            for index in range(prefix_len, middle_end):
-                op = member.operations[index]
-                state.apply_superoperator(op.superop, op.qubits)
-                self.ops_replayed += 1
-                if (index + 1) % stride == 0 or index + 1 == middle_end:
-                    self.prefix.put(
-                        member.prefix_hashes[index], state._tensor
-                    )
-            finals.append(state)
-        if suffix_len == 0:
-            return finals
-        stacked = BatchedDensityMatrix(
-            num_qubits, [state._tensor for state in finals]
-        )
-        tail = base.operations[len(base.operations) - suffix_len:]
-        for op in tail:
-            stacked.apply_superoperator(op.superop, op.qubits)
-            self.ops_replayed += 1
-        # Each batched contraction stands in for K-1 further ones.
-        self.ops_skipped += suffix_len * (len(members) - 1)
-        return [
-            DensityMatrix.from_snapshot(num_qubits, stacked.tensor(k))
-            for k in range(len(members))
-        ]
-
     def _checkpoint_stride(self, num_ops: int, snapshot_bytes: int) -> int:
         """Checkpoint every N ops so one circuit stays within its slice
         of the byte budget (deep circuits checkpoint sparsely instead of
@@ -555,9 +423,6 @@ class SimulationCache:
             "ops_skipped": self.ops_skipped,
             "dist_shared_hits": self.shared_hits,
             "dist_shared_publishes": self.shared_publishes,
-            "batch_dedup_hits": self.batch_dedup_hits,
-            "batch_groups": self.batch_groups,
-            "batch_candidates": self.batch_candidates,
             "sim_invalidations": self.invalidations,
             "sim_epoch": self.epoch,
         }

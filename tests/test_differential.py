@@ -16,8 +16,6 @@ widens the sweep through ``REPRO_DIFFERENTIAL_SEEDS`` (a comma-separated
 list of extra seeds applied to every class).
 """
 
-import dataclasses
-import math
 import os
 
 import numpy as np
@@ -27,15 +25,7 @@ from repro.circuit.random_circuits import (
     random_circuit,
     random_clifford_circuit,
 )
-from repro.compiler import transpile
 from repro.core.copycat import build_copycat
-from repro.core.sequence import NativeGateSequence
-from repro.device.presets import (
-    DEFAULT_PROFILE,
-    NOISELESS_PROFILE,
-    small_test_device,
-)
-from repro.programs.ghz import ghz
 from repro.sim.density_matrix import DensityMatrixSimulator
 from repro.sim.stabilizer import StabilizerSimulator
 from repro.sim.statevector import StatevectorSimulator
@@ -106,136 +96,6 @@ def test_noiseless_statevector_vs_density_matrix(seed):
     vector = StatevectorSimulator().distribution(circuit)
     dense = DensityMatrixSimulator().distribution(circuit)
     _assert_distributions_match(vector, dense)
-
-
-# ----------------------------------------------------------------------
-# Device-level Clifford fast path vs dense engine, per noise preset
-# ----------------------------------------------------------------------
-
-#: Purely stochastic noise (no coherent angles): the fast path's
-#: white-noise survival model tracks the dense engine to a few percent
-#: total variation; readout confusion is applied exactly on both paths.
-_STOCHASTIC_PROFILE = dataclasses.replace(
-    NOISELESS_PROFILE,
-    t1_us_range=(150.0, 250.0),
-    t2_over_t1_range=(1.0, 1.5),
-    readout_p01_range=(0.01, 0.03),
-    readout_p10_range=(0.005, 0.02),
-    rx_depolarizing_range=(2e-4, 8e-4),
-    two_qubit_depolarizing_log_range=(math.log(2e-3), math.log(6e-3)),
-)
-
-#: Stochastic noise plus coherent angles well inside the fast path's
-#: exactness budget (0.02 rad): the realistic regime where the
-#: stabilizer short-circuit is allowed to fire.
-_WEAK_COHERENT_PROFILE = dataclasses.replace(
-    _STOCHASTIC_PROFILE,
-    rx_over_rotation_std=0.002,
-    over_rotation_std=0.004,
-    zz_error_std=0.003,
-)
-
-_CLIFFORD_PRESETS = {
-    "noiseless": (NOISELESS_PROFILE, 1e-4, "hits"),
-    "stochastic": (_STOCHASTIC_PROFILE, 0.08, "hits"),
-    "weak_coherent": (_WEAK_COHERENT_PROFILE, 0.08, "hits"),
-    # The default profile's coherent angles always exceed the budget:
-    # the fast path must fall back on every probe, bit-identically.
-    "default": (DEFAULT_PROFILE, 0.0, "fallbacks"),
-}
-
-
-def _total_variation(left, right):
-    keys = set(left) | set(right)
-    return 0.5 * sum(
-        abs(left.get(k, 0.0) - right.get(k, 0.0)) for k in keys
-    )
-
-
-def _probe_circuits(device, num_qubits=4):
-    """GHZ probe candidates in the localized-search shape: a uniform
-    reference per available gate (cz and xy lower to Clifford ops,
-    cphase does not)."""
-    compiled = transpile(ghz(num_qubits), device)
-    circuits = []
-    for gate in ("cz", "xy", "cphase"):
-        if any(
-            gate not in options
-            for options in compiled.gate_options().values()
-        ):
-            continue
-        sequence = NativeGateSequence.uniform(compiled.sites, gate)
-        circuits.append(
-            compiled.nativized(sequence, name_suffix=f"_{gate}")
-        )
-    return circuits
-
-
-@pytest.mark.parametrize("preset", sorted(_CLIFFORD_PRESETS))
-def test_clifford_fast_path_vs_dense_engine(preset):
-    """Device-level differential: clifford_fast_path on vs off, same
-    chip-day, every noise preset. Where the fast path fires, its
-    white-noise distribution stays within a total-variation budget of
-    the dense engine; where it cannot guarantee that, it falls back
-    and the distributions are identical dictionaries."""
-    profile, budget, expectation = _CLIFFORD_PRESETS[preset]
-    fast_dev = small_test_device(
-        num_qubits=4, seed=19, profile=profile, clifford_fast_path=True
-    )
-    dense_dev = small_test_device(num_qubits=4, seed=19, profile=profile)
-    for fast_circ, dense_circ in zip(
-        _probe_circuits(fast_dev), _probe_circuits(dense_dev)
-    ):
-        fast = fast_dev.noisy_distribution(fast_circ)
-        dense = dense_dev.noisy_distribution(dense_circ)
-        if budget == 0.0:
-            assert fast == dense
-        else:
-            tv = _total_variation(fast, dense)
-            assert tv <= budget, f"{preset}: TV {tv:.4f} > {budget}"
-    if expectation == "hits":
-        assert fast_dev.clifford_fast_hits > 0
-        # cphase probes are non-Clifford and must have fallen back.
-        assert fast_dev.clifford_fallbacks > 0
-    else:
-        assert fast_dev.clifford_fast_hits == 0
-        assert fast_dev.clifford_fallbacks > 0
-    assert dense_dev.clifford_fast_hits == 0
-
-
-@pytest.mark.parametrize("seed", _seeds(range(6)))
-def test_clifford_fast_path_random_copycats(seed):
-    """Pure-Clifford CopyCats of random programs through the device:
-    fast path vs dense under the weak-coherent preset, TV-bounded."""
-    rng = np.random.default_rng(4000 + seed)
-    num_qubits = int(rng.integers(2, 5))
-    depth = int(rng.integers(8, 24))
-    program = random_circuit(num_qubits, depth, rng)
-    copycat = build_copycat(program, max_non_clifford=0)
-    fast_dev = small_test_device(
-        num_qubits=num_qubits,
-        seed=41,
-        profile=_WEAK_COHERENT_PROFILE,
-        clifford_fast_path=True,
-    )
-    dense_dev = small_test_device(
-        num_qubits=num_qubits, seed=41, profile=_WEAK_COHERENT_PROFILE
-    )
-    fast_compiled = transpile(copycat.circuit, fast_dev)
-    dense_compiled = transpile(copycat.circuit, dense_dev)
-    fast_circ = fast_compiled.nativized(
-        NativeGateSequence.uniform(fast_compiled.sites, "cz")
-    )
-    dense_circ = dense_compiled.nativized(
-        NativeGateSequence.uniform(dense_compiled.sites, "cz")
-    )
-    fast = fast_dev.noisy_distribution(fast_circ)
-    dense = dense_dev.noisy_distribution(dense_circ)
-    # Deeper random circuits accumulate more white-noise model error
-    # than the structured GHZ probes, so this sweep gets a wider but
-    # still-discriminating budget (a wrong gate or a dropped channel
-    # shows up as TV well above 0.5).
-    assert _total_variation(fast, dense) <= 0.12
 
 
 def test_sweep_covers_at_least_fifty_cases():

@@ -253,6 +253,40 @@ class TestMetricsRegistry:
         assert kinds == {"counter", "gauge", "histogram"}
 
 
+class TestPerJobHistogram:
+    def test_exec_batch_wall_time_amortized_per_job(self):
+        """A batch of N jobs lands N per-job observations in the
+        exec.batch wall-time histogram, not one batch-sized observation,
+        so percentiles compare batches of different sizes."""
+        registry = MetricsRegistry()
+        tracer = Tracer(registry=registry)
+        with tracer.span("exec.batch", jobs=8, units=8):
+            pass
+        histogram = registry.histogram("span.exec.batch.wall_s")
+        assert histogram.count == 8
+        span = tracer.spans[-1]
+        assert histogram.total == pytest.approx(span.wall_time_s)
+
+    def test_span_without_units_observes_once(self):
+        registry = MetricsRegistry()
+        tracer = Tracer(registry=registry)
+        with tracer.span("backend.job"):
+            pass
+        assert registry.histogram("span.backend.job.wall_s").count == 1
+
+    def test_observe_many_matches_repeated_observe(self):
+        from repro.obs.metrics import Histogram
+
+        left = Histogram("left")
+        right = Histogram("right")
+        left.observe_many(0.25, 5)
+        for _ in range(5):
+            right.observe(0.25)
+        assert left.snapshot() == right.snapshot()
+        left.observe_many(1.0, 0)  # no-op
+        assert left.count == 5
+
+
 # ----------------------------------------------------------------------
 # Execution-stack integration
 # ----------------------------------------------------------------------
@@ -342,6 +376,22 @@ class TestIntegration:
         assert attrs["shots"] == 128
         assert "cache_hits_delta" in attrs
         assert "device_time_job_us" in attrs
+
+    def test_transpile_emits_one_span_enclosing_opt_run(self):
+        device = small_test_device(seed=3)
+        tracer = Tracer()
+        with observed(tracer):
+            compiled = transpile(ghz(4), device, optimization_level=1)
+        (span,) = [s for s in tracer.spans if s.name == "compiler.transpile"]
+        assert span.parent_id is None
+        attrs = span.attributes
+        assert attrs["program"] == compiled.source.name
+        assert attrs["level"] == 1
+        assert attrs["cnot_sites"] == compiled.num_cnot_sites
+        assert attrs["links_used"] == len(compiled.links_used())
+        assert attrs["swaps"] == compiled.routed.swap_count
+        (opt_run,) = [s for s in tracer.spans if s.name == "opt.run"]
+        assert opt_run.parent_id == span.span_id
 
 
 # ----------------------------------------------------------------------

@@ -301,9 +301,7 @@ class TestSchedulingAndStats:
         assert snapshot["ship_bytes"] == stats.ship_bytes
         assert "worker pool: 2 workers" in stats.to_text()
         # Worker-side cache activity is merged into the shared ledger:
-        # the duplicate circuit is now caught by the batched engine's
-        # in-batch dedup (simulated once, fanned out) rather than the
-        # distribution memo, and that counter harvests the same way.
-        assert stats.batch_dedup_hits > 0
+        # the duplicate circuit hit its worker's distribution memo.
+        assert stats.sim_dist_hits > 0
         backend.close()
         assert executor.stats.workers == 2  # gauge until the next batch

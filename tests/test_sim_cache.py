@@ -176,9 +176,9 @@ class TestDriftInvalidation:
             jobs_off, parallel=True, max_workers=1
         )
         assert [r.counts for r in first_on] == [r.counts for r in first_off]
-        # Identical probes in one snapshot batch: the batched engine
-        # dedups them in-batch (simulated once, fanned out).
-        assert dev_on.sim_cache.stats()["batch_dedup_hits"] >= 2
+        # Identical probes in one snapshot batch: the distribution memo
+        # serves the repeats (simulated once).
+        assert dev_on.sim_cache.stats()["dist_hits"] >= 2
 
         dev_on.advance_time(12 * 3600e6)
         dev_off.advance_time(12 * 3600e6)
@@ -264,9 +264,9 @@ class TestExecutorStatsPlumbing:
         executor.submit_batch(jobs)
         stats = executor.stats
         assert stats.sim_dist_misses >= 1
-        # Identical probes are deduped in-batch by the batched engine
-        # (the memo serves repeats only across batches now).
-        assert stats.batch_dedup_hits >= 2
+        # Identical probes in one snapshot batch: the distribution memo
+        # serves the repeats (simulated once).
+        assert stats.sim_dist_hits >= 2
         assert stats.sim_prefix_misses >= 1
         # The gauge reads post-batch: the end-of-batch clock advance has
         # already invalidated the snapshots, so residency is back to 0.
