@@ -84,9 +84,7 @@ def run(rounds: int, shots: int, repeats: int = 2):
         device = aspen11(seed=23, sim_cache=cached)
         compiled = transpile(ghz(7), device)
         assert len(compiled.links_used()) >= 4, "need >= 4 Aspen-11 links"
-        executor = BatchExecutor(
-            LocalBackend(device), mode="parallel", max_workers=1
-        )
+        executor = BatchExecutor(LocalBackend(device), mode="parallel")
         rng = np.random.default_rng(5)
         all_counts = []
         jobs_total = 0

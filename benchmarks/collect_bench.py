@@ -33,9 +33,6 @@ HEADLINES = {
     "sim_cache_probe_workload": (
         "speedup", "higher", "hierarchy speedup (x)"
     ),
-    "worker_pool_probe_workload": (
-        "speedup", "higher", "pool speedup (x)"
-    ),
     "obs_overhead": (
         "enabled_overhead", "lower", "obs overhead (fraction)"
     ),

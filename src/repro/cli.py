@@ -63,7 +63,6 @@ def _make_context(args: argparse.Namespace) -> ExperimentContext:
         fault_seed=getattr(args, "fault_seed", 0),
         sim_cache=not getattr(args, "no_sim_cache", False),
         parallel=getattr(args, "parallel", False),
-        max_workers=getattr(args, "max_workers", None),
         trace=getattr(args, "trace", None),
         metrics=getattr(args, "metrics", False),
         optimization_level=getattr(args, "opt_level", 0),
@@ -126,15 +125,8 @@ def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--parallel",
         action="store_true",
-        help="run executor batches on the persistent worker pool "
-        "(snapshot batch discipline) instead of sequentially",
-    )
-    parser.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="worker-pool size for --parallel (default: auto; 1 forces "
-        "the in-process snapshot path)",
+        help="run executor batches in the snapshot batch discipline "
+        "(one parameter snapshot per batch) instead of sequentially",
     )
     parser.add_argument(
         "--opt-level",
@@ -346,9 +338,9 @@ def _command_compile(args: argparse.Namespace) -> int:
     try:
         return _run_compile(context, args)
     finally:
-        # Error paths (ReproError, interrupts) must still release the
-        # worker pools and restore observability; close is idempotent,
-        # so the happy path's _finish_context close is harmless.
+        # Error paths (ReproError, interrupts) must still restore
+        # observability; close is idempotent, so the happy path's
+        # _finish_context close is harmless.
         context.close()
 
 

@@ -239,18 +239,16 @@ class RigettiAspenDevice:
             self.sim_cache.invalidate(self.drift_epoch)
 
     # ------------------------------------------------------------------
-    # Parameter-state export (epoch-delta sync for pool workers)
+    # Parameter-state export (the cross-request dedup key)
     # ------------------------------------------------------------------
     def parameter_state(self) -> Dict[Tuple, float]:
         """Every drifting parameter's raw process value, flat-keyed.
 
-        Keys are stable across device replicas built from the same
-        construction (``("q", qubit, i)`` for the i-th drifting value of
-        a qubit, ``("g", link, gate, i)`` for a two-qubit gate), so a
-        worker holding a pickled copy of this device can apply a delta
-        of these entries and land on bit-identical physics. Values are
-        the *raw* OU process values (pre-clip): shipping them preserves
-        the exact ``current`` reads on the far side.
+        Keys are stable across devices built from the same construction
+        (``("q", qubit, i)`` for the i-th drifting value of a qubit,
+        ``("g", link, gate, i)`` for a two-qubit gate). Values are the
+        *raw* OU process values (pre-clip), so two devices with equal
+        states read bit-identical ``current`` values.
         """
         state: Dict[Tuple, float] = {}
         for qubit in sorted(self.qubit_params):
@@ -277,11 +275,11 @@ class RigettiAspenDevice:
         shared distribution store may only serve one request's cached
         distribution to another when their devices' fingerprints match.
 
-        Memoized per epoch (``advance_time`` and ``apply_parameter_state``
-        drop the memo), so the per-job cost after the first call within
-        an epoch is one tuple compare.
+        Memoized per epoch (``advance_time`` bumps the epoch), so the
+        per-job cost after the first call within an epoch is one tuple
+        compare.
         """
-        memo = getattr(self, "_param_fingerprint", None)
+        memo = self._param_fingerprint
         if memo is not None and memo[0] == self.drift_epoch:
             return memo[1]
         digest = hashlib.blake2b(digest_size=16)
@@ -310,88 +308,6 @@ class RigettiAspenDevice:
         fingerprint = digest.digest()
         self._param_fingerprint = (self.drift_epoch, fingerprint)
         return fingerprint
-
-    def parameter_delta(
-        self, since: Dict[Tuple, float]
-    ) -> Dict[Tuple, float]:
-        """Entries of :meth:`parameter_state` that differ from *since*.
-
-        Non-drifting parameters (``DriftingValue.fixed``, zero
-        stationary std) never move, so the delta a drift epoch produces
-        is exactly the set of parameters whose processes stepped —
-        what a pool ships to workers instead of re-pickling the device.
-        """
-        return {
-            key: value
-            for key, value in self.parameter_state().items()
-            if since.get(key) != value
-        }
-
-    def apply_parameter_state(
-        self, epoch: int, values: Dict[Tuple, float]
-    ) -> None:
-        """Install shipped parameter values and adopt a drift epoch.
-
-        The worker-side half of epoch-delta synchronization: writes each
-        raw process value back into its :class:`~repro.device.drift.
-        DriftingValue` and, when the epoch moved, invalidates the channel
-        and simulation caches exactly as :meth:`advance_time` does in the
-        parent — no cache entry ever outlives the parameters it encodes,
-        on either side of the process boundary.
-        """
-        for key, value in values.items():
-            self._drifting_value(key).process.value = float(value)
-        self._param_fingerprint = None
-        if epoch != self.drift_epoch:
-            self.drift_epoch = epoch
-            if self.channel_cache is not None:
-                self.channel_cache.invalidate(epoch)
-            if self.sim_cache is not None:
-                self.sim_cache.invalidate(epoch)
-
-    def _drifting_value(self, key: Tuple):
-        if key[0] == "q":
-            _, qubit, index = key
-            return self.qubit_params[qubit].drifting_values()[index]
-        if key[0] == "g":
-            _, link, gate_name, index = key
-            return self.gate_params[(link, gate_name)].drifting_values()[
-                index
-            ]
-        raise DeviceError(f"unknown parameter key {key!r}")
-
-    # ------------------------------------------------------------------
-    # Pickling (what crosses the process boundary to pool workers)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle without cache contents or the shared executor.
-
-        The channel and simulation caches are pure memo tables — every
-        entry is reconstructible from the (pickled) noise parameters —
-        and their payloads dwarf the rest of the device (fused
-        superoperators, density-matrix snapshots up to the prefix byte
-        budget). A worker replica starts with fresh, empty caches of the
-        same configuration and warms its own, and a copy gets its own
-        executor (and ledger) on first use.
-        """
-        state = dict(self.__dict__)
-        state["shared_executor"] = None
-        cache = state["channel_cache"]
-        if cache is not None:
-            fresh = ChannelCache(cache._max_entries)
-            fresh.epoch = self.drift_epoch
-            state["channel_cache"] = fresh
-        sim = state["sim_cache"]
-        if sim is not None:
-            fresh_sim = SimulationCache(
-                prefix_bytes=sim.prefix.max_bytes,
-                max_distributions=sim.max_distributions,
-                max_lowered=sim.max_lowered,
-                fuse=sim.fuse,
-            )
-            fresh_sim.epoch = self.drift_epoch
-            state["sim_cache"] = fresh_sim
-        return state
 
     def circuit_duration_us(self, circuit: QuantumCircuit) -> float:
         """Critical-path duration of one shot of a native circuit."""

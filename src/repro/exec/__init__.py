@@ -11,7 +11,6 @@ and how it maps onto the paper's Fig. 11 flow.
 from .backend import Backend, LocalBackend
 from .executor import BatchExecutor, ExecutorStats, get_executor
 from .job import Job, JobResult
-from .pool import WorkerPool, default_max_workers
 
 __all__ = [
     "Backend",
@@ -20,7 +19,5 @@ __all__ = [
     "JobResult",
     "BatchExecutor",
     "ExecutorStats",
-    "WorkerPool",
-    "default_max_workers",
     "get_executor",
 ]

@@ -14,8 +14,9 @@ Modes:
   bit-identical to the pre-executor ``device.run`` loop, which is what
   the paper-reproduction tests pin.
 * ``"parallel"`` — batches are handed to the backend's parallel path
-  (snapshot distributions on a process pool, then per-job sampling and
-  clock accounting). Same end-of-batch device state, faster wall clock.
+  (every distribution computed against one parameter snapshot, then
+  per-job sampling and clock accounting). Same end-of-batch device
+  state; only the within-batch drift differs.
 """
 
 from __future__ import annotations
@@ -77,17 +78,6 @@ class ExecutorStats:
     #: Search-level degradations: links whose probe jobs failed and fell
     #: back to the calibration-fidelity choice (recorded by ANGEL).
     fallbacks: int = 0
-    #: Parallel batches that lost their process pool and degraded to
-    #: in-process computation (LocalBackend).
-    pool_fallbacks: int = 0
-    #: Gauge: live worker-pool size after the latest batch (0 = no pool).
-    workers: int = 0
-    #: Jobs the prefix-affinity scheduler placed next to a job sharing
-    #: at least half their instruction prefix on the same worker.
-    affinity_hits: int = 0
-    #: Bytes shipped to pool workers (spawn payloads + epoch deltas +
-    #: chunked circuit dispatch) — the IPC cost parallelism paid.
-    ship_bytes: int = 0
     #: Probe batches that were merged into a larger submission via
     #: ``submit_grouped`` (counts source groups, not merged batches).
     coalesced_groups: int = 0
@@ -141,10 +131,6 @@ class ExecutorStats:
             "job_failures": self.job_failures,
             "breaker_trips": self.breaker_trips,
             "fallbacks": self.fallbacks,
-            "pool_fallbacks": self.pool_fallbacks,
-            "workers": self.workers,
-            "affinity_hits": self.affinity_hits,
-            "ship_bytes": self.ship_bytes,
             "coalesced_groups": self.coalesced_groups,
             "jobs_by_tag": dict(self.jobs_by_tag),
             "shots_by_tag": dict(self.shots_by_tag),
@@ -182,25 +168,17 @@ class ExecutorStats:
             lines.append(
                 f"coalescing: {self.coalesced_groups} probe batches merged"
             )
-        if self.workers or self.affinity_hits or self.ship_bytes:
-            lines.append(
-                f"worker pool: {self.workers} workers, "
-                f"{self.affinity_hits} affinity hits, "
-                f"{self.ship_bytes / 1024:.0f} KiB shipped"
-            )
         if (
             self.retries
             or self.job_failures
             or self.breaker_trips
             or self.fallbacks
-            or self.pool_fallbacks
         ):
             lines.append(
                 f"reliability: {self.retries} retries, "
                 f"{self.job_failures} job failures, "
                 f"{self.breaker_trips} breaker trips, "
-                f"{self.fallbacks} degraded links, "
-                f"{self.pool_fallbacks} pool fallbacks"
+                f"{self.fallbacks} degraded links"
             )
         for tag in sorted(self.jobs_by_tag):
             lines.append(
@@ -214,19 +192,13 @@ class ExecutorStats:
 class BatchExecutor:
     """Submit jobs (singly or in batches) through a Backend, with stats."""
 
-    def __init__(
-        self,
-        backend: Backend,
-        mode: str = "sequential",
-        max_workers: Optional[int] = None,
-    ) -> None:
+    def __init__(self, backend: Backend, mode: str = "sequential") -> None:
         if mode not in _MODES:
             raise ExecutionError(
                 f"unknown executor mode {mode!r}; expected one of {_MODES}"
             )
         self.backend = backend
         self.mode = mode
-        self.max_workers = max_workers
         self.stats = ExecutorStats()
         self._counter = 0
 
@@ -299,7 +271,6 @@ class BatchExecutor:
             results = submit(
                 jobs,
                 parallel=(self.mode == "parallel" and len(jobs) > 1),
-                max_workers=self.max_workers,
             )
             elapsed = time.perf_counter() - start
             after = self._cache_counters()
@@ -339,16 +310,6 @@ class BatchExecutor:
         self.stats.sim_shared_publishes += after.get(
             "dist_shared_publishes", 0
         ) - before.get("dist_shared_publishes", 0)
-        self.stats.pool_fallbacks += after.get(
-            "pool_fallbacks", 0
-        ) - before.get("pool_fallbacks", 0)
-        self.stats.workers = after.get("workers", self.stats.workers)
-        self.stats.affinity_hits += after.get(
-            "affinity_hits", 0
-        ) - before.get("affinity_hits", 0)
-        self.stats.ship_bytes += after.get("ship_bytes", 0) - before.get(
-            "ship_bytes", 0
-        )
         self.stats.retries += reliability_after.get(
             "retries", 0
         ) - reliability_before.get("retries", 0)

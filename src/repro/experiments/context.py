@@ -54,10 +54,7 @@ class ExperimentContext:
             backend's backoff jitter.
         retry_policy: Remote-client resilience tunables (None = default).
         parallel: Run executor batches through the snapshot parallel
-            discipline (persistent worker pool) instead of sequentially.
-        max_workers: Worker-pool size for parallel batches (``None`` =
-            the pool's own default; 1 forces the in-process snapshot
-            path).
+            discipline instead of sequentially.
     """
 
     device: RigettiAspenDevice
@@ -68,7 +65,6 @@ class ExperimentContext:
     fault_seed: int = 0
     retry_policy: Optional[RetryPolicy] = None
     parallel: bool = False
-    max_workers: Optional[int] = None
     optimization_level: int = 0
     tracer: Optional[Tracer] = field(
         default=None, repr=False, compare=False
@@ -108,7 +104,6 @@ class ExperimentContext:
         retry_policy: Optional[RetryPolicy] = None,
         sim_cache: bool = True,
         parallel: bool = False,
-        max_workers: Optional[int] = None,
         optimization_level: int = 0,
         trace: Optional[str] = None,
         metrics: bool = False,
@@ -138,10 +133,9 @@ class ExperimentContext:
             sim_cache: Enable the device's simulation cache hierarchy
                 (prefix-state + distribution memoization); disable for
                 A/B runs against the uncached simulation path.
-            parallel: Dispatch executor batches through the persistent
-                worker pool (snapshot discipline) instead of running
-                them sequentially.
-            max_workers: Pool size for parallel batches.
+            parallel: Run executor batches in the snapshot discipline
+                (every distribution in a batch computed against one
+                parameter snapshot) instead of sequentially.
             optimization_level: Pre-routing circuit optimization level
                 applied by :meth:`transpile` (0 = off, the
                 bit-identical default; see
@@ -211,7 +205,6 @@ class ExperimentContext:
             fault_seed=fault_seed,
             retry_policy=retry_policy,
             parallel=parallel,
-            max_workers=max_workers,
             optimization_level=optimization_level,
             tracer=tracer,
             metrics_registry=registry,
@@ -250,19 +243,16 @@ class ExperimentContext:
         a :class:`~repro.service.RemoteBackend` (one cloud service per
         context); otherwise the device's shared local executor. With
         ``parallel`` the executor runs batches in ``"parallel"`` mode —
-        local contexts get a dedicated executor owning its backend (and
-        its persistent worker pool), so the shared sequential ledger is
-        untouched; remote contexts forward the mode through the cloud
-        service to its local fallback.
+        local contexts get a dedicated executor, so the shared
+        sequential ledger is untouched; remote contexts forward the mode
+        through the cloud service to its local backend.
         """
         if self.backend_name == "local":
             if not self.parallel:
                 return get_executor(self.device)
             if self._parallel_executor is None:
                 self._parallel_executor = BatchExecutor(
-                    LocalBackend(self.device),
-                    mode="parallel",
-                    max_workers=self.max_workers,
+                    LocalBackend(self.device), mode="parallel"
                 )
             return self._parallel_executor
         if self._remote_executor is None:
@@ -277,12 +267,11 @@ class ExperimentContext:
                     qpu_service, self.retry_policy, seed=self.fault_seed
                 ),
                 mode="parallel" if self.parallel else "sequential",
-                max_workers=self.max_workers,
             )
         return self._remote_executor
 
     def close(self) -> None:
-        """Release worker pools and finalize observability.
+        """Finalize observability.
 
         When the context was created with ``trace``/``metrics``, the
         final executor/cache/service ledgers are absorbed into the
@@ -299,16 +288,6 @@ class ExperimentContext:
         self._closed = True
         if self.metrics_registry is not None:
             self._ingest_final_stats()
-        if self._parallel_executor is not None:
-            backend = self._parallel_executor.backend
-            close = getattr(backend, "close", None)
-            if close is not None:
-                close()
-        if self._remote_executor is not None:
-            backend = self._remote_executor.backend
-            service = getattr(backend, "service", None)
-            if service is not None:
-                service.close()
         if self.tracer is not None:
             self.tracer.close()
         if self._obs_previous is not None:

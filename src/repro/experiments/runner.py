@@ -192,7 +192,7 @@ def _replay_tenants(
 def main(argv: Optional[list] = None) -> int:
     """CLI: ``python -m repro.experiments.runner [--stats]
     [--backend local|remote] [--fault-profile NAME] [--parallel]
-    [--max-workers N] [--tenants N] <id>...``."""
+    [--tenants N] <id>...``."""
     argv = list(argv) if argv is not None else sys.argv[1:]
     show_stats = "--stats" in argv
     argv = [arg for arg in argv if arg != "--stats"]
@@ -207,8 +207,6 @@ def main(argv: Optional[list] = None) -> int:
     backend = _pop_option(argv, "--backend", "local")
     fault_profile = _pop_option(argv, "--fault-profile", "none")
     fault_seed = int(_pop_option(argv, "--fault-seed", "0"))
-    max_workers_raw = _pop_option(argv, "--max-workers", "")
-    max_workers = int(max_workers_raw) if max_workers_raw else None
     opt_level = int(_pop_option(argv, "--opt-level", "0"))
     fleet_raw = _pop_option(argv, "--fleet", "")
     tenants_raw = _pop_option(argv, "--tenants", "")
@@ -225,7 +223,7 @@ def main(argv: Optional[list] = None) -> int:
             "usage: python -m repro.experiments.runner [--stats] "
             "[--backend local|remote] [--fault-profile NAME] "
             "[--fault-seed N] [--no-sim-cache] "
-            "[--parallel] [--max-workers N] [--opt-level {0,1,2}] "
+            "[--parallel] [--opt-level {0,1,2}] "
             "[--trace FILE] [--metrics] "
             "[--tenants N [--fleet M]] <experiment-id>..."
         )
@@ -260,7 +258,6 @@ def main(argv: Optional[list] = None) -> int:
                 fault_seed=fault_seed,
                 sim_cache=not no_sim_cache,
                 parallel=parallel,
-                max_workers=max_workers,
                 trace=trace,
                 metrics=show_metrics,
                 optimization_level=opt_level,

@@ -272,9 +272,8 @@ class FleetReplica:
         """Fraction of the prefix chain this replica has seen recently.
 
         1.0 means a request with this instruction prefix already ran
-        here — its probe lowerings and prefix-state snapshots are warm
-        in the replica's caches and its distributions may sit in the
-        replica's dedup partition.
+        here, so its distributions may sit in the replica's dedup
+        partition.
         """
         if not signature:
             return 0.0

@@ -11,12 +11,12 @@ ledger):
 * **calibration-window freshness** — how recently the replica's
   staggered calibration cadence last fired (fresher calibration means
   the noise-adaptive reference sequence is better informed);
-* **prefix-cache affinity** — overlap between the request's
+* **prefix affinity** — overlap between the request's
   ``instruction_hash_chain`` prefix and the chains recently routed to
-  the replica, the fleet-level analogue of the worker pool's
-  prefix-affinity scheduling: co-locating same-prefix requests keeps
-  lowering/prefix-state caches warm and makes the replica's dedup
-  partition actually hit.
+  the replica: co-locating same-prefix requests makes the replica's
+  dedup partition actually hit. (Each request simulates on its own
+  device, and every job's clock advance flushes that device's
+  simulation caches, so co-location keeps no simulation cache warm.)
 
 Two forms of stickiness sit above the score: a request already bound
 stays bound (its device-clock trajectory must stay coherent), and a

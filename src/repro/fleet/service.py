@@ -42,8 +42,7 @@ from .router import FleetRouter, PlacementDecision
 __all__ = ["FleetBackend", "ReplicaBinding", "FleetService"]
 
 #: How many leading instruction hashes form a request's routing
-#: signature. Prefix overlap is what warms per-replica caches, so only
-#: the head of the chain matters for placement.
+#: signature. Only the head of the chain matters for placement.
 _SIGNATURE_PREFIX = 16
 
 
@@ -105,13 +104,9 @@ class FleetBackend:
     def submit(self, job):
         return self._dispatch([job], lambda: [self.inner.submit(job)])[0]
 
-    def submit_batch(self, jobs, parallel: bool = False, max_workers=None):
+    def submit_batch(self, jobs, parallel: bool = False):
         return self._dispatch(
-            jobs,
-            self.inner.submit_batch,
-            jobs,
-            parallel=parallel,
-            max_workers=max_workers,
+            jobs, self.inner.submit_batch, jobs, parallel=parallel
         )
 
     def __getattr__(self, name):
@@ -121,22 +116,13 @@ class FleetBackend:
         if name == "submit_batch_tolerant":
             inner_tolerant = getattr(self.inner, name)
 
-            def tolerant(jobs, parallel=False, max_workers=None):
+            def tolerant(jobs, parallel=False):
                 return self._dispatch(
-                    jobs,
-                    inner_tolerant,
-                    jobs,
-                    parallel=parallel,
-                    max_workers=max_workers,
+                    jobs, inner_tolerant, jobs, parallel=parallel
                 )
 
             return tolerant
         return getattr(self.inner, name)
-
-    def close(self) -> None:
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
 
 
 @dataclass(frozen=True)

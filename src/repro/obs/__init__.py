@@ -1,7 +1,7 @@
 """repro.obs — structured tracing + metrics over the execution stack.
 
 One probe sweep through ANGEL touches six layers (search, executor,
-backend, pool/service, device, caches), each with its own ledger. This
+backend, service, device, caches), each with its own ledger. This
 package is the unified lens over all of them:
 
 * :class:`Tracer` produces nested spans (search pass -> link ->

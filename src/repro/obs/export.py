@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 #: Span attributes promoted into the rendered summary column.
-_SUMMARY_KEYS = ("jobs", "shots", "tag", "link", "candidates", "workers")
+_SUMMARY_KEYS = ("jobs", "shots", "tag", "link", "candidates")
 
 
 def read_trace(path: str) -> List[Dict[str, Any]]:

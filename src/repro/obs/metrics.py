@@ -4,8 +4,8 @@ The execution stack already keeps several ad-hoc ledgers — the
 executor's :class:`~repro.exec.executor.ExecutorStats`, the backends'
 ``cache_stats()`` merges, the cloud service's
 :class:`~repro.service.cloud.ServiceStats` fault counters. Each is the
-right *source of truth* for its layer (they are diffed, pickled, and
-pinned by tests), but there was no single place to read them together.
+right *source of truth* for its layer (they are diffed and pinned by
+tests), but there was no single place to read them together.
 :class:`MetricsRegistry` is that place: layers :meth:`ingest` their
 ledgers under a stable prefix (``exec.*``, ``cache.*``, ``service.*``),
 live instrumentation bumps counters directly, and the tracer feeds
@@ -17,7 +17,7 @@ Semantics:
 * :class:`Counter` — monotonic; ``add`` refuses negative increments and
   ``advance_to`` (used when absorbing an absolute cumulative ledger
   value) never moves backwards, so repeated ingestion is idempotent.
-* :class:`Gauge` — last-write-wins level (pool size, resident bytes).
+* :class:`Gauge` — last-write-wins level (queue depth, resident bytes).
 * :class:`Histogram` — count/sum/min/max plus fixed decade buckets;
   enough to see the shape of span durations without reservoir sampling.
 """
@@ -65,7 +65,7 @@ class Counter:
 
 
 class Gauge:
-    """A last-write-wins level (pool size, resident bytes, ...)."""
+    """A last-write-wins level (queue depth, resident bytes, ...)."""
 
     __slots__ = ("name", "value")
 
@@ -160,17 +160,15 @@ class Histogram:
 
 
 #: Ledger keys that are levels, not cumulative totals — ingested as
-#: gauges so a shrinking pool or an evicted cache never trips the
-#: counter monotonicity contract.
+#: gauges so an evicted cache never trips the counter monotonicity
+#: contract.
 _GAUGE_KEYS = frozenset(
     {
-        "workers",
         "entries",
         "prefix_entries",
         "prefix_bytes",
         "sim_prefix_bytes",
         "dist_entries",
-        "lower_entries",
         "epoch",
     }
 )

@@ -1,7 +1,7 @@
 """Structured tracing: nested spans over the execution stack.
 
 A :class:`Span` is one timed region of work — a search pass, one link's
-candidate batch, a single probe job, a worker dispatch — with free-form
+candidate batch, a single probe job, a remote batch — with free-form
 attributes and point-in-time events attached. A :class:`Tracer` owns a
 stack of open spans, so regions opened inside other regions nest into a
 tree without any caller threading parent ids around: ``angel.select``

@@ -283,7 +283,6 @@ class _Request:
                 self.executor = BatchExecutor(
                     self.binding.wrap_backend(backend),
                     mode=self.executor.mode,
-                    max_workers=self.executor.max_workers,
                 )
             self.deduped = (
                 store.attach(self.context.device)
@@ -461,8 +460,7 @@ class AngelService:
 
     Args:
         num_workers: Pool threads executing scheduled units — the
-            service's concurrency, orthogonal to any per-request
-            simulation parallelism.
+            service's concurrency.
         round_budget_jobs: Per-round job cap for the DRR scheduler
             (window-shaped coalescing); ``None`` leaves rounds
             unbounded.

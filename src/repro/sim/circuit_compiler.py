@@ -70,16 +70,14 @@ def instruction_hash_chain(
 ) -> Tuple[bytes, ...]:
     """Rolling content hash after each *instruction* (no lowering).
 
-    The scheduling-side sibling of :class:`CircuitCompiler`'s lowered
+    The routing-side sibling of :class:`CircuitCompiler`'s lowered
     prefix chain: the same fingerprint discipline — content atoms
     ``(name, qubits, params)``, circuit label excluded, ``blake2b`` so
-    keys are stable across processes — but computed straight off the
-    instruction stream, with no device hooks and no matrix work. Two
-    circuits share a chain prefix exactly when they share an instruction
-    prefix, which is what the worker pool's prefix-affinity scheduler
-    groups on: candidates that would hit the same
-    :class:`~repro.sim.sim_cache.PrefixStateCache` snapshots land on the
-    same worker.
+    keys are stable across processes and runs — but computed straight
+    off the instruction stream, with no device hooks and no matrix work.
+    Two circuits share a chain prefix exactly when they share an
+    instruction prefix, which is what the fleet router's affinity score
+    measures (:mod:`repro.fleet.router`).
     """
     digest = hashlib.blake2b(
         repr(("instructions", circuit.num_qubits, tuple(hash_seed))).encode(),
@@ -273,7 +271,7 @@ class CircuitCompiler:
         """Rolling content hash after each fused operator.
 
         ``blake2b`` (not Python's salted ``hash``) keeps keys stable
-        across processes, so pool workers and the parent share prefixes.
+        across processes and runs.
         """
         digest = hashlib.blake2b(
             repr(("lowered", num_qubits, self.hash_seed)).encode(),

@@ -9,10 +9,11 @@ levels above the per-gate :class:`~repro.sim.channel_cache.ChannelCache`,
 all invalidated together when the device's ``drift_epoch`` bumps so no
 entry ever outlives the noise parameters it encodes:
 
-1. **Lowering + layer fusion** — circuits are flattened once per content
-   fingerprint into fused superoperator streams by
+1. **Lowering + layer fusion** — on a distribution miss, circuits are
+   flattened into fused superoperator streams by
    :class:`~repro.sim.circuit_compiler.CircuitCompiler`, cutting the
-   ``O(4^n)`` contraction count before any state work happens.
+   ``O(4^n)`` contraction count before any state work happens; fused
+   products are memoized across lowerings within an epoch.
 2. **Prefix-state memoization** — :class:`PrefixStateCache` snapshots
    the density matrix at checkpoints along the lowered stream, keyed by
    the rolling hash of operator fingerprints, so probe candidates
@@ -52,8 +53,10 @@ __all__ = ["PrefixStateCache", "SimulationCache"]
 
 # 128 MB default: ~8000 five-qubit snapshots, ~8 ten-qubit ones.
 _DEFAULT_PREFIX_BYTES = 128 * 1024 * 1024
-_DEFAULT_MAX_DISTRIBUTIONS = 4096
-_DEFAULT_MAX_LOWERED = 1024
+# Entry caps: memoized distributions (LRU) and fused products (flushed
+# wholesale when an epoch outgrows it).
+_MAX_DISTRIBUTIONS = 4096
+_MAX_PRODUCTS = 4096
 # One circuit's checkpoints may claim at most this fraction of the
 # byte budget, so a deep circuit cannot flush the whole cache.
 _CHECKPOINT_BUDGET_FRACTION = 8
@@ -146,26 +149,13 @@ class SimulationCache:
 
     Args:
         prefix_bytes: Byte budget for prefix snapshots.
-        max_distributions: Entry cap for memoized distributions (LRU).
-        max_lowered: Entry cap for lowered circuits (LRU).
-        fuse: Enable layer fusion during lowering.
     """
 
-    def __init__(
-        self,
-        prefix_bytes: int = _DEFAULT_PREFIX_BYTES,
-        max_distributions: int = _DEFAULT_MAX_DISTRIBUTIONS,
-        max_lowered: int = _DEFAULT_MAX_LOWERED,
-        fuse: bool = True,
-    ) -> None:
+    def __init__(self, prefix_bytes: int = _DEFAULT_PREFIX_BYTES) -> None:
         self.prefix = PrefixStateCache(prefix_bytes)
-        self.fuse = fuse
-        self.max_distributions = int(max_distributions)
-        self.max_lowered = int(max_lowered)
         self._distributions: "OrderedDict[Tuple, Dict[str, float]]" = (
             OrderedDict()
         )
-        self._lowered: "OrderedDict[Tuple, LoweredCircuit]" = OrderedDict()
         # Fused superoperator products, shared across lowerings within
         # an epoch (probe variants re-fuse mostly identical streams).
         self._products: Dict[Tuple, object] = {}
@@ -178,8 +168,6 @@ class SimulationCache:
         self._shared_key: Optional[Callable[[], object]] = None
         self.shared_hits = 0
         self.shared_publishes = 0
-        self.lower_hits = 0
-        self.lower_misses = 0
         self.ops_replayed = 0
         self.ops_skipped = 0
         self.invalidations = 0
@@ -190,7 +178,6 @@ class SimulationCache:
     def invalidate(self, epoch: int) -> None:
         """Flush every level; entries never outlive their noise epoch."""
         self._distributions.clear()
-        self._lowered.clear()
         self._products.clear()
         self.prefix.invalidate()
         self.epoch = epoch
@@ -251,8 +238,7 @@ class SimulationCache:
         if cached is not None:
             return cached
         lowered = self._lower(
-            circuit, fingerprint, operation_compiler, noise_callback,
-            placement,
+            circuit, operation_compiler, noise_callback, placement
         )
         state = self._evolve(lowered)
         result = self._finish(circuit, state, readout_errors)
@@ -303,7 +289,7 @@ class SimulationCache:
             shared = self._shared_store.get((self._shared_key(), key))
             if shared is not None:
                 self.shared_hits += 1
-                while len(self._distributions) >= self.max_distributions:
+                while len(self._distributions) >= _MAX_DISTRIBUTIONS:
                     self._distributions.popitem(last=False)
                     self.dist_evictions += 1
                 self._distributions[key] = dict(shared)
@@ -311,7 +297,7 @@ class SimulationCache:
         return None
 
     def _store(self, key: Tuple, result: Dict[str, float]) -> None:
-        while len(self._distributions) >= self.max_distributions:
+        while len(self._distributions) >= _MAX_DISTRIBUTIONS:
             self._distributions.popitem(last=False)
             self.dist_evictions += 1
         self._distributions[key] = result
@@ -342,32 +328,20 @@ class SimulationCache:
     def _lower(
         self,
         circuit: QuantumCircuit,
-        fingerprint: Tuple,
         operation_compiler: Optional[Callable],
         noise_callback: Optional[Callable],
         placement: Tuple,
     ) -> LoweredCircuit:
-        """Level 1: memoized lowering + fusion, LRU by fingerprint."""
-        cached = self._lowered.get(fingerprint)
-        if cached is not None:
-            self._lowered.move_to_end(fingerprint)
-            self.lower_hits += 1
-            return cached
-        self.lower_misses += 1
-        if len(self._products) > 4 * self.max_lowered:
+        """Level 1: lowering + fusion, sharing this epoch's products."""
+        if len(self._products) > _MAX_PRODUCTS:
             self._products.clear()  # epoch outlived its working set
         compiler = CircuitCompiler(
             operation_compiler,
             noise_callback,
-            fuse=self.fuse,
             hash_seed=placement,
             product_cache=self._products,
         )
-        lowered = compiler.lower(circuit)
-        while len(self._lowered) >= self.max_lowered:
-            self._lowered.popitem(last=False)
-        self._lowered[fingerprint] = lowered
-        return lowered
+        return compiler.lower(circuit)
 
     def _evolve(self, lowered: LoweredCircuit) -> DensityMatrix:
         """Level 2: replay from the deepest cached prefix snapshot."""
@@ -417,8 +391,6 @@ class SimulationCache:
             "dist_misses": self.dist_misses,
             "dist_entries": len(self._distributions),
             "dist_evictions": self.dist_evictions,
-            "lower_hits": self.lower_hits,
-            "lower_misses": self.lower_misses,
             "ops_replayed": self.ops_replayed,
             "ops_skipped": self.ops_skipped,
             "dist_shared_hits": self.shared_hits,

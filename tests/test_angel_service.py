@@ -428,21 +428,6 @@ def test_submit_grouped_empty_and_ragged_groups():
     assert executor.submit_grouped([[], []]) == [[], []]
 
 
-def test_backend_submit_batch_grouped_demuxes():
-    flat_device = aspen11(seed=29)
-    flat_results = LocalBackend(flat_device).submit_batch(
-        [job for group in _grouped_jobs(flat_device) for job in group]
-    )
-    device = aspen11(seed=29)
-    demuxed = LocalBackend(device).submit_batch_grouped(
-        _grouped_jobs(device)
-    )
-    assert [len(group) for group in demuxed] == [2, 1]
-    flattened = [result for group in demuxed for result in group]
-    for merged, single in zip(flattened, flat_results):
-        assert merged.counts == single.counts
-
-
 # ---------------------------------------------------------------------------
 # Window-aware admission
 # ---------------------------------------------------------------------------

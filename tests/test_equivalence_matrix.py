@@ -4,17 +4,14 @@ One parametrized matrix pins the repo's central execution contract: for
 snapshot (parallel-discipline) batches with per-job seeds, the counts a
 probe batch produces are **bit-identical** across
 
-  {simulation cache on, off} x {pool 1 worker, 4 workers}
-                             x {local backend, zero-fault remote}.
+  {simulation cache on, off} x {local backend, zero-fault remote}.
 
-All eight combinations run the same seeded GHZ/QAOA probe batches on the
+All four combinations run the same seeded GHZ/QAOA probe batches on the
 same chip-day and must produce byte-for-byte equal counts, including
 across a mid-batch ``advance_time`` drift boundary applied identically
-to every combination. The 1-worker in-process path is the reference;
+to every combination. The cache-on local path is the reference;
 everything else must match it exactly — not statistically.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -33,24 +30,6 @@ from repro.service import (
 )
 
 _HOUR_US = 3_600e6
-
-
-def _noop():  # pragma: no cover - runs in the probe child process
-    pass
-
-
-def _pools_available() -> bool:
-    """Whether this environment can spawn worker processes at all."""
-    try:
-        process = multiprocessing.get_context().Process(target=_noop)
-        process.start()
-        process.join(5.0)
-        return process.exitcode == 0
-    except (OSError, ValueError):
-        return False
-
-
-_POOLS = _pools_available()
 
 
 def _device(sim_cache: bool):
@@ -79,7 +58,7 @@ def _probe_jobs(device):
     return jobs
 
 
-def _run_combo(sim_cache: bool, workers: int, backend_kind: str):
+def _run_combo(sim_cache: bool, backend_kind: str):
     """Counts from the two probe batches under one configuration, with
     an identical mid-batch drift boundary between them."""
     device = _device(sim_cache)
@@ -88,79 +67,57 @@ def _run_combo(sim_cache: bool, workers: int, backend_kind: str):
     else:
         service = CloudQPUService(device, fault_profile("none"), seed=0)
         backend = RemoteBackend(service, seed=0)
-    executor = BatchExecutor(
-        backend, mode="parallel", max_workers=workers
-    )
+    executor = BatchExecutor(backend, mode="parallel")
     jobs = _probe_jobs(device)
     half = len(jobs) // 2
-    try:
-        first = executor.submit_batch(jobs[:half])
-        # Drift boundary between batches: every combination crosses the
-        # same simulated-time epoch at the same point in the workload.
-        device.advance_time(2.0 * _HOUR_US)
-        second = executor.submit_batch(jobs[half:])
-    finally:
-        close = getattr(backend, "close", None)
-        if close is not None:
-            close()
-        service_close = getattr(
-            getattr(backend, "service", None), "close", None
-        )
-        if service_close is not None:
-            service_close()
+    first = executor.submit_batch(jobs[:half])
+    # Drift boundary between batches: every combination crosses the same
+    # simulated-time epoch at the same point in the workload.
+    device.advance_time(2.0 * _HOUR_US)
+    second = executor.submit_batch(jobs[half:])
     return [
         (result.job_id, dict(sorted(result.counts.items())))
         for result in first + second
     ]
 
 
+# Ids keep their ``workers_1`` segment (one in-process worker) so each
+# case's test id is stable.
 _MATRIX = [
     pytest.param(
         sim_cache,
-        workers,
         backend_kind,
-        id=f"cache_{'on' if sim_cache else 'off'}-"
-        f"workers_{workers}-{backend_kind}",
-        marks=(
-            []
-            if workers == 1 or _POOLS
-            else [
-                pytest.mark.skip(
-                    reason="process pools unavailable in this environment"
-                )
-            ]
-        ),
+        id=f"cache_{'on' if sim_cache else 'off'}-workers_1-{backend_kind}",
     )
     for sim_cache in (True, False)
-    for workers in (1, 4)
     for backend_kind in ("local", "remote")
 ]
 
 
 @pytest.fixture(scope="module")
 def reference_counts():
-    """The 1-worker in-process, cache-on, local-backend baseline."""
-    return _run_combo(sim_cache=True, workers=1, backend_kind="local")
+    """The cache-on, local-backend baseline."""
+    return _run_combo(sim_cache=True, backend_kind="local")
 
 
-@pytest.mark.parametrize("sim_cache,workers,backend_kind", _MATRIX)
+@pytest.mark.parametrize("sim_cache,backend_kind", _MATRIX)
 def test_counts_bit_identical_across_matrix(
-    sim_cache, workers, backend_kind, reference_counts
+    sim_cache, backend_kind, reference_counts
 ):
-    counts = _run_combo(sim_cache, workers, backend_kind)
+    counts = _run_combo(sim_cache, backend_kind)
     assert len(counts) == len(reference_counts)
     for (job_id, got), (ref_id, want) in zip(counts, reference_counts):
         assert job_id == ref_id
         assert got == want, (
             f"{job_id}: counts diverged under sim_cache={sim_cache}, "
-            f"workers={workers}, backend={backend_kind}"
+            f"backend={backend_kind}"
         )
 
 
 def test_matrix_reference_is_deterministic(reference_counts):
     """Rerunning the reference combination reproduces itself exactly
     (guards the fixture against hidden global state)."""
-    again = _run_combo(sim_cache=True, workers=1, backend_kind="local")
+    again = _run_combo(sim_cache=True, backend_kind="local")
     assert again == reference_counts
 
 
@@ -171,7 +128,7 @@ def _final_runs(optimization_level, explicit=True):
     """(name, ideal, counts) per program at one optimization level."""
     device = _device(sim_cache=True)
     backend = LocalBackend(device)
-    executor = BatchExecutor(backend, mode="parallel", max_workers=1)
+    executor = BatchExecutor(backend, mode="parallel")
     runs = []
     seed = 9500
     for program in (ghz(4), qaoa_n5()):

@@ -182,8 +182,8 @@ class TestRuntime:
         tracer = Tracer()
         with observed(tracer):
             with tracer.span("root") as root:
-                obs_runtime.event("pool.fallback", error="OSError")
-        assert [e.name for e in root.events] == ["pool.fallback"]
+                obs_runtime.event("remote.fast_fail", pending=2)
+        assert [e.name for e in root.events] == ["remote.fast_fail"]
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +205,7 @@ class TestMetricsRegistry:
             "exec",
             {
                 "jobs": 5,
-                "workers": 4,  # gauge key
+                "entries": 4,  # gauge key
                 "jobs_by_tag": {"probe": 3, "final": 2},
                 "name": "local",  # non-numeric: skipped
                 "flag": True,  # bool: skipped
@@ -214,7 +214,7 @@ class TestMetricsRegistry:
         snap = registry.snapshot()
         assert snap["counters"]["exec.jobs"] == 5
         assert snap["counters"]["exec.jobs_by_tag.probe"] == 3
-        assert snap["gauges"]["exec.workers"] == 4
+        assert snap["gauges"]["exec.entries"] == 4
         assert "exec.name" not in snap["counters"]
         assert "exec.flag" not in snap["counters"]
 
@@ -241,11 +241,11 @@ class TestMetricsRegistry:
     def test_to_text_and_jsonl_roundtrip(self):
         registry = MetricsRegistry()
         registry.counter("exec.jobs").add(3)
-        registry.gauge("cache.workers").set(2)
+        registry.gauge("cache.entries").set(2)
         registry.histogram("span.job.wall_s").observe(0.5)
         text = registry.to_text()
         assert "exec.jobs" in text
-        assert "cache.workers" in text
+        assert "cache.entries" in text
         buffer = io.StringIO()
         registry.dump_jsonl(buffer)
         lines = [json.loads(l) for l in buffer.getvalue().splitlines()]

@@ -3,9 +3,9 @@
 ``ExecutorStats`` and ``Backend.cache_stats()`` are cumulative ledgers —
 the executor diffs them before/after each batch and the metrics registry
 absorbs them with never-backwards semantics, so a counter that ever
-decreases across batches corrupts both. Gauges (``workers``,
-``sim_prefix_bytes``, cache ``entries``/``epoch``...) are exempt: they
-report current state, not accumulation.
+decreases across batches corrupts both. Gauges (``sim_prefix_bytes``,
+cache ``entries``/``epoch``...) are exempt: they report current state,
+not accumulation.
 
 The formatting guard pins ``to_text`` against field loss or duplication:
 with pairwise-distinct sentinel values, every rendered field's value
@@ -27,16 +27,14 @@ from repro.programs.ghz import ghz
 _HOUR_US = 3_600e6
 
 #: Ledger keys that are gauges (point-in-time readings), not counters.
-_STATS_GAUGES = frozenset({"workers", "sim_prefix_bytes"})
+_STATS_GAUGES = frozenset({"sim_prefix_bytes"})
 _CACHE_GAUGES = frozenset(
     {
-        "workers",
         "entries",
         "prefix_entries",
         "prefix_bytes",
         "sim_prefix_bytes",
         "dist_entries",
-        "lower_entries",
         "epoch",
     }
 )
@@ -207,10 +205,6 @@ class TestToTextRendering:
             job_failures=167,
             breaker_trips=173,
             fallbacks=179,
-            pool_fallbacks=181,
-            workers=191,
-            affinity_hits=193,
-            ship_bytes=197 * 1024,  # renders as 197 KiB
             jobs_by_tag={"probe": 199},
             shots_by_tag={"probe": 211},
             wall_time_by_tag_s={"probe": 223.125},
@@ -233,10 +227,6 @@ class TestToTextRendering:
             "job_failures": "167",
             "breaker_trips": "173",
             "fallbacks": "179",
-            "pool_fallbacks": "181",
-            "workers": "191",
-            "affinity_hits": "193",
-            "ship_bytes": "197",
             "jobs_by_tag.probe": "199",
             "shots_by_tag.probe": "211",
             "wall_time_by_tag_s.probe": "223.125",
@@ -251,12 +241,11 @@ class TestToTextRendering:
             )
 
     def test_quiet_sections_are_suppressed(self):
-        """All-zero optional sections (sim cache / pool / reliability)
-        stay out of the rendering; the core lines remain."""
+        """All-zero optional sections (sim cache / reliability) stay
+        out of the rendering; the core lines remain."""
         text = ExecutorStats(jobs=2, batches=1, shots=64).to_text()
         assert "jobs: 2" in text
         assert "sim cache" not in text
-        assert "worker pool" not in text
         assert "reliability" not in text
 
     def test_registry_text_renders_each_metric_once(self):
@@ -266,7 +255,7 @@ class TestToTextRendering:
         registry = MetricsRegistry()
         registry.counter("exec.jobs").add(3)
         registry.counter("exec.shots").add(64)
-        registry.gauge("cache.workers").set(2)
+        registry.gauge("cache.entries").set(2)
         registry.histogram("span.job.wall_s").observe(0.25)
         lines = registry.to_text().splitlines()
         names = [line.split()[0] for line in lines if line.strip()]
@@ -274,6 +263,6 @@ class TestToTextRendering:
         assert set(names) == {
             "exec.jobs",
             "exec.shots",
-            "cache.workers",
+            "cache.entries",
             "span.job.wall_s",
         }
