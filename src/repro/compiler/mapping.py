@@ -17,6 +17,7 @@ Both return a :class:`Layout` mapping logical -> physical ids.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,7 +25,7 @@ from ..circuit.circuit import QuantumCircuit
 from ..device.calibration import CalibrationData
 from ..device.device import RigettiAspenDevice
 from ..device.topology import Topology, make_link
-from ..exceptions import CompilationError
+from ..exceptions import CalibrationError, CompilationError, DeviceError
 
 __all__ = ["Layout", "trivial_layout", "noise_adaptive_layout"]
 
@@ -53,13 +54,16 @@ class Layout:
         return list(self.physical)
 
 
-def _interaction_counts(circuit: QuantumCircuit) -> Dict[int, int]:
+#: A two-qubit gate's logical operands, in program order.
+Pair = Tuple[int, int]
+
+
+def _interaction_counts(pairs: Sequence[Pair], width: int) -> Dict[int, int]:
     """How many two-qubit gates touch each logical qubit."""
-    counts: Dict[int, int] = {q: 0 for q in range(circuit.num_qubits)}
-    for gate in circuit.gates():
-        if gate.is_two_qubit:
-            for qubit in gate.qubits:
-                counts[qubit] += 1
+    counts: Dict[int, int] = {q: 0 for q in range(width)}
+    for pair in pairs:
+        for qubit in pair:
+            counts[qubit] += 1
     return counts
 
 
@@ -105,7 +109,7 @@ def _region_score(
     for qubit in region:
         try:
             readout_scores.append(calibration.readout_fidelity(qubit))
-        except Exception:
+        except CalibrationError:
             readout_scores.append(1.0)
     link_avg = sum(link_scores) / len(link_scores)
     readout_avg = sum(readout_scores) / len(readout_scores)
@@ -113,59 +117,65 @@ def _region_score(
 
 
 def _routing_cost(
-    circuit: QuantumCircuit, topology: Topology, physical: Sequence[int]
-) -> int:
+    pairs: Sequence[Pair],
+    topology: Topology,
+    physical: Sequence[int],
+    bound: Optional[int],
+) -> Optional[int]:
     """SWAPs the greedy router would insert for this assignment.
 
     Cheap simulation of the router's behaviour: walk the two-qubit gates,
-    move the first operand along shortest paths, count hops.
+    move the first operand along shortest paths, count hops. Returns
+    ``None`` as soon as the count exceeds *bound*; the count never
+    decreases along the walk, so the full count would exceed it too.
     """
-    import networkx as nx
-
-    graph = topology.graph()
     position = list(physical)
     swaps = 0
-    for gate in circuit.gates():
-        if not gate.is_two_qubit:
-            continue
-        a, b = gate.qubits
+    for a, b in pairs:
         if topology.has_link(position[a], position[b]):
             continue
-        path = nx.shortest_path(graph, position[a], position[b])
-        for hop in path[1:-1]:
+        for hop in topology.shortest_path(position[a], position[b])[1:-1]:
             # Swap logical a one step along the path.
             if hop in position:
                 other = position.index(hop)
                 position[other] = position[a]
             position[a] = hop
             swaps += 1
+        if bound is not None and swaps > bound:
+            return None
     return swaps
 
 
 def _best_permutation(
-    circuit: QuantumCircuit,
+    pairs: Sequence[Pair],
     topology: Topology,
     region: Sequence[int],
-) -> Tuple[int, ...]:
+    bound: Optional[int],
+) -> Optional[Tuple[Tuple[int, ...], int]]:
     """Exhaustive layout-permutation search within a region (width <= 5).
 
     Minimizes routed SWAP count — this is how toff_n3 lands on the
     paper's 9-CNOT, 2-link placement instead of a ping-ponging one.
-    Deterministic tie-break on the permutation itself.
+    Deterministic tie-break on the permutation itself. Returns the
+    winner and its cost, or ``None`` when every permutation needs more
+    than *bound* SWAPs. Only permutations strictly above the best cost
+    so far are abandoned, so ties are still scored and broken as in an
+    unbounded search.
     """
-    import itertools
-
     best: Optional[Tuple[int, ...]] = None
-    best_cost = None
+    best_cost = bound
     for perm in itertools.permutations(region):
-        cost = _routing_cost(circuit, topology, perm)
-        if best_cost is None or cost < best_cost or (
+        cost = _routing_cost(pairs, topology, perm, best_cost)
+        if cost is None:
+            continue
+        if best is None or cost < best_cost or (
             cost == best_cost and perm < best
         ):
             best = perm
             best_cost = cost
-    assert best is not None
-    return best
+    if best is None:
+        return None
+    return best, best_cost
 
 
 #: Widths up to this use exhaustive permutation search; larger programs
@@ -187,31 +197,44 @@ def noise_adaptive_layout(
     most-interacting logical qubits on the highest-degree physical
     qubits.
     """
+    topology = device.topology
     width = circuit.num_qubits
-    if width > device.topology.num_qubits:
+    if width > topology.num_qubits:
         raise CompilationError(
-            f"program needs {width} qubits, device has "
-            f"{device.topology.num_qubits}"
+            f"program needs {width} qubits, device has {topology.num_qubits}"
         )
+    pairs: List[Pair] = [
+        (gate.qubits[0], gate.qubits[1])
+        for gate in circuit.gates()
+        if gate.is_two_qubit
+    ]
     use_permutations = width <= _PERMUTATION_SEARCH_MAX_WIDTH
     best_region: Optional[List[int]] = None
-    best_key: Optional[Tuple[float, float]] = None
+    best_key: Optional[Tuple[int, float]] = None
     best_perm: Optional[Tuple[int, ...]] = None
-    for seed in device.topology.qubits:
+    for seed in topology.qubits:
         try:
-            region = device.topology.connected_subgraph_qubits(seed, width)
-        except Exception:
-            continue
-        score = _region_score(region, device, calibration)
+            region = topology.connected_subgraph_qubits(seed, width)
+        except DeviceError:
+            continue  # the seed's component is smaller than the program
         if use_permutations:
-            perm = _best_permutation(circuit, device.topology, region)
-            cost = _routing_cost(circuit, device.topology, perm)
+            found = _best_permutation(
+                pairs,
+                topology,
+                region,
+                bound=None if best_key is None else best_key[0],
+            )
+            if found is None:
+                # Needs more SWAPs than the best region: loses on any score.
+                continue
+            perm, cost = found
         else:
             perm = None
             cost = 0
+        score = _region_score(region, device, calibration)
         # Fewer SWAPs beats a marginally better-calibrated region: every
         # routed SWAP costs three extra CNOTs.
-        key = (float(cost), -score)
+        key = (cost, -score)
         if best_key is None or key < best_key:
             best_key = key
             best_region = region
@@ -225,13 +248,13 @@ def noise_adaptive_layout(
     # Busy logical qubits -> well-connected physical qubits (within region).
     region_set = set(best_region)
     degree_in_region = {
-        q: sum(1 for nb in device.topology.neighbors(q) if nb in region_set)
+        q: sum(1 for nb in topology.neighbors(q) if nb in region_set)
         for q in best_region
     }
     phys_by_degree = sorted(
         best_region, key=lambda q: (-degree_in_region[q], q)
     )
-    interactions = _interaction_counts(circuit)
+    interactions = _interaction_counts(pairs, width)
     logical_by_busyness = sorted(
         range(width), key=lambda q: (-interactions[q], q)
     )

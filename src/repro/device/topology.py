@@ -12,8 +12,9 @@ active links on Aspen-M-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 import networkx as nx
 
@@ -36,6 +37,13 @@ def make_link(qubit_a: int, qubit_b: int) -> Link:
 class Topology:
     """An undirected device connectivity graph.
 
+    Lookup structures (link set, adjacency, a networkx graph, and memos
+    of shortest paths and BFS orders) are derived lazily, once per
+    instance, and are not part of equality or hashing. Memo fills store
+    deterministic values, so concurrent callers at worst compute one
+    twice; public methods return fresh lists so no caller can corrupt a
+    memo.
+
     Attributes:
         name: Device name for reports (e.g. ``"aspen-11"``).
         qubits: Active physical qubit ids, sorted.
@@ -54,6 +62,30 @@ class Topology:
             if link[0] not in qubit_set or link[1] not in qubit_set:
                 raise DeviceError(f"link {link} references unknown qubit")
 
+    @cached_property
+    def _link_set(self) -> FrozenSet[Link]:
+        return frozenset(self.links)
+
+    @cached_property
+    def _adjacency(self) -> Dict[int, Tuple[int, ...]]:
+        found: Dict[int, List[int]] = {q: [] for q in self.qubits}
+        for a, b in self.links:
+            found[a].append(b)
+            found[b].append(a)
+        return {q: tuple(sorted(nbs)) for q, nbs in found.items()}
+
+    @cached_property
+    def _graph(self) -> nx.Graph:
+        return self.graph()
+
+    @cached_property
+    def _paths(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
+        return {}
+
+    @cached_property
+    def _bfs_orders(self) -> Dict[int, Tuple[int, ...]]:
+        return {}
+
     @property
     def num_qubits(self) -> int:
         return len(self.qubits)
@@ -63,19 +95,13 @@ class Topology:
         return len(self.links)
 
     def has_link(self, qubit_a: int, qubit_b: int) -> bool:
-        return make_link(qubit_a, qubit_b) in set(self.links)
+        return make_link(qubit_a, qubit_b) in self._link_set
 
     def neighbors(self, qubit: int) -> List[int]:
-        found = []
-        for a, b in self.links:
-            if a == qubit:
-                found.append(b)
-            elif b == qubit:
-                found.append(a)
-        return sorted(found)
+        return list(self._adjacency.get(qubit, ()))
 
     def degree(self, qubit: int) -> int:
-        return len(self.neighbors(qubit))
+        return len(self._adjacency.get(qubit, ()))
 
     def graph(self) -> nx.Graph:
         """The topology as a networkx graph (nodes=qubits, edges=links)."""
@@ -84,32 +110,41 @@ class Topology:
         graph.add_edges_from(self.links)
         return graph
 
+    def _path(self, source: int, target: int) -> Tuple[int, ...]:
+        path = self._paths.get((source, target))
+        if path is None:
+            try:
+                path = tuple(nx.shortest_path(self._graph, source, target))
+            except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+                raise DeviceError(
+                    f"no path between qubits {source} and {target}"
+                ) from exc
+            self._paths[(source, target)] = path
+        return path
+
     def shortest_path(self, source: int, target: int) -> List[int]:
         """Qubit path between two physical qubits (inclusive)."""
-        try:
-            return nx.shortest_path(self.graph(), source, target)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise DeviceError(
-                f"no path between qubits {source} and {target}"
-            ) from exc
+        return list(self._path(source, target))
 
     def distance(self, source: int, target: int) -> int:
-        return len(self.shortest_path(source, target)) - 1
+        return len(self._path(source, target)) - 1
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self.graph())
+        return nx.is_connected(self._graph)
 
     def connected_subgraph_qubits(self, seed_qubit: int, size: int) -> List[int]:
         """A BFS-grown connected region of *size* qubits around a seed."""
-        graph = self.graph()
-        if seed_qubit not in graph:
-            raise DeviceError(f"unknown qubit {seed_qubit}")
-        order = list(nx.bfs_tree(graph, seed_qubit))
+        order = self._bfs_orders.get(seed_qubit)
+        if order is None:
+            if seed_qubit not in self._graph:
+                raise DeviceError(f"unknown qubit {seed_qubit}")
+            order = tuple(nx.bfs_tree(self._graph, seed_qubit))
+            self._bfs_orders[seed_qubit] = order
         if len(order) < size:
             raise DeviceError(
                 f"component around {seed_qubit} has only {len(order)} qubits"
             )
-        return order[:size]
+        return list(order[:size])
 
     def without(
         self,

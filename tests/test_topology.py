@@ -1,8 +1,12 @@
 """Tests for device topologies."""
 
+import sys
+import threading
+
 import networkx as nx
 import pytest
 
+from repro.device.presets import aspen11, aspen_m1
 from repro.device.topology import (
     Topology,
     aspen_topology,
@@ -117,3 +121,93 @@ class TestTopologyValidation:
         topo = Topology("split", (0, 1, 2), ((0, 1),))
         with pytest.raises(DeviceError):
             topo.connected_subgraph_qubits(0, 3)
+
+
+class TestDerivedStructures:
+    """Lookup structures are built once per instance and never leak."""
+
+    def test_mutating_returned_values_leaves_answers_unchanged(self):
+        topo = aspen_topology(1, 2)
+        topo.neighbors(1).append(99)
+        topo.shortest_path(0, 16).clear()
+        topo.connected_subgraph_qubits(0, 5).reverse()
+        graph = topo.graph()
+        graph.remove_node(1)
+        graph.add_edge(0, 4)
+        assert topo.neighbors(1) == [0, 2, 16]
+        assert topo.shortest_path(0, 16) == [0, 1, 16]
+        assert topo.connected_subgraph_qubits(0, 5) == list(
+            nx.bfs_tree(aspen_topology(1, 2).graph(), 0)
+        )[:5]
+        assert not topo.has_link(0, 4)
+        assert topo.has_link(0, 1)
+        assert topo.is_connected()
+        assert set(topo.graph().edges()) == set(aspen_topology(1, 2).links)
+
+    @pytest.mark.parametrize("build", [aspen11, aspen_m1])
+    def test_all_pairs_agree_with_fresh_graph(self, build):
+        topo = build().topology
+        graph = topo.graph()
+        lengths = dict(nx.all_pairs_shortest_path_length(graph))
+        for a in topo.qubits:
+            assert topo.neighbors(a) == sorted(graph.neighbors(a))
+            assert topo.degree(a) == graph.degree(a)
+            for b in topo.qubits:
+                if a == b:
+                    continue
+                assert topo.has_link(a, b) == graph.has_edge(a, b)
+                assert topo.distance(a, b) == lengths[a][b]
+                assert topo.shortest_path(a, b) == nx.shortest_path(graph, a, b)
+
+    def test_without_copy_does_not_inherit_memos(self):
+        ring = aspen_topology(1, 1)
+        assert ring.shortest_path(0, 2) == [0, 1, 2]
+        assert ring.neighbors(0) == [1, 7]
+        assert ring.connected_subgraph_qubits(0, 3) == [0, 1, 7]
+        cut = ring.without(dead_qubits=(1,))
+        assert cut.shortest_path(0, 2) == [0, 7, 6, 5, 4, 3, 2]
+        assert cut.neighbors(0) == [7]
+        assert not cut.has_link(0, 1)
+        assert cut.connected_subgraph_qubits(0, 3) == [0, 7, 6]
+        assert ring.shortest_path(0, 2) == [0, 1, 2]
+
+    def test_equality_and_hash_ignore_memos(self):
+        warm = linear_topology(5)
+        cold = linear_topology(5)
+        warm.shortest_path(0, 4)
+        warm.connected_subgraph_qubits(2, 3)
+        assert warm.has_link(0, 1) and warm.is_connected()
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert {warm: "value"}[cold] == "value"
+        assert warm != linear_topology(6)
+
+    def test_concurrent_memo_fills_agree_with_fresh_graph(self):
+        shared = aspen11().topology
+        graph = shared.graph()
+        pairs = [(a, b) for a in shared.qubits for b in shared.qubits]
+        paths = {(a, b): nx.shortest_path(graph, a, b) for a, b in pairs}
+        regions = {q: list(nx.bfs_tree(graph, q))[:4] for q in shared.qubits}
+        mismatches = []
+
+        def worker(offset):
+            for a, b in pairs[offset:] + pairs[:offset]:
+                if shared.shortest_path(a, b) != paths[(a, b)]:
+                    mismatches.append(("path", a, b))
+                if shared.connected_subgraph_qubits(a, 4) != regions[a]:
+                    mismatches.append(("region", a))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(97 * k,)) for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
