@@ -19,6 +19,12 @@ measurements:
   (``active_tracer()`` + conditional), reported as ns/site to pin the
   per-site cost the <2% bound rests on.
 
+Each trial times ``baseline`` (no tracer, a second sample of the
+``disabled`` configuration), ``disabled`` and ``enabled`` back to back,
+in reversed order on odd trials. Each overhead is the median over trials
+of that trial's mode time divided by its baseline time (9 trials under
+``--quick``, 15 otherwise).
+
 Writes ``BENCH_obs.json`` at the repo root.
 
 Usage::
@@ -29,6 +35,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -88,6 +95,7 @@ def _sweep_time_s(rounds: int, shots: int, tracer=None, registry=None):
     executor = BatchExecutor(LocalBackend(device), mode="parallel")
     rng = np.random.default_rng(5)
     jobs_total = 0
+    gc.collect()  # the previous sweep's garbage is not this sweep's cost
     start = time.perf_counter()
     if tracer is None and registry is None:
         for _ in range(rounds):
@@ -120,33 +128,44 @@ def _disabled_site_ns(iterations: int = 200_000) -> float:
     return 1e9 * elapsed / iterations
 
 
+_MODES = ("baseline", "disabled", "enabled")
+
+
+def _mode_time_s(mode: str, rounds: int, shots: int, trace_path: str):
+    if mode != "enabled":
+        return _sweep_time_s(rounds, shots)
+    registry = MetricsRegistry()
+    tracer = Tracer(
+        sink=JsonlSpanSink(trace_path), keep_spans=False, registry=registry
+    )
+    return _sweep_time_s(rounds, shots, tracer, registry)
+
+
 def run(rounds: int, shots: int, trials: int):
-    # Interleave the modes across trials and keep the best (minimum)
-    # time per mode — standard practice for sub-10% wall-clock deltas on
-    # a shared machine.
-    times = {"baseline": [], "disabled": [], "enabled": []}
+    # "baseline" and "disabled" are physically the same configuration (no
+    # tracer installed), so their ratio is the disabled call sites plus
+    # run-to-run noise. One untimed sweep fills process-wide caches; each
+    # trial then runs all three modes back to back, reversing the order on
+    # odd trials so neither side of a ratio always runs first. The gate
+    # reads the median of the per-trial ratios, which one slow sweep
+    # cannot move.
+    _sweep_time_s(rounds, shots)
+    times = {mode: [] for mode in _MODES}
+    ratios = {"disabled": [], "enabled": []}
     jobs_total = 0
-    trace_dir = tempfile.mkdtemp(prefix="bench_obs_")
-    for trial in range(trials):
-        # "baseline" and "disabled" are physically the same configuration
-        # (no tracer installed); measuring them as separate samples makes
-        # the <2% bound honest about run-to-run noise.
-        elapsed, jobs_total = _sweep_time_s(rounds, shots)
-        times["baseline"].append(elapsed)
-        elapsed, _ = _sweep_time_s(rounds, shots)
-        times["disabled"].append(elapsed)
-        trace_path = os.path.join(trace_dir, f"trial{trial}.jsonl")
-        registry = MetricsRegistry()
-        tracer = Tracer(
-            sink=JsonlSpanSink(trace_path),
-            keep_spans=False,
-            registry=registry,
-        )
-        elapsed, _ = _sweep_time_s(rounds, shots, tracer, registry)
-        times["enabled"].append(elapsed)
-    best = {mode: min(values) for mode, values in times.items()}
-    disabled_overhead = best["disabled"] / best["baseline"] - 1.0
-    enabled_overhead = best["enabled"] / best["baseline"] - 1.0
+    with tempfile.TemporaryDirectory(prefix="bench_obs_") as trace_dir:
+        for trial in range(trials):
+            trace_path = os.path.join(trace_dir, f"trial{trial}.jsonl")
+            for mode in _MODES if trial % 2 == 0 else _MODES[::-1]:
+                elapsed, jobs_total = _mode_time_s(
+                    mode, rounds, shots, trace_path
+                )
+                times[mode].append(elapsed)
+            for mode, values in ratios.items():
+                values.append(times[mode][-1] / times["baseline"][-1] - 1.0)
+    median = {mode: float(np.median(values)) for mode, values in times.items()}
+    disabled_overhead = float(np.median(ratios["disabled"]))
+    enabled_overhead = float(np.median(ratios["enabled"]))
     site_ns = _disabled_site_ns()
     return {
         "benchmark": "obs_overhead",
@@ -154,9 +173,9 @@ def run(rounds: int, shots: int, trials: int):
             f"GHZ-7 localized-search probe sweep on aspen-11 "
             f"({jobs_total} jobs x {trials} trials) @ {shots} shots"
         ),
-        "baseline_s": best["baseline"],
-        "disabled_s": best["disabled"],
-        "enabled_s": best["enabled"],
+        "baseline_s": median["baseline"],
+        "disabled_s": median["disabled"],
+        "enabled_s": median["enabled"],
         "disabled_overhead": disabled_overhead,
         "enabled_overhead": enabled_overhead,
         "disabled_site_ns": site_ns,
@@ -165,6 +184,7 @@ def run(rounds: int, shots: int, trials: int):
             "enabled": ENABLED_OVERHEAD_BOUND,
         },
         "samples": times,
+        "overheads": ratios,
     }
 
 
@@ -182,21 +202,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rounds = 1 if args.quick else 2
-    trials = 2 if args.quick else 3
+    trials = 9 if args.quick else 15
     report = run(rounds, shots=256, trials=trials)
 
     out_path = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
     out_path.write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"workload : {report['workload']}")
-    print(f"baseline : {report['baseline_s']:.3f} s")
+    print(f"baseline : {report['baseline_s']:.3f} s (median)")
     print(
         f"disabled : {report['disabled_s']:.3f} s "
-        f"({100 * report['disabled_overhead']:+.2f}%)"
+        f"({100 * report['disabled_overhead']:+.2f}%, median per-trial ratio)"
     )
     print(
         f"enabled  : {report['enabled_s']:.3f} s "
-        f"({100 * report['enabled_overhead']:+.2f}%)"
+        f"({100 * report['enabled_overhead']:+.2f}%, median per-trial ratio)"
     )
     print(f"site cost: {report['disabled_site_ns']:.0f} ns (disabled)")
     print(f"written  : {out_path}")

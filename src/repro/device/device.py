@@ -16,7 +16,6 @@ density-matrix backend.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
@@ -26,12 +25,13 @@ from ..circuit.circuit import QuantumCircuit
 from ..circuit.dag import circuit_moments
 from ..circuit.gates import Gate
 from ..exceptions import DeviceError
-from ..linalg import channel_average_fidelity
 from ..sim.channel_cache import ChannelCache
 from ..sim.channels import (
     KrausChannel,
     Superoperator,
+    tensor_maps,
     thermal_relaxation_channel,
+    thermal_superoperator,
     two_qubit_depolarizing_channel,
     depolarizing_channel,
     unitary_channel,
@@ -592,72 +592,62 @@ class RigettiAspenDevice:
 
         return compiler
 
-    def _thermal_channel(self, phys: int, duration_us: float) -> KrausChannel:
-        """This qubit's relaxation over *duration_us*, at current values."""
+    def _relaxation_times(self, phys: int) -> Tuple[float, float]:
+        """This qubit's current ``(T1, T2)``, with T2 clipped to ``2 T1``."""
         params = self.qubit_params[phys]
         t1 = params.t1_us.current
-        t2 = min(params.t2_us.current, 2 * t1)
+        return t1, min(params.t2_us.current, 2 * t1)
+
+    def _thermal_channel(self, phys: int, duration_us: float) -> KrausChannel:
+        """This qubit's relaxation over *duration_us*, at current values."""
+        t1, t2 = self._relaxation_times(phys)
         return self._cached(
             ("thermal", duration_us, t1, t2),
             lambda: thermal_relaxation_channel(duration_us, t1, t2),
         )
 
     def _fused_idle(self, phys: int, duration_us: float) -> Superoperator:
-        return Superoperator.from_kraus(self._thermal_channel(phys, duration_us))
+        t1, t2 = self._relaxation_times(phys)
+        return thermal_superoperator(duration_us, t1, t2)
+
+    def _rx_noise(self, phys: int) -> Superoperator:
+        """The noise map trailing every ``rx`` pulse on *phys*, now."""
+        params = self.qubit_params[phys]
+        over = params.rx_over_rotation.current
+        return _noise_map(
+            single_qubit_coherent_error(over if abs(over) > 1e-12 else 0.0),
+            params.rx_depolarizing.current,
+            self._fused_idle(phys, params.rx_duration_ns / _NS_PER_US),
+        )
+
+    def _pulse_noise(
+        self, gate_name: str, phys_pair: Tuple[int, int]
+    ) -> Superoperator:
+        """The noise map trailing one entangling pulse, qubits in order."""
+        params = self.gate_params[(make_link(*phys_pair), gate_name)]
+        over = params.over_rotation.current
+        zz = params.zz_error.current
+        duration = params.duration_ns / _NS_PER_US
+        return _noise_map(
+            coherent_error_unitary(gate_name, over, zz)
+            if abs(over) > 1e-12 or abs(zz) > 1e-12
+            else np.eye(4),
+            params.depolarizing.current,
+            tensor_maps([self._fused_idle(q, duration) for q in phys_pair]),
+        )
 
     def _fused_single(self, gate: Gate, phys: int) -> Superoperator:
         superop = Superoperator.from_unitary(gate.matrix(), gate.name)
         if gate.name == "rz":
             return superop  # virtual frame update: noiseless
-        params = self.qubit_params[phys]
-        over = params.rx_over_rotation.current
-        if abs(over) > 1e-12:
-            superop = superop.then(
-                Superoperator.from_unitary(
-                    single_qubit_coherent_error(over), "rx_coherent"
-                )
-            )
-        depol = params.rx_depolarizing.current
-        if depol > 0:
-            superop = superop.then(
-                Superoperator.from_kraus(depolarizing_channel(depol))
-            )
-        return superop.then(
-            Superoperator.from_kraus(
-                self._thermal_channel(phys, params.rx_duration_ns / _NS_PER_US)
-            )
-        )
+        return superop.then(self._rx_noise(phys))
 
     def _fused_two(
         self, gate: Gate, phys_pair: Tuple[int, int]
     ) -> Superoperator:
-        link = make_link(*phys_pair)
-        params = self.gate_params[(link, gate.name)]
-        superop = Superoperator.from_unitary(gate.matrix(), gate.name)
-        over = params.over_rotation.current
-        zz = params.zz_error.current
-        if abs(over) > 1e-12 or abs(zz) > 1e-12:
-            superop = superop.then(
-                Superoperator.from_unitary(
-                    coherent_error_unitary(gate.name, over, zz),
-                    f"{gate.name}_coherent",
-                )
-            )
-        depol = params.depolarizing.current
-        if depol > 0:
-            superop = superop.then(
-                Superoperator.from_kraus(
-                    two_qubit_depolarizing_channel(depol)
-                )
-            )
-        duration_us = params.duration_ns / _NS_PER_US
-        for position, phys in enumerate(phys_pair):
-            superop = superop.then(
-                Superoperator.from_kraus(
-                    self._thermal_channel(phys, duration_us)
-                ).embed(position, 2)
-            )
-        return superop
+        return Superoperator.from_unitary(gate.matrix(), gate.name).then(
+            self._pulse_noise(gate.name, phys_pair)
+        )
 
     def _idle_noise(
         self, gate: Gate, phys_of: Dict[int, int]
@@ -853,65 +843,40 @@ class RigettiAspenDevice:
     def true_pulse_fidelity(self, link: Link, gate_name: str) -> float:
         """Exact average gate fidelity of one entangling pulse, now.
 
-        The pulse is the ideal unitary ``U``, its coherent error ``E``,
-        the 2-qubit depolarizing channel (weight ``p``) and both qubits'
-        thermal relaxation (Kraus ``A_j``, ``B_k``) — the value a perfect,
-        instantaneous randomized-benchmarking experiment would converge
-        to. The calibration service adds staleness and estimation noise
-        on top of this ground truth.
-
-        Closed form of that composed channel: ``U`` cancels under the
-        trace of ``U^dag K U``, and the Pauli sum of the depolarizing
-        channel turns each ``|Tr(D_m M)|^2`` into ``Tr(M^dag M)`` terms
-        that sum to the dimension for trace-preserving relaxation, so
-        ``16 F_e = (1 - 16p/15) sum_jk |Tr((A_j x B_k) E)|^2 + 16p/15``.
+        The pulse is its ideal unitary followed by the noise map the
+        simulator fuses into it — the value a perfect, instantaneous
+        randomized-benchmarking experiment would converge to. The
+        calibration service adds staleness and estimation noise on top.
         """
         link = make_link(*link)
-        params = self.gate_params.get((link, gate_name))
-        if params is None:
+        if (link, gate_name) not in self.gate_params:
             raise DeviceError(f"link {link} lacks gate {gate_name!r}")
-        error = coherent_error_unitary(
-            gate_name,
-            params.over_rotation.current,
-            params.zz_error.current,
-        )
-        duration_us = params.duration_ns / _NS_PER_US
-        relaxation = []
-        for qubit in link:
-            qparams = self.qubit_params[qubit]
-            thermal = thermal_relaxation_channel(
-                duration_us,
-                qparams.t1_us.current,
-                min(qparams.t2_us.current, 2 * qparams.t1_us.current),
-            )
-            relaxation.append(np.asarray(thermal.operators))
-        first, second = relaxation
-        # Tr((A_j x B_k) E) with E indexed (row_a, row_b, col_a, col_b).
-        overlaps = np.einsum(
-            "jca,kdb,abcd->jk", first, second, error.reshape(2, 2, 2, 2)
-        )
-        white = 16.0 * params.depolarizing.current / 15.0
-        entanglement = (
-            (1.0 - white) * float(np.sum(np.abs(overlaps) ** 2)) + white
-        ) / 16.0
-        return (4.0 * entanglement + 1.0) / 5.0
+        return _average_fidelity(self._pulse_noise(gate_name, link))
 
     def true_rx_fidelity(self, qubit: int) -> float:
         """Exact average fidelity of one RX(pi/2) pulse on *qubit*, now."""
-        params = self.qubit_params[qubit]
-        ideal = Gate("rx", (0,), (math.pi / 2,)).matrix()
-        kraus = [
-            single_qubit_coherent_error(params.rx_over_rotation.current)
-            @ ideal
-        ]
-        depol = params.rx_depolarizing.current
-        if depol > 0:
-            channel = depolarizing_channel(depol)
-            kraus = [k @ base for base in kraus for k in channel.operators]
-        thermal = thermal_relaxation_channel(
-            params.rx_duration_ns / _NS_PER_US,
-            params.t1_us.current,
-            min(params.t2_us.current, 2 * params.t1_us.current),
-        )
-        kraus = [k @ base for base in kraus for k in thermal.operators]
-        return channel_average_fidelity(ideal, kraus)
+        return _average_fidelity(self._rx_noise(qubit))
+
+
+def _noise_map(
+    error: np.ndarray, depolarizing: float, relaxation: Superoperator
+) -> Superoperator:
+    """One pulse's noise ``N = T D (E x conj(E))``, applied after its ``U``.
+
+    ``E`` is the coherent error, ``D`` the depolarizing map and ``T`` the
+    relaxation of every pulsed qubit. The simulator fuses
+    ``N (U x conj(U))``; the ground-truth fidelities read ``Re Tr(N)``.
+    """
+    noise = Superoperator.from_unitary(error, "coherent")
+    if depolarizing > 0:
+        noise = noise.depolarized(depolarizing)
+    return noise.then(relaxation)
+
+
+def _average_fidelity(noise: Superoperator) -> float:
+    """Average fidelity of ``N U`` against ``U``: ``U`` cancels in the
+    entanglement fidelity ``sum_k |Tr(U^dag N_k U)|^2 / d^2 = Re Tr(N) / d^2``.
+    """
+    dim = noise.dim
+    entanglement = float(np.trace(noise.matrix).real) / (dim * dim)
+    return (dim * entanglement + 1.0) / (dim + 1.0)

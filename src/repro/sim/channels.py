@@ -1,4 +1,4 @@
-"""Kraus-operator quantum channels.
+"""Quantum channels, as Kraus operators and as superoperators.
 
 These are the noise primitives the simulated device composes per gate:
 depolarizing (incoherent scrambling), amplitude damping (T1 energy
@@ -6,9 +6,9 @@ relaxation), phase damping (pure T2 dephasing), coherent error (a unitary
 channel — the *state-dependent* component central to the paper's
 argument), and classical readout bit-flip confusion.
 
-Every channel is a :class:`KrausChannel` — a list of Kraus operators
-satisfying the completeness relation ``sum_i K_i^dag K_i = I`` — so the
-density-matrix simulator can treat them uniformly.
+A :class:`KrausChannel` lists operators with ``sum_i K_i^dag K_i = I``;
+the device's fused path builds the same maps as :class:`Superoperator`
+matrices in closed form (:func:`thermal_superoperator`, ``depolarized``).
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ __all__ = [
     "amplitude_damping_channel",
     "phase_damping_channel",
     "thermal_relaxation_channel",
+    "thermal_superoperator",
+    "tensor_maps",
     "compose_channels",
     "ReadoutError",
 ]
@@ -80,13 +82,6 @@ class KrausChannel:
         """Apply the channel to a density matrix of matching dimension."""
         return sum(op @ rho @ op.conj().T for op in self.operators)
 
-    def compose_unitary_before(self, unitary: np.ndarray) -> "KrausChannel":
-        """The channel that first applies *unitary*, then this channel."""
-        return KrausChannel(
-            tuple(op @ unitary for op in self.operators),
-            label=f"{self.label}∘U",
-        )
-
 
 @dataclass(frozen=True)
 class Superoperator:
@@ -130,7 +125,10 @@ class Superoperator:
         cls, unitary: np.ndarray, label: str = "unitary"
     ) -> "Superoperator":
         unitary = np.asarray(unitary, dtype=complex)
-        return cls(np.kron(unitary, unitary.conj()), label)
+        dim = unitary.shape[0]
+        # np.kron(U, conj(U)) as one broadcast product: same values.
+        matrix = unitary[:, None, :, None] * unitary.conj()[None, :, None, :]
+        return cls(matrix.reshape(dim * dim, dim * dim), label)
 
     def then(self, later: "Superoperator") -> "Superoperator":
         """The map applying this superoperator first, then *later*."""
@@ -143,35 +141,51 @@ class Superoperator:
         )
 
     def embed(self, position: int, num_qubits: int) -> "Superoperator":
-        """Embed a 1-qubit map into a *num_qubits* register at *position*.
-
-        The register superoperator indexes rows by ``(ket_out, bra_out)``
-        and columns by ``(ket_in, bra_in)``, each half big-endian over
-        the qubits. Tensor the per-qubit maps (identity elsewhere) and
-        reorder the axes into that convention.
-        """
+        """Embed a 1-qubit map into a *num_qubits* register at *position*."""
         if self.num_qubits != 1:
             raise SimulationError("embed expects a single-qubit map")
-        eye = np.eye(2, dtype=complex)
-        # Per-qubit map with axes (ket_out, bra_out, ket_in, bra_in).
-        identity_map = np.einsum("ac,bd->abcd", eye, eye)
-        small = self.matrix.reshape(2, 2, 2, 2)
-        total = None
-        for index in range(num_qubits):
-            block = small if index == position else identity_map
-            total = block if total is None else np.tensordot(
-                total, block, axes=0
-            )
-        # Axes are grouped per qubit (ko_q, bo_q, ki_q, bi_q); reorder to
-        # (ko_0..ko_n, bo_0..bo_n, ki_0..ki_n, bi_0..bi_n).
-        perm = [
-            4 * q + part
-            for part in range(4)
-            for q in range(num_qubits)
-        ]
-        dim = 2**num_qubits
-        matrix = np.transpose(total, perm).reshape(dim * dim, dim * dim)
-        return Superoperator(matrix, f"{self.label}@q{position}")
+        maps = [_IDENTITY_MAP] * num_qubits
+        maps[position] = self
+        return tensor_maps(maps, f"{self.label}@q{position}")
+
+    def depolarized(self, probability: float) -> "Superoperator":
+        """This trace-preserving map ``S``, then depolarizing noise *p*.
+
+        Depolarizing is ``(1 - q) rho + q Tr(rho) I/d`` with
+        ``q = d^2 p / (d^2 - 1)``, and ``S`` preserves the trace, so the
+        composition is ``(1 - q) S + q |vec(I/d)><vec(I)|``.
+        """
+        _check_probability(probability)
+        dim = self.dim
+        white = dim * dim * probability / (dim * dim - 1)
+        identity = np.eye(dim).ravel()
+        return Superoperator(
+            (1.0 - white) * self.matrix
+            + white * np.outer(identity / dim, identity),
+            f"depolarizing(p={probability:.4g})∘{self.label}",
+        )
+
+
+def tensor_maps(
+    maps: Sequence[Superoperator], label: str = "tensor"
+) -> Superoperator:
+    """The register superoperator of single-qubit maps, ``maps[q]`` on q.
+
+    Rows index ``(ket_out, bra_out)`` and columns ``(ket_in, bra_in)``,
+    each half big-endian over the qubits: each map's four axes are placed
+    at their register positions, and one broadcast product tensors them.
+    """
+    count = len(maps)
+    total = 1.0
+    for qubit, superop in enumerate(maps):
+        shape = [1] * (4 * count)
+        shape[qubit::count] = [2] * 4
+        total = total * superop.matrix.reshape(shape)
+    dim = 2**count
+    return Superoperator(total.reshape(dim * dim, dim * dim), label)
+
+
+_IDENTITY_MAP = Superoperator(np.eye(4, dtype=complex), "identity")
 
 
 def identity_channel(num_qubits: int = 1) -> KrausChannel:
@@ -240,6 +254,34 @@ def thermal_relaxation_channel(
     matches ``exp(-t/T2)`` (requires the physical constraint
     ``T2 <= 2 T1``).
     """
+    gamma, lam = _thermal_rates(duration, t1, t2)
+    channel = compose_channels(
+        amplitude_damping_channel(gamma), phase_damping_channel(lam)
+    )
+    return KrausChannel(
+        channel.operators,
+        f"thermal(t={duration:.3g},T1={t1:.3g},T2={t2:.3g})",
+    )
+
+
+def thermal_superoperator(
+    duration: float, t1: float, t2: float
+) -> Superoperator:
+    """:func:`thermal_relaxation_channel` as a superoperator, in closed form.
+
+    Populations relax toward ``|0>`` by ``gamma`` and coherences shrink by
+    ``c = sqrt(1 - gamma) sqrt(1 - lambda)``, with the same ``gamma`` and
+    ``lambda`` (and the same checks) as the Kraus construction.
+    """
+    gamma, lam = _thermal_rates(duration, t1, t2)
+    coherence = math.sqrt(1.0 - gamma) * math.sqrt(1.0 - lam)
+    matrix = np.diag([1.0, coherence, coherence, 1.0 - gamma]).astype(complex)
+    matrix[0, 3] = gamma
+    return Superoperator(matrix, "thermal")
+
+
+def _thermal_rates(duration: float, t1: float, t2: float):
+    """Amplitude-damping ``gamma`` and residual dephasing ``lambda``."""
     if duration < 0:
         raise SimulationError("duration must be non-negative")
     if t1 <= 0 or t2 <= 0:
@@ -252,14 +294,7 @@ def thermal_relaxation_channel(
     # residual dephasing must supply the rest.
     residual = total_coherence / math.sqrt(1.0 - gamma) if gamma < 1 else 0.0
     residual = min(1.0, max(0.0, residual))
-    lam = 1.0 - residual**2
-    channel = compose_channels(
-        amplitude_damping_channel(gamma), phase_damping_channel(lam)
-    )
-    return KrausChannel(
-        channel.operators,
-        f"thermal(t={duration:.3g},T1={t1:.3g},T2={t2:.3g})",
-    )
+    return gamma, 1.0 - residual**2
 
 
 def compose_channels(first: KrausChannel, second: KrausChannel) -> KrausChannel:

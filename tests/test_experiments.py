@@ -91,6 +91,25 @@ class TestMotivation:
         for row in result.rows:
             assert 0.0 <= row[1] <= 1.0
 
+    def test_fig1c_claim_on_exact_success_rates(self):
+        """Fig. 1(c) on the default context, free of shot noise:
+        calibration picks XY, CZ has the highest SR, and CPHASE's SR
+        collapses although its calibrated fidelity is above 0.9."""
+        from repro.experiments.motivation import _rx_pi_cnot_circuit
+
+        ctx = ExperimentContext.create()
+        link = ctx.pick_link()
+        srs = {
+            native: ctx.exact_success_rate(
+                _rx_pi_cnot_circuit(link, native), {"11": 1.0}
+            )
+            for native in ctx.device.supported_gates(*link)
+        }
+        assert ctx.calibration.best_native_gate(link) == "xy"
+        assert max(srs, key=srs.get) == "cz"
+        assert srs["cphase"] < 0.6
+        assert ctx.calibration.two_qubit_fidelity(link, "cphase") > 0.9
+
     def test_fig3(self, context):
         result = run_experiment("fig3", context=context, shots=256)
         values = result.series["success_rates_in_enumeration_order"]
