@@ -19,7 +19,7 @@ from .calibration import (
     mirror_benchmark_fidelity,
 )
 from .device import ExecutionRecord, RigettiAspenDevice
-from .drift import DriftingValue, OrnsteinUhlenbeck
+from .drift import DriftingValue, DriftState
 from .native_gates import (
     DEFAULT_PULSE_DURATIONS_NS,
     NATIVE_TWO_QUBIT_GATES,
@@ -70,7 +70,7 @@ __all__ = [
     "TwoQubitGateNoiseParameters",
     "coherent_error_unitary",
     "single_qubit_coherent_error",
-    "OrnsteinUhlenbeck",
+    "DriftState",
     "DriftingValue",
     "RigettiAspenDevice",
     "ExecutionRecord",

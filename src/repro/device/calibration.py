@@ -20,6 +20,7 @@ reference initialization) only ever see the possibly-stale records.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -275,6 +276,19 @@ class CalibrationService:
         self.data = CalibrationData()
         self._last_calibrated_us: Dict[str, float] = {}
         self._rng = np.random.default_rng(seed)
+
+    def clone(self, device: RigettiAspenDevice) -> "CalibrationService":
+        """This service's exact state, now benchmarking *device* (a
+        :meth:`~repro.device.device.RigettiAspenDevice.clone` of its
+        own): records, cadence bookkeeping and the estimation-noise
+        generator are copied, so neither service moves the other."""
+        twin = copy.copy(self)
+        twin.device = device
+        twin.refresh_period_us = dict(self.refresh_period_us)
+        twin.data = self.data.snapshot()
+        twin._last_calibrated_us = dict(self._last_calibrated_us)
+        twin._rng = copy.deepcopy(self._rng)
+        return twin
 
     # ------------------------------------------------------------------
     def calibrate_gate(self, gate_name: str) -> int:

@@ -15,9 +15,11 @@ density-matrix backend.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Set, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from ..sim.channels import (
 from ..sim.density_matrix import DensityMatrixSimulator
 from ..sim.sampler import Counts, sample_distribution
 from ..sim.sim_cache import SimulationCache
+from .drift import DriftState
 from .native_gates import (
     DEFAULT_PULSE_DURATIONS_NS,
     NativeGateSet,
@@ -103,6 +106,10 @@ class RigettiAspenDevice:
         gate_params: Physics per (link, native gate name). A missing
             entry means that link does not support that native gate —
             real Aspen chips have such links (paper Section III-A).
+            The device copies both maps' drift slots into its own
+            :attr:`drift` state (qubits, then gates, each in insertion
+            order — the advance order) and exposes read-only maps of
+            records over it; the records passed in are left untouched.
         native_gates: The instruction set accepted by :meth:`run`.
         seed: Seed for the device's internal randomness (drift and
             default shot sampling).
@@ -155,11 +162,16 @@ class RigettiAspenDevice:
             if gate_name not in native_gates.two_qubit:
                 raise DeviceError(f"unknown native gate {gate_name!r}")
         self.topology = topology
-        self.qubit_params = qubit_params
-        self.gate_params = gate_params
         self.native_gates = native_gates
-        self.idle_noise = idle_noise
-        self.crosstalk_zz = float(crosstalk_zz)
+        self._idle_noise = bool(idle_noise)
+        self._crosstalk_zz = float(crosstalk_zz)
+        records = [*qubit_params.values(), *gate_params.values()]
+        #: Every drifting value, in advance order: the device's own copy
+        #: of the records' slots, which its records then read.
+        self.drift = DriftState.gather(
+            [(r.drift, r.offset, len(r.FIELDS)) for r in records]
+        )
+        self._bind_records(qubit_params, gate_params)
         self.clock_us = 0.0
         self.execution_log: List[ExecutionRecord] = []
         #: Counts how many times drift has moved the noise parameters;
@@ -173,11 +185,53 @@ class RigettiAspenDevice:
         )
         self._drift_rng = np.random.default_rng(seed)
         self._sample_rng = np.random.default_rng(seed + 1)
-        # (epoch, digest) memo for parameter_fingerprint().
-        self._param_fingerprint: Optional[Tuple[int, bytes]] = None
+        # (drift revision, digest) of the static fingerprint part.
+        self._static_digest: Optional[Tuple[int, bytes]] = None
         #: The sequential executor every caller shares for this device,
         #: created by :func:`repro.exec.get_executor` on first use.
         self.shared_executor: Optional["BatchExecutor"] = None
+
+    def _bind_records(
+        self,
+        qubit_params: Mapping[int, QubitNoiseParameters],
+        gate_params: Mapping[Tuple[Link, str], TwoQubitGateNoiseParameters],
+    ) -> None:
+        """Read-only maps of records over :attr:`drift`, laid out in
+        advance order (qubits, then gates, each in insertion order)."""
+        offset = 0
+        bound = []
+        for records in (qubit_params, gate_params):
+            views = {}
+            for key, record in records.items():
+                views[key] = record.at(self.drift, offset)
+                offset += len(record.FIELDS)
+            bound.append(MappingProxyType(views))
+        self.qubit_params, self.gate_params = bound
+
+    def clone(self) -> "RigettiAspenDevice":
+        """An independent device in exactly this device's state.
+
+        Copies the drift arrays, the clock, :attr:`drift_epoch` and the
+        drift and sampling generators' states. The clone starts with
+        empty channel and simulation caches at its epoch, an empty
+        execution log and no shared executor, so it runs every job
+        exactly as this device would. Topology, native gate set and the
+        static fingerprint digest are immutable and shared.
+        """
+        twin = copy.copy(self)
+        twin.drift = self.drift.clone()
+        twin._bind_records(self.qubit_params, self.gate_params)
+        twin.execution_log = []
+        if self.channel_cache is not None:
+            twin.channel_cache = ChannelCache()
+            twin.channel_cache.epoch = self.drift_epoch
+        if self.sim_cache is not None:
+            twin.sim_cache = SimulationCache()
+            twin.sim_cache.epoch = self.drift_epoch
+        twin._drift_rng = copy.deepcopy(self._drift_rng)
+        twin._sample_rng = copy.deepcopy(self._sample_rng)
+        twin.shared_executor = None
+        return twin
 
     # ------------------------------------------------------------------
     # Introspection
@@ -185,6 +239,14 @@ class RigettiAspenDevice:
     @property
     def name(self) -> str:
         return self.topology.name
+
+    @property
+    def idle_noise(self) -> bool:
+        return self._idle_noise
+
+    @property
+    def crosstalk_zz(self) -> float:
+        return self._crosstalk_zz
 
     @property
     def sample_rng(self) -> np.random.Generator:
@@ -226,12 +288,7 @@ class RigettiAspenDevice:
         if dt_us == 0:
             return
         self.clock_us += dt_us
-        for params in self.qubit_params.values():
-            for value in params.drifting_values():
-                value.advance(dt_us, self._drift_rng)
-        for params in self.gate_params.values():
-            for value in params.drifting_values():
-                value.advance(dt_us, self._drift_rng)
+        self.drift.advance(dt_us, self._drift_rng)
         self.drift_epoch += 1
         if self.channel_cache is not None:
             self.channel_cache.invalidate(self.drift_epoch)
@@ -250,64 +307,56 @@ class RigettiAspenDevice:
         *raw* OU process values (pre-clip), so two devices with equal
         states read bit-identical ``current`` values.
         """
+        values = self.drift.value.tolist()
         state: Dict[Tuple, float] = {}
         for qubit in sorted(self.qubit_params):
-            values = self.qubit_params[qubit].drifting_values()
-            for index, value in enumerate(values):
-                state[("q", qubit, index)] = float(value.process.value)
+            offset = self.qubit_params[qubit].offset
+            for index in range(len(QubitNoiseParameters.FIELDS)):
+                state[("q", qubit, index)] = values[offset + index]
         for key in sorted(self.gate_params):
             link, gate_name = key
-            values = self.gate_params[key].drifting_values()
-            for index, value in enumerate(values):
-                state[("g", link, gate_name, index)] = float(
-                    value.process.value
-                )
+            offset = self.gate_params[key].offset
+            for index in range(len(TwoQubitGateNoiseParameters.FIELDS)):
+                state[("g", link, gate_name, index)] = values[offset + index]
         return state
 
     def parameter_fingerprint(self) -> bytes:
         """A digest of everything that determines this device's physics.
 
         Two devices with equal fingerprints produce bit-identical exact
-        output distributions for the same circuit: the digest covers the
-        topology name, the physics configuration flags, every drifting
-        parameter's raw process value, every pulse duration, and the
-        drift epoch. This is the cross-request probe-dedup key — a
-        shared distribution store may only serve one request's cached
-        distribution to another when their devices' fingerprints match.
+        output distributions for the same circuit. This is the
+        cross-request probe-dedup key — a shared distribution store may
+        only serve one request's cached distribution to another when
+        their devices' fingerprints match.
 
-        Memoized per epoch (``advance_time`` bumps the epoch), so the
-        per-job cost after the first call within an epoch is one tuple
-        compare.
+        The digest is blake2b over a static part (topology name, physics
+        flags, parameter keys, pulse durations and clip bounds — fixed
+        unless a drifting field is reassigned, which bumps the drift
+        state's revision), the drift epoch, and the bytes of the raw
+        value array: a few microseconds per call.
         """
-        memo = self._param_fingerprint
-        if memo is not None and memo[0] == self.drift_epoch:
+        digest = hashlib.blake2b(self._static_part(), digest_size=16)
+        digest.update(self.drift_epoch.to_bytes(8, "little"))
+        digest.update(self.drift.value.tobytes())
+        return digest.digest()
+
+    def _static_part(self) -> bytes:
+        memo = self._static_digest
+        if memo is not None and memo[0] == self.drift.revision:
             return memo[1]
         digest = hashlib.blake2b(digest_size=16)
-        digest.update(
-            repr(
-                (
-                    self.name,
-                    self.idle_noise,
-                    self.crosstalk_zz,
-                    self.drift_epoch,
-                )
-            ).encode()
+        layout = (
+            self.name,
+            self.idle_noise,
+            self.crosstalk_zz,
+            [(q, p.rx_duration_ns) for q, p in self.qubit_params.items()],
+            [(k, p.duration_ns) for k, p in self.gate_params.items()],
         )
-        for key, value in self.parameter_state().items():
-            digest.update(repr((key, value)).encode())
-        for qubit in sorted(self.qubit_params):
-            digest.update(
-                repr(
-                    (qubit, self.qubit_params[qubit].rx_duration_ns)
-                ).encode()
-            )
-        for key in sorted(self.gate_params):
-            digest.update(
-                repr((key, self.gate_params[key].duration_ns)).encode()
-            )
-        fingerprint = digest.digest()
-        self._param_fingerprint = (self.drift_epoch, fingerprint)
-        return fingerprint
+        digest.update(repr(layout).encode())
+        digest.update(self.drift.low.tobytes())
+        digest.update(self.drift.high.tobytes())
+        self._static_digest = (self.drift.revision, digest.digest())
+        return self._static_digest[1]
 
     def circuit_duration_us(self, circuit: QuantumCircuit) -> float:
         """Critical-path duration of one shot of a native circuit."""

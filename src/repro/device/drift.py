@@ -11,105 +11,220 @@ time, using the exact discrete transition
 
 with ``a = exp(-dt / tau)``, so updates are step-size invariant: advancing
 by ``dt`` in one step or many is statistically identical.
+
+All drifting parameters of one device live in a single
+:class:`DriftState`: six flat float64 arrays (``mean``, ``std``, ``tau``,
+``value``, ``low``, ``high``) with one slot per parameter, in the
+device's advance order — each qubit's six values in insertion order,
+then each (link, gate)'s three. Those arrays are the only copy of the
+values; a :class:`DriftingValue` is a view of one slot, and assigning a
+noise-parameter field writes the new process into its slot.
+
+:meth:`DriftState.advance` draws one ``standard_normal(k)`` vector over
+the ``k`` slots whose ``std`` is nonzero and applies the transition
+elementwise with the same IEEE operations, in the same order, as the
+scalar formula above (``exp`` and ``sqrt`` run in Python, once per
+distinct ``tau``). Values and the generator stream are therefore
+bit-identical to advancing each parameter on its own, in slot order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import DeviceError
 
-__all__ = ["OrnsteinUhlenbeck", "DriftingValue"]
+__all__ = ["DriftState", "DriftingValue", "Row"]
+
+#: One slot's process: ``(mean, std, tau, value, low, high)``.
+Row = Tuple[float, float, float, float, float, float]
+
+#: Table rows validated on every write.
+_STD, _TAU = 1, 2
 
 
-@dataclass
-class OrnsteinUhlenbeck:
-    """A mean-reverting Gaussian process.
+def _validate(table: np.ndarray) -> None:
+    if (table[_STD] < 0).any():
+        raise DeviceError("stationary std must be non-negative")
+    if (table[_TAU] <= 0).any():
+        raise DeviceError("correlation time must be positive")
+
+
+class DriftState:
+    """Every drifting parameter of one device, as flat float64 arrays.
+
+    Args:
+        rows: One ``(mean, std, tau, value, low, high)`` per parameter,
+            in advance order. ``std`` is the stationary standard
+            deviation (0 freezes the slot), ``tau`` the correlation time
+            in the clock's units (microseconds throughout this library),
+            ``value`` the raw process value, and ``[low, high]`` the
+            range the *observed* value is clipped to.
 
     Attributes:
-        mean: Long-run mean the process reverts to.
-        stationary_std: Standard deviation of the stationary distribution
-            (0 disables drift entirely — the parameter stays at *value*).
-        correlation_time: Time constant tau of mean reversion, in the same
-            units the caller advances the clock with (microseconds
-            throughout this library).
-        value: Current value; defaults to the mean.
+        mean / std / tau / value / low / high: Row views of one
+            ``(6, n)`` table — the storage itself, not copies.
+        current: The clipped values as Python floats, refreshed once
+            per advance, so reads cost a list index.
     """
 
-    mean: float
-    stationary_std: float
-    correlation_time: float
-    value: Optional[float] = None
+    def __init__(self, rows: Sequence[Sequence[float]]) -> None:
+        table = np.array(rows, dtype=float).reshape(len(rows), 6)
+        self._adopt(table.T.copy())
 
-    def __post_init__(self) -> None:
-        if self.stationary_std < 0:
-            raise DeviceError("stationary_std must be non-negative")
-        if self.correlation_time <= 0:
-            raise DeviceError("correlation_time must be positive")
-        if self.value is None:
-            self.value = self.mean
+    def _bind(self, table: np.ndarray) -> None:
+        self.table = table
+        (self.mean, self.std, self.tau,
+         self.value, self.low, self.high) = table
 
-    def advance(self, dt: float, rng: np.random.Generator) -> float:
-        """Advance the process by *dt* time units; returns the new value."""
+    def _adopt(self, table: np.ndarray) -> None:
+        _validate(table)
+        self._bind(table)
+        #: Bumped by every :meth:`assign`, so a digest derived from the
+        #: bounds can tell an edited state from the one it was built on.
+        self.revision = 0
+        self._index_moving()
+        self._refresh()
+
+    @classmethod
+    def gather(
+        cls, slices: Sequence[Tuple["DriftState", int, int]]
+    ) -> "DriftState":
+        """A new state holding copies of ``(state, start, width)`` slices,
+        concatenated in order."""
+        state = cls.__new__(cls)
+        state._adopt(
+            np.concatenate(
+                [source.table[:, start:start + width]
+                 for source, start, width in slices],
+                axis=1,
+            )
+            if slices
+            else np.empty((6, 0))
+        )
+        return state
+
+    def clone(self) -> "DriftState":
+        """An independent copy: advancing either leaves the other put."""
+        twin = self.__class__.__new__(self.__class__)
+        twin._bind(self.table.copy())
+        # Derived from std and tau, which only assign() changes — and it
+        # replaces these rather than editing them in place.
+        twin._moving = self._moving
+        twin._tau_groups = self._tau_groups
+        twin.revision = self.revision
+        twin.current = list(self.current)
+        return twin
+
+    def __len__(self) -> int:
+        return self.table.shape[1]
+
+    # ------------------------------------------------------------------
+    def _index_moving(self) -> None:
+        """Cache which slots draw noise and their distinct ``tau``s."""
+        moving = np.flatnonzero(self.std != 0)
+        taus = self.tau[moving]
+        self._moving = moving
+        self._tau_groups = [
+            (float(tau), np.flatnonzero(taus == tau))
+            for tau in np.unique(taus)
+        ]
+
+    def _refresh(self) -> None:
+        self.current = np.minimum(
+            self.high, np.maximum(self.low, self.value)
+        ).tolist()
+
+    def row(self, index: int) -> Row:
+        """The process held in slot *index*."""
+        mean, std, tau, value, low, high = self.table[:, index].tolist()
+        return mean, std, tau, value, low, high
+
+    def assign(self, index: int, row: Sequence[float]) -> None:
+        """Replace slot *index*'s process (the field-assignment path)."""
+        column = np.array(row, dtype=float).reshape(6, 1)
+        _validate(column)
+        self.table[:, index] = column[:, 0]
+        self.revision += 1
+        self._index_moving()
+        self._refresh()
+
+    def advance(self, dt: float, rng: np.random.Generator) -> None:
+        """Advance every slot by *dt*; one draw per slot with ``std != 0``.
+
+        ``dt == 0`` draws nothing; ``dt < 0`` raises :class:`DeviceError`.
+        """
         if dt < 0:
             raise DeviceError("cannot advance time backwards")
-        if dt == 0 or self.stationary_std == 0:
-            return float(self.value)
-        decay = math.exp(-dt / self.correlation_time)
-        noise_scale = self.stationary_std * math.sqrt(1.0 - decay**2)
-        self.value = (
-            self.mean
-            + (self.value - self.mean) * decay
-            + noise_scale * float(rng.standard_normal())
-        )
-        return float(self.value)
+        if dt == 0:
+            return
+        moving = self._moving
+        if moving.size:
+            noise = rng.standard_normal(moving.size)
+            decay, root = self._factors(dt)
+            mean = self.mean[moving]
+            self.value[moving] = (
+                mean
+                + (self.value[moving] - mean) * decay
+                + (self.std[moving] * root) * noise
+            )
+            self._refresh()
 
-    def equilibrate(self, rng: np.random.Generator) -> float:
-        """Jump straight to a stationary-distribution sample."""
-        self.value = self.mean + self.stationary_std * float(
-            rng.standard_normal()
-        )
-        return float(self.value)
+    def _factors(self, dt: float):
+        """``exp(-dt/tau)`` and ``sqrt(1 - decay**2)`` per moving slot,
+        computed in Python once per distinct ``tau`` (numpy's ``exp`` and
+        squaring are not bit-identical to ``math.exp`` and ``**2``)."""
+        groups = self._tau_groups
+        if len(groups) == 1:
+            decay = math.exp(-dt / groups[0][0])
+            return decay, math.sqrt(1.0 - decay**2)
+        decay = np.empty(self._moving.size)
+        root = np.empty(self._moving.size)
+        for tau, positions in groups:
+            step = math.exp(-dt / tau)
+            decay[positions] = step
+            root[positions] = math.sqrt(1.0 - step**2)
+        return decay, root
 
 
-@dataclass
 class DriftingValue:
-    """An OU process clipped to a physical range.
+    """One drifting parameter: a view of one :class:`DriftState` slot.
 
-    Noise probabilities must stay in ``[low, high]``; rather than letting
-    the Gaussian wander out we clip the *observed* value while the
-    underlying process keeps its dynamics (standard reflected-read
-    treatment — keeps the process ergodic and the clip rare when the
-    bounds are a few sigma away).
+    The observed value (:attr:`current`) is the OU process clipped to
+    ``[low, high]``; the underlying process keeps its dynamics (standard
+    reflected-read treatment — keeps the process ergodic and the clip
+    rare when the bounds are a few sigma away).
     """
 
-    process: OrnsteinUhlenbeck
-    low: float = 0.0
-    high: float = math.inf
+    __slots__ = ("state", "index")
+
+    def __init__(self, state: DriftState, index: int) -> None:
+        self.state = state
+        self.index = index
 
     @classmethod
     def fixed(cls, value: float) -> "DriftingValue":
-        """A non-drifting constant, for tests and noiseless presets."""
+        """A non-drifting, unclipped constant (in its own one-slot state),
+        for tests and hand-built devices."""
         return cls(
-            OrnsteinUhlenbeck(
-                mean=value, stationary_std=0.0, correlation_time=1.0
-            ),
-            low=-math.inf,
-            high=math.inf,
+            DriftState([(value, 0.0, 1.0, value, -math.inf, math.inf)]), 0
         )
 
     @property
     def current(self) -> float:
-        return float(min(self.high, max(self.low, self.process.value)))
+        return self.state.current[self.index]
 
-    def advance(self, dt: float, rng: np.random.Generator) -> float:
-        self.process.advance(dt, rng)
-        return self.current
+    @property
+    def mean(self) -> float:
+        return float(self.state.mean[self.index])
 
-    def equilibrate(self, rng: np.random.Generator) -> float:
-        self.process.equilibrate(rng)
-        return self.current
+    @property
+    def value(self) -> float:
+        """The raw (unclipped) process value."""
+        return float(self.state.value[self.index])
+
+    def row(self) -> Row:
+        return self.state.row(self.index)

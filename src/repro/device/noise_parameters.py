@@ -3,8 +3,9 @@
 Each qubit carries relaxation times, readout confusion, and single-qubit
 gate error; each (link, native gate) pair carries a per-pulse error
 triple: coherent over-rotation of the gate's own generator, parasitic ZZ
-phase, and incoherent depolarizing. All scalars are
-:class:`~repro.device.drift.DriftingValue` so the device drifts in time.
+phase, and incoherent depolarizing. Every drifting scalar is a slot of
+the device's :class:`~repro.device.drift.DriftState` (the records are
+views of consecutive slots), so the device drifts in time.
 
 The coherent terms are the paper's physics: randomized benchmarking
 averages them into a single fidelity number, but in a specific circuit
@@ -16,8 +17,7 @@ application-optimal one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..circuit.gates import cphase_matrix, rx_matrix, xy_matrix
 from ..exceptions import DeviceError
 from ..linalg import kron_n
 from ..sim.channels import ReadoutError
-from .drift import DriftingValue
+from .drift import DriftingValue, DriftState
 from .native_gates import DEFAULT_PULSE_DURATIONS_NS
 
 __all__ = [
@@ -38,8 +38,51 @@ __all__ = [
 _ZZ_GENERATOR = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 
 
-@dataclass
-class QubitNoiseParameters:
+class _Slot:
+    """A drifting field: a view of one slot of the record's DriftState.
+
+    Reading returns a :class:`DriftingValue`; assigning one copies its
+    process into the slot, so the edit is what advance and the
+    parameter fingerprint see.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.position = owner.FIELDS.index(name)
+
+    def __get__(self, params, owner=None):
+        if params is None:
+            return self
+        return DriftingValue(params.drift, params.offset + self.position)
+
+    def __set__(self, params, value: DriftingValue) -> None:
+        params.drift.assign(params.offset + self.position, value.row())
+
+
+class _NoiseRecord:
+    """``len(FIELDS)`` consecutive slots of a :class:`DriftState` from
+    ``offset`` on, plus a fixed pulse duration."""
+
+    FIELDS: Tuple[str, ...] = ()
+    __slots__ = ("drift", "offset", "_duration_ns")
+
+    def __init__(
+        self, drift: DriftState, offset: int, duration_ns: float
+    ) -> None:
+        if not 0 <= offset <= len(drift) - len(self.FIELDS):
+            raise DeviceError(
+                f"{type(self).__name__} slots {offset}+{len(self.FIELDS)} "
+                f"outside a {len(drift)}-slot drift state"
+            )
+        self.drift = drift
+        self.offset = offset
+        self._duration_ns = float(duration_ns)
+
+    def at(self, drift: DriftState, offset: int):
+        """The same fields and duration, read from *drift* at *offset*."""
+        return type(self)(drift, offset, self._duration_ns)
+
+
+class QubitNoiseParameters(_NoiseRecord):
     """Per-qubit physics: relaxation, readout, single-qubit gate error.
 
     Attributes:
@@ -48,16 +91,36 @@ class QubitNoiseParameters:
         readout_p10: P(read 1 | prepared 0).
         rx_depolarizing: Depolarizing probability per RX pulse.
         rx_over_rotation: Coherent RX angle error per pulse (radians).
-        rx_duration_ns: RX pulse duration.
+        rx_duration_ns: RX pulse duration (fixed at construction).
     """
 
-    t1_us: DriftingValue
-    t2_us: DriftingValue
-    readout_p01: DriftingValue
-    readout_p10: DriftingValue
-    rx_depolarizing: DriftingValue
-    rx_over_rotation: DriftingValue
-    rx_duration_ns: float = DEFAULT_PULSE_DURATIONS_NS["rx"]
+    FIELDS = (
+        "t1_us",
+        "t2_us",
+        "readout_p01",
+        "readout_p10",
+        "rx_depolarizing",
+        "rx_over_rotation",
+    )
+    __slots__ = ()
+    t1_us = _Slot()
+    t2_us = _Slot()
+    readout_p01 = _Slot()
+    readout_p10 = _Slot()
+    rx_depolarizing = _Slot()
+    rx_over_rotation = _Slot()
+
+    def __init__(
+        self,
+        drift: DriftState,
+        offset: int,
+        rx_duration_ns: float = DEFAULT_PULSE_DURATIONS_NS["rx"],
+    ) -> None:
+        super().__init__(drift, offset, rx_duration_ns)
+
+    @property
+    def rx_duration_ns(self) -> float:
+        return self._duration_ns
 
     def readout_error(self) -> ReadoutError:
         return ReadoutError(
@@ -65,19 +128,8 @@ class QubitNoiseParameters:
             p1_given_0=min(1.0, max(0.0, self.readout_p10.current)),
         )
 
-    def drifting_values(self) -> Tuple[DriftingValue, ...]:
-        return (
-            self.t1_us,
-            self.t2_us,
-            self.readout_p01,
-            self.readout_p10,
-            self.rx_depolarizing,
-            self.rx_over_rotation,
-        )
 
-
-@dataclass
-class TwoQubitGateNoiseParameters:
+class TwoQubitGateNoiseParameters(_NoiseRecord):
     """Per-(link, native gate) physics, charged per entangling pulse.
 
     Attributes:
@@ -87,16 +139,19 @@ class TwoQubitGateNoiseParameters:
         zz_error: Parasitic ZZ phase accumulated during the pulse.
         depolarizing: Two-qubit depolarizing probability per pulse.
         duration_ns: Pulse duration (XY/CPHASE shorter than CZ, but a
-            CNOT needs two of them — paper Fig. 2c).
+            CNOT needs two of them — paper Fig. 2c); fixed at
+            construction.
     """
 
-    over_rotation: DriftingValue
-    zz_error: DriftingValue
-    depolarizing: DriftingValue
-    duration_ns: float
+    FIELDS = ("over_rotation", "zz_error", "depolarizing")
+    __slots__ = ()
+    over_rotation = _Slot()
+    zz_error = _Slot()
+    depolarizing = _Slot()
 
-    def drifting_values(self) -> Tuple[DriftingValue, ...]:
-        return (self.over_rotation, self.zz_error, self.depolarizing)
+    @property
+    def duration_ns(self) -> float:
+        return self._duration_ns
 
 
 def coherent_error_unitary(

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..exceptions import DeviceError
 from .device import RigettiAspenDevice
-from .drift import DriftingValue, OrnsteinUhlenbeck
+from .drift import DriftState, Row
 from .native_gates import DEFAULT_PULSE_DURATIONS_NS, NATIVE_TWO_QUBIT_GATES
 from .noise_parameters import QubitNoiseParameters, TwoQubitGateNoiseParameters
 from .topology import Link, Topology, aspen_topology, linear_topology
@@ -119,25 +119,21 @@ NOISELESS_PROFILE = NoiseProfile(
 )
 
 
-def _drifting(
+def _ou(
     value: float,
     std: float,
     tau: float,
     low: float = 0.0,
     high: float = math.inf,
-) -> DriftingValue:
-    return DriftingValue(
-        OrnsteinUhlenbeck(
-            mean=value, stationary_std=std, correlation_time=tau, value=value
-        ),
-        low=low,
-        high=high,
-    )
+) -> Row:
+    """An OU process started at (and reverting to) *value*."""
+    return (value, std, tau, value, low, high)
 
 
 def _sample_qubit(
     rng: np.random.Generator, profile: NoiseProfile
-) -> QubitNoiseParameters:
+) -> List[Row]:
+    """Rows in :attr:`QubitNoiseParameters.FIELDS` order."""
     tau = profile.drift_correlation_time_us
     rel = profile.drift_relative_std
     t1 = float(rng.uniform(*profile.t1_us_range))
@@ -146,22 +142,20 @@ def _sample_qubit(
     p10 = float(rng.uniform(*profile.readout_p10_range))
     rx_depol = float(rng.uniform(*profile.rx_depolarizing_range))
     rx_over = float(rng.normal(0.0, profile.rx_over_rotation_std))
-    return QubitNoiseParameters(
-        t1_us=_drifting(t1, rel * t1 * 0.3, tau, low=1.0),
-        t2_us=_drifting(t2, rel * t2 * 0.3, tau, low=0.5),
-        readout_p01=_drifting(p01, rel * p01, tau, high=0.5),
-        readout_p10=_drifting(p10, rel * p10, tau, high=0.5),
-        rx_depolarizing=_drifting(rx_depol, rel * rx_depol, tau, high=0.1),
-        rx_over_rotation=_drifting(
-            rx_over, profile.drift_angle_std * 0.2, tau, low=-0.5, high=0.5
-        ),
-        rx_duration_ns=profile.pulse_durations_ns["rx"],
-    )
+    return [
+        _ou(t1, rel * t1 * 0.3, tau, low=1.0),
+        _ou(t2, rel * t2 * 0.3, tau, low=0.5),
+        _ou(p01, rel * p01, tau, high=0.5),
+        _ou(p10, rel * p10, tau, high=0.5),
+        _ou(rx_depol, rel * rx_depol, tau, high=0.1),
+        _ou(rx_over, profile.drift_angle_std * 0.2, tau, low=-0.5, high=0.5),
+    ]
 
 
 def _sample_link_gate(
     rng: np.random.Generator, profile: NoiseProfile, gate_name: str
-) -> TwoQubitGateNoiseParameters:
+) -> List[Row]:
+    """Rows in :attr:`TwoQubitGateNoiseParameters.FIELDS` order."""
     tau = profile.drift_correlation_time_us
     rel = profile.drift_relative_std
     coh_scale = profile.coherent_scale.get(gate_name, 1.0)
@@ -172,16 +166,11 @@ def _sample_link_gate(
         coh_scale *= profile.coherent_outlier_scale
     over = float(rng.normal(0.0, coh_scale * profile.over_rotation_std))
     zz = float(rng.normal(0.0, coh_scale * profile.zz_error_std))
-    return TwoQubitGateNoiseParameters(
-        over_rotation=_drifting(
-            over, profile.drift_angle_std, tau, low=-0.8, high=0.8
-        ),
-        zz_error=_drifting(
-            zz, profile.drift_angle_std, tau, low=-0.8, high=0.8
-        ),
-        depolarizing=_drifting(depol, rel * depol, tau, high=0.3),
-        duration_ns=profile.pulse_durations_ns[gate_name],
-    )
+    return [
+        _ou(over, profile.drift_angle_std, tau, low=-0.8, high=0.8),
+        _ou(zz, profile.drift_angle_std, tau, low=-0.8, high=0.8),
+        _ou(depol, rel * depol, tau, high=0.3),
+    ]
 
 
 def build_device(
@@ -201,8 +190,10 @@ def build_device(
     default to keep the paper-calibrated phenomenology unchanged).
     """
     rng = np.random.default_rng(seed)
-    qubit_params = {q: _sample_qubit(rng, profile) for q in topology.qubits}
-    gate_params: Dict[Tuple[Link, str], TwoQubitGateNoiseParameters] = {}
+    rows: List[Row] = []
+    for _ in topology.qubits:
+        rows.extend(_sample_qubit(rng, profile))
+    gate_keys: List[Tuple[Link, str]] = []
     for link in topology.links:
         available = [
             g
@@ -212,9 +203,24 @@ def build_device(
         if not available:
             available = ["cz"]  # every Aspen link supports CZ
         for gate_name in available:
-            gate_params[(link, gate_name)] = _sample_link_gate(
-                rng, profile, gate_name
-            )
+            rows.extend(_sample_link_gate(rng, profile, gate_name))
+            gate_keys.append((link, gate_name))
+    drift = DriftState(rows)
+    per_qubit = len(QubitNoiseParameters.FIELDS)
+    qubit_params = {
+        qubit: QubitNoiseParameters(
+            drift, per_qubit * index, profile.pulse_durations_ns["rx"]
+        )
+        for index, qubit in enumerate(topology.qubits)
+    }
+    base = per_qubit * len(qubit_params)
+    per_gate = len(TwoQubitGateNoiseParameters.FIELDS)
+    gate_params = {
+        key: TwoQubitGateNoiseParameters(
+            drift, base + per_gate * index, profile.pulse_durations_ns[key[1]]
+        )
+        for index, key in enumerate(gate_keys)
+    }
     return RigettiAspenDevice(
         topology=topology,
         qubit_params=qubit_params,

@@ -11,7 +11,8 @@ compose on the same device state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -209,6 +210,30 @@ class ExperimentContext:
             tracer=tracer,
             metrics_registry=registry,
             _obs_previous=previous,
+        )
+
+    def clone(self) -> "ExperimentContext":
+        """An independent context in exactly this context's state.
+
+        Device and calibration service are cloned (drift arrays, clock,
+        epoch, every generator state, calibration records), so running
+        or advancing the clone moves nothing in this context and vice
+        versa. The clone starts with no executors of its own yet and
+        without observability: a tracer or registry installed by
+        :meth:`create` stays with the original.
+        """
+        device = self.device.clone()
+        return replace(
+            self,
+            device=device,
+            service=self.service.clone(device),
+            rng=copy.deepcopy(self.rng),
+            tracer=None,
+            metrics_registry=None,
+            _remote_executor=None,
+            _parallel_executor=None,
+            _obs_previous=None,
+            _closed=False,
         )
 
     # ------------------------------------------------------------------

@@ -6,13 +6,18 @@ and a backend — and runs them through the existing ``Backend`` seam
 with fair scheduling, probe-batch coalescing, and cross-tenant probe
 deduplication:
 
-* **Isolation** — every request builds its *own* device, calibration,
-  and executor stack (exactly :meth:`~repro.experiments.context.
-  ExperimentContext.create`), so requests never share mutable physics.
-  The non-negotiable invariant, pinned by ``tests/test_angel_service.
-  py``: a request compiled through the service is **bit-identical** to
-  the same spec run through :func:`run_standalone`, for any tenant mix,
-  worker count, or fault profile.
+* **Isolation** — every request gets its *own* device, calibration,
+  and executor stack, so requests never share mutable physics. The
+  service keeps a small LRU of chip days: the first request on a recipe
+  builds it with :meth:`~repro.experiments.context.ExperimentContext.
+  create` and stores the result as a template nothing ever runs on;
+  every request then runs on a :meth:`~repro.experiments.context.
+  ExperimentContext.clone` of it — the exact state ``create`` reaches,
+  at a fraction of the cost. The non-negotiable invariant, pinned by
+  ``tests/test_angel_service.py``: a request compiled through the
+  service is **bit-identical** to the same spec run through
+  :func:`run_standalone` (which always calls ``create``), for any
+  tenant mix, worker count, or fault profile.
 * **Fairness** — requests advance one *schedulable unit* (one CopyCat
   probe batch, or the final shot execution) per grant, under deficit
   round-robin across tenants (:mod:`repro.service.scheduler`) with
@@ -37,15 +42,21 @@ deduplication:
   independent of how other tenants' requests are routed.
 
 The request lifecycle emits a ``svc.request`` summary span (queue wait,
-latency, probes, dedup hits) and ``service.tenant.<name>.*`` registry
-counters when observability is installed; fleet mode adds ``fleet.*``
-spans, events, and per-replica counters.
+latency, probes, dedup hits), a ``context.clone`` span per chip-day memo
+hit, and ``service.tenant.<name>.*`` registry counters when
+observability is installed; fleet mode adds ``fleet.*`` spans, events,
+and per-replica counters.
+
+An unexpected exception in the scheduler thread fails every queued and
+in-flight handle with a :class:`~repro.exceptions.ServiceError` chained
+to it and closes the service; ``drain`` and ``close`` still return.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Union
@@ -71,6 +82,10 @@ __all__ = [
     "run_standalone",
     "replay_workload",
 ]
+
+#: Chip days (post-``create`` template contexts) one service keeps;
+#: the least recently used goes first.
+_CHIP_DAY_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -230,7 +245,9 @@ class _Request:
     calibration, backend, executor), an :class:`AngelProbePlan`, and —
     after the plan completes — the final nativized shot execution. Both
     the service and :func:`run_standalone` drive requests through this
-    class, so the two paths cannot diverge.
+    class, so the two paths cannot diverge; the only difference is that
+    the service passes its ``chip_days`` memo, which hands out a clone
+    of the context ``create`` would build.
     """
 
     def __init__(
@@ -240,6 +257,7 @@ class _Request:
         fleet: Optional[FleetService] = None,
         request_key: Optional[str] = None,
         tenant: Optional[str] = None,
+        chip_days: Optional["_ChipDayMemo"] = None,
     ) -> None:
         self.spec = spec
         self.outcome_counts: Optional[Dict[str, int]] = None
@@ -258,15 +276,20 @@ class _Request:
             store = self.binding.replica.store
         else:
             effective = spec
+        recipe = {
+            "device_name": effective.device_name,
+            "seed": effective.seed,
+            "calibration_seed": effective.calibration_seed,
+            "drift_hours": effective.drift_hours,
+            "backend": effective.backend,
+            "fault_profile": effective.fault_profile,
+            "fault_seed": effective.fault_seed,
+        }
         try:
-            self.context = ExperimentContext.create(
-                device_name=effective.device_name,
-                seed=effective.seed,
-                calibration_seed=effective.calibration_seed,
-                drift_hours=effective.drift_hours,
-                backend=effective.backend,
-                fault_profile=effective.fault_profile,
-                fault_seed=effective.fault_seed,
+            self.context = (
+                chip_days.context(recipe)
+                if chip_days is not None
+                else ExperimentContext.create(**recipe)
             )
         except BaseException:
             self._release_binding()
@@ -374,6 +397,55 @@ class _Request:
         self.context.close()
 
 
+class _ChipDayMemo:
+    """Bounded LRU of post-``create`` contexts, cloned per request.
+
+    Keyed by every argument :class:`_Request` passes to
+    :meth:`ExperimentContext.create`. A template is never run, advanced
+    or closed — requests only ever get :meth:`ExperimentContext.clone`
+    of it, which is bit-identical to a fresh ``create``. A failed build
+    stores nothing. Thread-safe; two concurrent first misses on one
+    recipe may both build (the later store wins, and both are exact).
+    """
+
+    def __init__(self) -> None:
+        self._templates: "OrderedDict[tuple, ExperimentContext]" = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._templates)
+
+    def context(self, recipe: Dict[str, object]) -> ExperimentContext:
+        key = tuple(sorted(recipe.items()))
+        with self._lock:
+            template = self._templates.get(key)
+            if template is not None:
+                self._templates.move_to_end(key)
+        if template is None:
+            template = ExperimentContext.create(**recipe)
+            with self._lock:
+                self._templates[key] = template
+                self._templates.move_to_end(key)
+                while len(self._templates) > _CHIP_DAY_MEMO_SIZE:
+                    self._templates.popitem(last=False)
+            return template.clone()
+        tracer = obs.active_tracer()
+        span = (
+            tracer.span(
+                "context.clone",
+                device=recipe["device_name"],
+                drift_hours=recipe["drift_hours"],
+            )
+            if tracer
+            else obs.NULL_SPAN
+        )
+        with span:
+            return template.clone()
+
+
 def run_standalone(
     spec: RequestSpec,
     store: Optional[ProbeDistributionStore] = None,
@@ -414,6 +486,7 @@ class _ServiceEntry:
         store: Optional[ProbeDistributionStore],
         fleet: Optional[FleetService] = None,
         request_key: Optional[str] = None,
+        chip_days: Optional[_ChipDayMemo] = None,
     ) -> None:
         self.spec = spec
         self.tenant = tenant
@@ -421,6 +494,7 @@ class _ServiceEntry:
         self.store = store
         self.fleet = fleet
         self.request_key = request_key
+        self.chip_days = chip_days
         self.request: Optional[_Request] = None
         self.error: Optional[BaseException] = None
 
@@ -449,6 +523,7 @@ class _ServiceEntry:
                     fleet=self.fleet,
                     request_key=self.request_key,
                     tenant=self.tenant.name,
+                    chip_days=self.chip_days,
                 )
             self.request.step()
         except BaseException as exc:  # noqa: BLE001 - forwarded to handle
@@ -502,13 +577,21 @@ class AngelService:
             ProbeDistributionStore() if dedup and fleet is None else None
         )
         self.scheduler = DeficitRoundRobin(round_budget_jobs)
+        self._chip_days = _ChipDayMemo()
         self._tenants: Dict[str, TenantState] = {}
         for config in tenants:
             self.add_tenant(config)
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._inflight = 0
+        # Closed: submit refuses. Stopping: the scheduler exits at the
+        # next round boundary, failing whatever is still queued.
         self._closed = False
+        self._stopping = False
+        #: Set when the scheduler thread died of an unexpected exception.
+        self._failure: Optional[BaseException] = None
+        # Entries of the round executing now (popped off their queues).
+        self._round: List[_ServiceEntry] = []
         self._pool = ThreadPoolExecutor(
             max_workers=num_workers, thread_name_prefix="angel-svc"
         )
@@ -547,7 +630,7 @@ class AngelService:
         """
         with self._work:
             if self._closed:
-                raise ServiceError("service is closed")
+                raise ServiceError("service is closed") from self._failure
             state = self._tenant_state(tenant)
             try:
                 state.admit()
@@ -566,6 +649,7 @@ class AngelService:
                     self.store,
                     fleet=self.fleet,
                     request_key=request_key,
+                    chip_days=self._chip_days,
                 )
             )
             self._inflight += 1
@@ -598,21 +682,58 @@ class AngelService:
     # Scheduler loop
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        while True:
-            with self._work:
-                self._work.wait_for(
-                    lambda: self._closed
-                    or any(t.queue for t in self._tenants.values())
-                )
-                picked = self.scheduler.next_round(
-                    list(self._tenants.values())
-                )
-                if not picked:
-                    if self._closed:
-                        return
+        try:
+            while True:
+                with self._work:
+                    self._work.wait_for(
+                        lambda: self._stopping
+                        or any(t.queue for t in self._tenants.values())
+                    )
+                    if self._stopping:
+                        break
+                    picked = self.scheduler.next_round(
+                        list(self._tenants.values())
+                    )
+                    if not picked:
+                        continue
+                    round_number = self.scheduler.rounds
+                    self._round = [entry for _, entry in picked]
+                self._execute_round(round_number, picked)
+        except BaseException as exc:
+            # No handle may hang on a dead scheduler; the thread still
+            # dies with the traceback (threading.excepthook reports it).
+            self._fail_pending(f"service scheduler failed: {exc!r}", exc)
+            raise
+        self._fail_pending("service closed before the request completed")
+
+    def _fail_pending(
+        self, message: str, cause: Optional[BaseException] = None
+    ) -> None:
+        """Fail every unresolved handle with a :class:`ServiceError`
+        (chained to *cause*) and close the service: the scheduler is
+        exiting and nothing else would resolve them."""
+        with self._work:
+            self._closed = True
+            self._failure = cause
+            queued = [e for t in self._tenants.values() for e in t.queue]
+            for tenant in self._tenants.values():
+                tenant.queue.clear()
+            for entry in self._round + queued:
+                if entry.handle.done():
                     continue
-                round_number = self.scheduler.rounds
-            self._execute_round(round_number, picked)
+                entry.handle.completed_at = time.monotonic()
+                entry.tenant.failed += 1
+                if entry.request is not None:
+                    try:
+                        entry.request.close()
+                    except Exception:  # noqa: BLE001 - best effort
+                        pass
+                error = ServiceError(message)
+                error.__cause__ = cause
+                entry.handle._resolve(exception=error)
+            self._round = []
+            self._inflight = 0
+            self._work.notify_all()
 
     def _execute_round(self, round_number: int, picked) -> None:
         tracer = obs.active_tracer()
@@ -642,6 +763,7 @@ class AngelService:
                     # Unfinished requests rejoin at the *front* so a
                     # tenant's own requests stay FIFO.
                     tenant.queue.appendleft(entry)
+            self._round = []
             self._work.notify_all()
 
     def _complete(self, tenant: TenantState, entry: _ServiceEntry) -> None:
@@ -801,15 +923,23 @@ class AngelService:
         return [row]
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Drain outstanding work, stop the scheduler, free the pool."""
-        self.drain(timeout)
+        """Drain outstanding work, stop the scheduler, free the pool.
+
+        New submits are refused from the start. The scheduler thread and
+        the pool always stop, even when the drain times out: requests
+        still queued then fail with :class:`ServiceError` (the round in
+        progress finishes first), and the drain's error is re-raised.
+        """
         with self._work:
-            if self._closed:
-                return
             self._closed = True
-            self._work.notify_all()
-        self._scheduler_thread.join(timeout=timeout or 60.0)
-        self._pool.shutdown(wait=True)
+        try:
+            self.drain(timeout)
+        finally:
+            with self._work:
+                self._stopping = True
+                self._work.notify_all()
+            self._scheduler_thread.join()
+            self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "AngelService":
         return self

@@ -13,15 +13,20 @@ tenant's flood; and one tenant's flaky fault profile never perturbs
 another tenant's outcome.
 """
 
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
+from repro.circuit import QuantumCircuit
 from repro.compiler import transpile
 from repro.core import Angel, AngelConfig
 from repro.core.sequence import NativeGateSequence
+from repro.device.drift import DriftingValue
+from repro.device.native_gates import cnot_decomposition, hadamard_native
 from repro.device.presets import aspen11
-from repro.exceptions import ServiceError
+from repro.exceptions import ReproError, ServiceError
 from repro.exec import BatchExecutor, Job, LocalBackend
 from repro.experiments import ExperimentContext
 from repro.programs import get_benchmark
@@ -39,7 +44,9 @@ from repro.service import (
     replay_workload,
     run_standalone,
 )
+from repro.service.angel_service import _ChipDayMemo
 from repro.service.tenant import TenantState
+from tests.test_drift_state import assert_same_chip_day
 
 #: Small, fast request specs. GHZ_n4 probes 7 CopyCats (1 + 2*3 links);
 #: drift 4.0h lands exactly on the XY/CZ calibration-refresh boundary.
@@ -610,3 +617,244 @@ def test_service_emits_spans_and_tenant_counters():
     assert counters["service.tenant.alice.completed"] == 1
     assert counters["service.tenant.bob.completed"] == 1
     assert counters["service.tenant.bob.dedup_hits"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Chip-day memo: requests run on clones of one post-create template
+# ---------------------------------------------------------------------------
+def _recipe(spec: RequestSpec):
+    """The ``ExperimentContext.create`` arguments a request passes."""
+    return {
+        "device_name": spec.device_name,
+        "seed": spec.seed,
+        "calibration_seed": spec.calibration_seed,
+        "drift_hours": spec.drift_hours,
+        "backend": spec.backend,
+        "fault_profile": spec.fault_profile,
+        "fault_seed": spec.fault_seed,
+    }
+
+
+def _assert_same_context(left, right) -> None:
+    assert_same_chip_day(
+        (left.device, left.service), (right.device, right.service)
+    )
+    assert left.rng.bit_generator.state == right.rng.bit_generator.state
+    assert left.device.execution_log == right.device.execution_log
+
+
+def _bell(context):
+    link = context.pick_link()
+    circuit = QuantumCircuit(max(link) + 1, name="bell")
+    for gate in hadamard_native(link[0]):
+        circuit.append(gate)
+    for gate in cnot_decomposition("cz", *link):
+        circuit.append(gate)
+    circuit.measure(link[0])
+    circuit.measure(link[1])
+    return circuit
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        _recipe(_SPECS["ghz"]),
+        _recipe(replace(_SPECS["boundary"], drift_hours=30.0)),
+        _recipe(replace(_SPECS["ghz"], device_name="aspen-m-1", seed=1)),
+    ],
+    ids=["aspen-11-0.5h", "aspen-11-30h", "aspen-m-1-0.5h"],
+)
+def test_clone_equals_fresh_create(recipe):
+    clone = ExperimentContext.create(**recipe).clone()
+    fresh = ExperimentContext.create(**recipe)
+    _assert_same_context(clone, fresh)
+    circuit = _bell(fresh)
+    for context in (clone, fresh):  # and they stay equal when driven
+        context.device.advance_time(3_600e6)
+        context.service.maybe_recalibrate()
+        context.device.run(circuit, 32)
+        context.measured_success_rate(circuit, {"00": 0.5, "11": 0.5}, 32)
+    _assert_same_context(clone, fresh)
+
+
+def test_clones_share_no_mutable_state():
+    recipe = _recipe(_SPECS["ghz"])
+    memo = _ChipDayMemo()
+    first, second = memo.context(recipe), memo.context(recipe)
+    (template,) = memo._templates.values()
+    untouched = ExperimentContext.create(**recipe)
+    # Move the first clone every way a request (or a test) can.
+    circuit = _bell(first)
+    first.device.advance_time(5 * 3_600e6)
+    first.device.run(circuit, 32)
+    first.executor.submit(Job(circuit, 32, seed=3))
+    first.service.full_calibration()
+    first.rng.integers(100)
+    qubit = first.pick_link()[0]
+    first.device.qubit_params[qubit].t1_us = DriftingValue.fixed(5.0)
+    for other in (second, template):
+        _assert_same_context(other, untouched)
+        assert len(other.device.channel_cache) == 0
+        stats = other.device.sim_cache.stats()
+        assert stats["dist_entries"] == stats["dist_misses"] == 0
+        assert other.device.shared_executor is None
+    assert first.device.topology is template.device.topology
+
+
+def test_unknown_device_fails_its_handle_and_stores_nothing():
+    with AngelService(num_workers=2) as service:
+        handle = service.submit(
+            "alice", replace(_SPECS["ghz"], device_name="aspen-99")
+        )
+        with pytest.raises(ReproError):
+            handle.result(timeout=120)
+        assert len(service._chip_days) == 0
+        outcome = service.submit("alice", _SPECS["ghz"]).result(timeout=120)
+        assert len(service._chip_days) == 1
+    _assert_bit_identical(outcome, _reference(_SPECS["ghz"]))
+
+
+def test_concurrent_first_misses_match_standalone():
+    specs = [
+        replace(_SPECS["ghz"], program=program)
+        for program in ("GHZ_n4", "BV_n4", "tele_n2", "toff_n3")
+    ]
+    with AngelService(num_workers=2) as service:
+        handles = [
+            service.submit(f"t{index}", spec)
+            for index, spec in enumerate(specs)
+        ]
+        outcomes = [handle.result(timeout=120) for handle in handles]
+        assert len(service._chip_days) == 1
+    for outcome, spec in zip(outcomes, specs):
+        _assert_bit_identical(outcome, _reference(spec))
+
+
+def test_memo_under_thread_contention_hands_out_exact_clones(monkeypatch):
+    from repro.service import angel_service
+
+    # Three recipes through a two-slot memo: misses, hits and evictions
+    # race each other, and every request must still get an exact clone.
+    monkeypatch.setattr(angel_service, "_CHIP_DAY_MEMO_SIZE", 2)
+    recipes = [
+        _recipe(replace(_SPECS["ghz"], seed=seed, drift_hours=0.25))
+        for seed in (11, 12, 13)
+    ]
+    references = [ExperimentContext.create(**recipe) for recipe in recipes]
+    memo = _ChipDayMemo()
+    failures = []
+
+    def worker(offset):
+        try:
+            for step in range(4):
+                index = (offset + step) % len(recipes)
+                context = memo.context(recipes[index])
+                _assert_same_context(context, references[index])
+                context.device.advance_time(3_600e6)  # private to the clone
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=worker, args=(offset,)) for offset in range(8)
+    ]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(memo) <= 2
+
+
+def test_memo_hits_emit_clone_spans():
+    from repro.obs import Tracer
+    from repro.obs import runtime as obs
+
+    tracer = Tracer()
+    previous = obs.install(tracer, None)
+    try:
+        with AngelService(num_workers=1) as service:
+            service.submit("alice", _SPECS["ghz"]).result(timeout=120)
+            service.submit("bob", _SPECS["ghz"]).result(timeout=120)
+    finally:
+        obs.uninstall(previous)
+    names = [span.name for span in tracer.spans]
+    assert names.count("context.create") == 1
+    assert names.count("context.clone") == 1
+
+
+# ---------------------------------------------------------------------------
+# Failure edges: every handle resolves, no thread outlives close()
+# ---------------------------------------------------------------------------
+def _leftover_threads(before):
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith("angel-svc")
+    ]
+
+
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+)
+def test_scheduler_exception_fails_every_handle_without_hanging():
+    before = set(threading.enumerate())
+    service = AngelService(num_workers=2)
+    boom = RuntimeError("observer failed")
+
+    def explode(*args, **kwargs):
+        raise boom
+
+    service._observe_request = explode
+    handles = [
+        service.submit("alice", _SPECS["ghz"]),
+        service.submit("bob", _SPECS["bv"]),
+    ]
+    service.drain(timeout=60)  # returns instead of hanging
+    for handle in handles:
+        error = handle.exception(timeout=1)
+        assert isinstance(error, ServiceError)
+        assert error.__cause__ is boom
+    with pytest.raises(ServiceError):
+        service.submit("carol", _SPECS["ghz"])
+    service.close(timeout=60)
+    assert not service._scheduler_thread.is_alive()
+    assert _leftover_threads(before) == []
+
+
+def test_close_with_requests_in_flight_resolves_every_handle():
+    before = set(threading.enumerate())
+    specs = [_SPECS["ghz"], _SPECS["bv"], _SPECS["boundary"]]
+    service = AngelService(num_workers=2)
+    handles = [
+        service.submit(f"t{index}", spec) for index, spec in enumerate(specs)
+    ]
+    service.close()
+    for handle, spec in zip(handles, specs):
+        assert handle.done()
+        _assert_bit_identical(handle.result(timeout=0), _reference(spec))
+    assert _leftover_threads(before) == []
+
+
+def test_close_timeout_still_stops_threads_and_resolves_handles():
+    before = set(threading.enumerate())
+    service = AngelService(num_workers=1)
+    handles = [
+        service.submit(f"t{index}", spec)
+        for index, spec in enumerate(
+            [_SPECS["ghz"], _SPECS["bv"], _SPECS["boundary"]]
+        )
+    ]
+    with pytest.raises(ServiceError):
+        service.close(timeout=0.01)
+    for handle in handles:
+        assert handle.done()
+        error = handle.exception(timeout=0)
+        assert error is None or isinstance(error, ServiceError)
+    assert any(handle.exception(timeout=0) is not None for handle in handles)
+    assert _leftover_threads(before) == []

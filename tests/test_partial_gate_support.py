@@ -8,17 +8,29 @@ import pytest
 
 from repro.compiler import transpile
 from repro.core import Angel, AngelConfig, noise_adaptive_sequence
-from repro.device import CalibrationService, small_test_device
+from repro.device import (
+    CalibrationService,
+    RigettiAspenDevice,
+    small_test_device,
+)
 from repro.programs import ghz_n4
 
 
 @pytest.fixture()
 def env():
-    device = small_test_device(5, seed=61)
+    full = small_test_device(5, seed=61)
     # Remove gates: link (0,1) loses cphase, link (1,2) keeps only cz.
-    del device.gate_params[((0, 1), "cphase")]
-    del device.gate_params[((1, 2), "xy")]
-    del device.gate_params[((1, 2), "cphase")]
+    # Device parameter maps are read-only, so build the chip without them.
+    removed = {((0, 1), "cphase"), ((1, 2), "xy"), ((1, 2), "cphase")}
+    device = RigettiAspenDevice(
+        full.topology,
+        full.qubit_params,
+        {
+            key: params
+            for key, params in full.gate_params.items()
+            if key not in removed
+        },
+    )
     service = CalibrationService(device, seed=0)
     service.full_calibration()
     return device, service.data

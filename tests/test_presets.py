@@ -20,7 +20,7 @@ class TestProfileSampling:
         device = build_device(linear_topology(6), seed=3)
         low, high = DEFAULT_PROFILE.t1_us_range
         for params in device.qubit_params.values():
-            assert low <= params.t1_us.process.mean <= high
+            assert low <= params.t1_us.mean <= high
             assert params.t2_us.current <= 2 * params.t1_us.current + 1e-9
             assert 0 <= params.readout_p01.current <= 0.5
 
@@ -29,7 +29,7 @@ class TestProfileSampling:
         log_low, log_high = DEFAULT_PROFILE.two_qubit_depolarizing_log_range
         for (link, gate), params in device.gate_params.items():
             scale = DEFAULT_PROFILE.depolarizing_scale[gate]
-            value = params.depolarizing.process.mean / scale
+            value = params.depolarizing.mean / scale
             assert math.exp(log_low) - 1e-12 <= value <= math.exp(log_high) + 1e-12
 
     def test_pulse_durations_assigned(self):
@@ -42,7 +42,7 @@ class TestProfileSampling:
         # magnitudes must be visibly heavy-tailed.
         device = build_device(linear_topology(30), seed=5)
         magnitudes = sorted(
-            abs(p.over_rotation.process.mean)
+            abs(p.over_rotation.mean)
             for p in device.gate_params.values()
         )
         bulk = np.median(magnitudes)
