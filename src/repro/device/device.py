@@ -185,8 +185,7 @@ class RigettiAspenDevice:
         )
         self._drift_rng = np.random.default_rng(seed)
         self._sample_rng = np.random.default_rng(seed + 1)
-        # (drift revision, digest) of the static fingerprint part.
-        self._static_digest: Optional[Tuple[int, bytes]] = None
+        self._static_digest = self._static_part()
         #: The sequential executor every caller shares for this device,
         #: created by :func:`repro.exec.get_executor` on first use.
         self.shared_executor: Optional["BatchExecutor"] = None
@@ -330,21 +329,18 @@ class RigettiAspenDevice:
         their devices' fingerprints match.
 
         The digest is blake2b over a static part (topology name, physics
-        flags, parameter keys, pulse durations and clip bounds — fixed
-        unless a drifting field is reassigned, which bumps the drift
-        state's revision), the drift epoch, and the bytes of the raw
-        value array: a few microseconds per call.
+        flags, parameter keys and pulse durations — all immutable, so it
+        is computed once at construction), the drift epoch, and the bytes
+        of the clipped value array the physics reads
+        (:attr:`~repro.device.drift.DriftState.observed`): a few
+        microseconds per call.
         """
-        digest = hashlib.blake2b(self._static_part(), digest_size=16)
+        digest = hashlib.blake2b(self._static_digest, digest_size=16)
         digest.update(self.drift_epoch.to_bytes(8, "little"))
-        digest.update(self.drift.value.tobytes())
+        digest.update(self.drift.observed.tobytes())
         return digest.digest()
 
     def _static_part(self) -> bytes:
-        memo = self._static_digest
-        if memo is not None and memo[0] == self.drift.revision:
-            return memo[1]
-        digest = hashlib.blake2b(digest_size=16)
         layout = (
             self.name,
             self.idle_noise,
@@ -352,11 +348,9 @@ class RigettiAspenDevice:
             [(q, p.rx_duration_ns) for q, p in self.qubit_params.items()],
             [(k, p.duration_ns) for k, p in self.gate_params.items()],
         )
-        digest.update(repr(layout).encode())
-        digest.update(self.drift.low.tobytes())
-        digest.update(self.drift.high.tobytes())
-        self._static_digest = (self.drift.revision, digest.digest())
-        return self._static_digest[1]
+        return hashlib.blake2b(
+            repr(layout).encode(), digest_size=16
+        ).digest()
 
     def circuit_duration_us(self, circuit: QuantumCircuit) -> float:
         """Critical-path duration of one shot of a native circuit."""

@@ -18,7 +18,10 @@ All drifting parameters of one device live in a single
 device's advance order — each qubit's six values in insertion order,
 then each (link, gate)'s three. Those arrays are the only copy of the
 values; a :class:`DriftingValue` is a view of one slot, and assigning a
-noise-parameter field writes the new process into its slot.
+noise-parameter field writes the new process into its slot. The public
+rows are read-only: :meth:`DriftState.advance` and
+:meth:`DriftState.assign` are the only writers, so the clipped values the
+physics reads (:attr:`DriftState.observed`) never go stale.
 
 :meth:`DriftState.advance` draws one ``standard_normal(k)`` vector over
 the ``k`` slots whose ``std`` is nonzero and applies the transition
@@ -65,10 +68,13 @@ class DriftState:
             range the *observed* value is clipped to.
 
     Attributes:
-        mean / std / tau / value / low / high: Row views of one
-            ``(6, n)`` table — the storage itself, not copies.
-        current: The clipped values as Python floats, refreshed once
-            per advance, so reads cost a list index.
+        mean / std / tau / value / low / high: Read-only row views of
+            one ``(6, n)`` table — the storage itself, not copies. Edit a
+            slot with :meth:`assign`.
+        observed: The clipped values (read-only), refreshed on every
+            advance and edit: what the physics reads.
+        current: :attr:`observed` as Python floats, so reads cost a list
+            index.
     """
 
     def __init__(self, rows: Sequence[Sequence[float]]) -> None:
@@ -76,16 +82,17 @@ class DriftState:
         self._adopt(table.T.copy())
 
     def _bind(self, table: np.ndarray) -> None:
-        self.table = table
+        self._table = table
+        self._value = table[3]
+        views = list(table)
+        for view in views:
+            view.flags.writeable = False
         (self.mean, self.std, self.tau,
-         self.value, self.low, self.high) = table
+         self.value, self.low, self.high) = views
 
     def _adopt(self, table: np.ndarray) -> None:
         _validate(table)
         self._bind(table)
-        #: Bumped by every :meth:`assign`, so a digest derived from the
-        #: bounds can tell an edited state from the one it was built on.
-        self.revision = 0
         self._index_moving()
         self._refresh()
 
@@ -98,7 +105,7 @@ class DriftState:
         state = cls.__new__(cls)
         state._adopt(
             np.concatenate(
-                [source.table[:, start:start + width]
+                [source._table[:, start:start + width]
                  for source, start, width in slices],
                 axis=1,
             )
@@ -110,17 +117,17 @@ class DriftState:
     def clone(self) -> "DriftState":
         """An independent copy: advancing either leaves the other put."""
         twin = self.__class__.__new__(self.__class__)
-        twin._bind(self.table.copy())
-        # Derived from std and tau, which only assign() changes — and it
-        # replaces these rather than editing them in place.
+        twin._bind(self._table.copy())
+        # Derived state that advance() and assign() replace rather than
+        # edit in place, so the twin may share it until then.
         twin._moving = self._moving
         twin._tau_groups = self._tau_groups
-        twin.revision = self.revision
+        twin.observed = self.observed
         twin.current = list(self.current)
         return twin
 
     def __len__(self) -> int:
-        return self.table.shape[1]
+        return self._table.shape[1]
 
     # ------------------------------------------------------------------
     def _index_moving(self) -> None:
@@ -134,21 +141,21 @@ class DriftState:
         ]
 
     def _refresh(self) -> None:
-        self.current = np.minimum(
-            self.high, np.maximum(self.low, self.value)
-        ).tolist()
+        observed = np.minimum(self.high, np.maximum(self.low, self.value))
+        observed.flags.writeable = False
+        self.observed = observed
+        self.current = observed.tolist()
 
     def row(self, index: int) -> Row:
         """The process held in slot *index*."""
-        mean, std, tau, value, low, high = self.table[:, index].tolist()
+        mean, std, tau, value, low, high = self._table[:, index].tolist()
         return mean, std, tau, value, low, high
 
     def assign(self, index: int, row: Sequence[float]) -> None:
         """Replace slot *index*'s process (the field-assignment path)."""
         column = np.array(row, dtype=float).reshape(6, 1)
         _validate(column)
-        self.table[:, index] = column[:, 0]
-        self.revision += 1
+        self._table[:, index] = column[:, 0]
         self._index_moving()
         self._refresh()
 
@@ -166,24 +173,20 @@ class DriftState:
             noise = rng.standard_normal(moving.size)
             decay, root = self._factors(dt)
             mean = self.mean[moving]
-            self.value[moving] = (
+            self._value[moving] = (
                 mean
-                + (self.value[moving] - mean) * decay
+                + (self._value[moving] - mean) * decay
                 + (self.std[moving] * root) * noise
             )
             self._refresh()
 
-    def _factors(self, dt: float):
+    def _factors(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
         """``exp(-dt/tau)`` and ``sqrt(1 - decay**2)`` per moving slot,
         computed in Python once per distinct ``tau`` (numpy's ``exp`` and
         squaring are not bit-identical to ``math.exp`` and ``**2``)."""
-        groups = self._tau_groups
-        if len(groups) == 1:
-            decay = math.exp(-dt / groups[0][0])
-            return decay, math.sqrt(1.0 - decay**2)
         decay = np.empty(self._moving.size)
         root = np.empty(self._moving.size)
-        for tau, positions in groups:
+        for tau, positions in self._tau_groups:
             step = math.exp(-dt / tau)
             decay[positions] = step
             root[positions] = math.sqrt(1.0 - step**2)

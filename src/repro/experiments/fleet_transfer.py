@@ -18,8 +18,9 @@ replica:
 
 Both are reported against **drift divergence**: the mean absolute
 difference between the replica's raw drift-process parameter state and
-replica A's, sampled at context creation (the same
-``parameter_state`` vector that feeds ``parameter_fingerprint``).
+replica A's, sampled at context creation (the
+``parameter_state`` vector whose clipped values feed
+``parameter_fingerprint``).
 
 Replicas are independently sampled chips, so a gate replica A chose
 may simply not exist on replica B's link (seeded missing-gate

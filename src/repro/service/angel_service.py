@@ -926,10 +926,16 @@ class AngelService:
         """Drain outstanding work, stop the scheduler, free the pool.
 
         New submits are refused from the start. The scheduler thread and
-        the pool always stop, even when the drain times out: requests
-        still queued then fail with :class:`ServiceError` (the round in
-        progress finishes first), and the drain's error is re-raised.
+        the pool are always told to stop, even when the drain times out:
+        the round in progress finishes, then requests still unresolved
+        fail with :class:`ServiceError`. ``timeout`` bounds the whole
+        call: if the drain, or the wait for the scheduler to leave its
+        round, runs out of time, :class:`ServiceError` is raised and the
+        threads stop on their own once the round ends (a later
+        ``close()`` waits for them). Without a timeout, ``close`` returns
+        only after both have stopped.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._work:
             self._closed = True
         try:
@@ -938,8 +944,17 @@ class AngelService:
             with self._work:
                 self._stopping = True
                 self._work.notify_all()
-            self._scheduler_thread.join()
-            self._pool.shutdown(wait=True)
+            self._scheduler_thread.join(
+                None
+                if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
+            stopped = not self._scheduler_thread.is_alive()
+            self._pool.shutdown(wait=stopped)
+        if not stopped:
+            raise ServiceError(
+                f"service scheduler still in a round after {timeout}s"
+            )
 
     def __enter__(self) -> "AngelService":
         return self

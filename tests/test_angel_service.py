@@ -15,6 +15,7 @@ another tenant's outcome.
 
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -841,17 +842,33 @@ def test_close_with_requests_in_flight_resolves_every_handle():
     assert _leftover_threads(before) == []
 
 
-def test_close_timeout_still_stops_threads_and_resolves_handles():
+def test_close_timeout_bounds_the_call_and_threads_still_stop():
     before = set(threading.enumerate())
     service = AngelService(num_workers=1)
+    # Hold the first round inside its first chip-day build.
+    release = threading.Event()
+    build = service._chip_days.context
+
+    def held_build(recipe):
+        release.wait(timeout=30)
+        return build(recipe)
+
+    service._chip_days.context = held_build
     handles = [
         service.submit(f"t{index}", spec)
         for index, spec in enumerate(
             [_SPECS["ghz"], _SPECS["bv"], _SPECS["boundary"]]
         )
     ]
+    started = time.monotonic()
     with pytest.raises(ServiceError):
-        service.close(timeout=0.01)
+        service.close(timeout=0.2)
+    assert time.monotonic() - started < 10  # not the held round's 30 s
+    assert service._scheduler_thread.is_alive()
+    with pytest.raises(ServiceError):
+        service.submit("late", _SPECS["ghz"])
+    release.set()
+    service.close()  # waits for the round, then the threads
     for handle in handles:
         assert handle.done()
         error = handle.exception(timeout=0)

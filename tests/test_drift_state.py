@@ -11,7 +11,8 @@ Each case runs two devices built from one recipe through the same seeded
 sequence of advances, calibrations and unseeded jobs. One advances with
 the library's array advance; the other's drift state is advanced by the
 reference processes, which publish their values into its arrays so its
-calibration reads them. After every step the two must agree bit for bit
+calibration reads them (and whose clip must match the array clip). After
+every step the two must agree bit for bit
 on ``parameter_state()``, clipped values, clock, drift epoch, the drift,
 sample and calibration generator states, and every calibration record.
 
@@ -94,8 +95,12 @@ class _ReferenceDrift:
             return
         for process in self.processes:
             process.advance(dt, rng)
-        self.state.value[:] = [process.value for process in self.processes]
-        self.state.current = [process.current for process in self.processes]
+        # The public rows are read-only; publish through the storage.
+        self.state._value[:] = [process.value for process in self.processes]
+        self.state._refresh()
+        assert _bits(self.state.current) == _bits(
+            [process.current for process in self.processes]
+        )
 
 
 def _referenced(device: RigettiAspenDevice) -> _ReferenceDrift:
@@ -289,6 +294,13 @@ class TestFieldEdits:
         with pytest.raises(TypeError):
             device.qubit_params[0] = device.qubit_params[1]
 
+    def test_drift_rows_are_read_only(self):
+        drift = small_test_device(3, seed=4).drift
+        for row in (drift.mean, drift.std, drift.tau, drift.value,
+                    drift.low, drift.high, drift.observed):
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+
 
 class TestParameterFingerprint:
     """The cross-request dedup key changes with any physics change."""
@@ -296,14 +308,24 @@ class TestParameterFingerprint:
     def test_one_ulp_on_any_value_changes_the_digest(self):
         device = aspen11(seed=11)
         device.advance_time(2 * _HOUR_US)
+        drift = device.drift
         base = device.parameter_fingerprint()
-        values = device.drift.value
-        assert len(values) == 612
-        for index in range(len(values)):
-            original = values[index]
-            values[index] = np.nextafter(original, np.inf)
-            assert device.parameter_fingerprint() != base, index
-            values[index] = original
+        assert len(drift) == 612
+        beyond = (drift.value < drift.low) | (drift.value > drift.high)
+        changed = 0
+        for index in range(len(drift)):
+            row = drift.row(index)
+            observed = drift.current[index]
+            nudged = float(np.nextafter(row[3], np.inf))
+            drift.assign(index, (*row[:3], nudged, *row[4:]))
+            # The digest follows the clipped value the physics reads: a
+            # nudge beyond a clip bound leaves both put.
+            moved = drift.current[index] != observed
+            assert moved != bool(beyond[index]), index
+            assert (device.parameter_fingerprint() != base) == moved, index
+            changed += moved
+            drift.assign(index, row)
+        assert changed == 612 - int(beyond.sum()) >= 600
         assert device.parameter_fingerprint() == base
 
     def test_same_recipe_and_advances_give_equal_digests(self):
@@ -338,7 +360,15 @@ class TestParameterFingerprint:
         params.zz_error = DriftingValue.fixed(0.0)
         edited = device.parameter_fingerprint()
         assert edited != before
-        # A bounds-only edit (same raw value) still changes the digest.
+        # Bounds count through the clipped value: widening them around a
+        # value already inside leaves the physics, and the digest, put...
         value = params.depolarizing.value
+        assert params.depolarizing.current == value
         params.depolarizing = DriftingValue.fixed(value)
+        assert device.parameter_fingerprint() == edited
+        # ...while a bound that clips the value changes both.
+        slot = params.depolarizing.index
+        mean, std, tau, raw, low, _ = device.drift.row(slot)
+        device.drift.assign(slot, (mean, std, tau, raw, low, raw / 2))
+        assert params.depolarizing.current == raw / 2
         assert device.parameter_fingerprint() != edited
