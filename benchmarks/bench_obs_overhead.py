@@ -8,8 +8,9 @@ tracing (every span streamed to a JSONL sink) under **15%**.
 
 The workload is the repo's standard perf yardstick: a GHZ-7
 localized-search probe sweep on Aspen-11 (per-link reference +
-mass-replacement candidate batches, snapshot discipline). Three
-measurements:
+mass-replacement candidate batches) through the device's shared
+sequential executor, one job after another as the search runs them.
+Three measurements:
 
 * ``disabled`` — no tracer installed (the default for every user who
   never passes ``--trace``): the A-side of the <2% bound;
@@ -48,7 +49,7 @@ import numpy as np
 from repro.compiler import transpile
 from repro.core.sequence import NativeGateSequence
 from repro.device.presets import aspen11
-from repro.exec import BatchExecutor, Job, LocalBackend
+from repro.exec import Job, get_executor
 from repro.obs import JsonlSpanSink, MetricsRegistry, Tracer, observed
 from repro.obs import runtime as obs
 from repro.programs.ghz import ghz
@@ -90,9 +91,9 @@ def _probe_round(device, compiled, shots: int, rng) -> list:
 
 def _sweep_time_s(rounds: int, shots: int, tracer=None, registry=None):
     """Wall time of the GHZ-7 probe sweep under one observability mode."""
-    device = aspen11(seed=23, sim_cache=True)
+    device = aspen11(seed=23)
     compiled = transpile(ghz(7), device)
-    executor = BatchExecutor(LocalBackend(device), mode="parallel")
+    executor = get_executor(device)
     rng = np.random.default_rng(5)
     jobs_total = 0
     gc.collect()  # the previous sweep's garbage is not this sweep's cost

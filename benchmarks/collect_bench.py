@@ -30,9 +30,6 @@ from pathlib import Path
 #: short label). Direction ``higher`` means bigger is better.
 HEADLINES = {
     "exec_probe_throughput": ("speedup", "higher", "cache speedup (x)"),
-    "sim_cache_probe_workload": (
-        "speedup", "higher", "hierarchy speedup (x)"
-    ),
     "obs_overhead": (
         "enabled_overhead", "lower", "obs overhead (fraction)"
     ),

@@ -61,8 +61,6 @@ def _make_context(args: argparse.Namespace) -> ExperimentContext:
         backend=getattr(args, "backend", "local"),
         fault_profile=getattr(args, "fault_profile", "none"),
         fault_seed=getattr(args, "fault_seed", 0),
-        sim_cache=not getattr(args, "no_sim_cache", False),
-        parallel=getattr(args, "parallel", False),
         trace=getattr(args, "trace", None),
         metrics=getattr(args, "metrics", False),
         optimization_level=getattr(args, "opt_level", 0),
@@ -115,18 +113,6 @@ def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         help="seed for the service fault stream and backoff jitter",
-    )
-    parser.add_argument(
-        "--no-sim-cache",
-        action="store_true",
-        help="disable the simulation cache hierarchy (prefix-state and "
-        "distribution memoization) for A/B runs against the uncached path",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run executor batches in the snapshot batch discipline "
-        "(one parameter snapshot per batch) instead of sequentially",
     )
     parser.add_argument(
         "--opt-level",

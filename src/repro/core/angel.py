@@ -115,10 +115,8 @@ class Angel:
             possibly stale — that is the point).
         config: Framework tunables.
         executor: Execution service to submit probe jobs through.
-            Defaults to the device's shared sequential executor, which
-            reproduces the paper's one-probe-at-a-time semantics
-            bit-for-bit; a ``mode="parallel"`` executor runs each
-            probe batch against one parameter snapshot.
+            Defaults to the device's shared executor, which reproduces
+            the paper's one-probe-at-a-time semantics bit-for-bit.
     """
 
     def __init__(

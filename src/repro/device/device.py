@@ -131,14 +131,11 @@ class RigettiAspenDevice:
             cleared whenever :meth:`advance_time` drifts them (tracked
             by :attr:`drift_epoch`), so it is exact. On by default;
             disable to run the reference per-Kraus-operator path.
-        sim_cache: Enable the circuit-level simulation cache hierarchy
-            (:class:`~repro.sim.sim_cache.SimulationCache`): lowering +
-            layer fusion, prefix-state memoization, and exact-noisy-
-            distribution caching, all invalidated on every
-            ``drift_epoch`` bump. Requires ``channel_cache`` (the
-            lowering path goes through the fused operation compiler);
-            on by default, disable for A/B runs against the uncached
-            simulation path (``--no-sim-cache`` in the CLI).
+            With the channel cache the device also builds its
+            :class:`~repro.sim.sim_cache.SimulationCache` (lowering plus
+            layer fusion, and the optional cross-request dedup store);
+            setting :attr:`sim_cache` to ``None`` on a built device runs
+            fused per-gate operators without layer fusion.
     """
 
     def __init__(
@@ -151,7 +148,6 @@ class RigettiAspenDevice:
         idle_noise: bool = False,
         crosstalk_zz: float = 0.0,
         channel_cache: bool = True,
-        sim_cache: bool = True,
     ) -> None:
         missing = [q for q in topology.qubits if q not in qubit_params]
         if missing:
@@ -181,7 +177,7 @@ class RigettiAspenDevice:
             ChannelCache() if channel_cache else None
         )
         self.sim_cache: Optional[SimulationCache] = (
-            SimulationCache() if (sim_cache and channel_cache) else None
+            SimulationCache() if channel_cache else None
         )
         self._drift_rng = np.random.default_rng(seed)
         self._sample_rng = np.random.default_rng(seed + 1)
@@ -211,11 +207,12 @@ class RigettiAspenDevice:
         """An independent device in exactly this device's state.
 
         Copies the drift arrays, the clock, :attr:`drift_epoch` and the
-        drift and sampling generators' states. The clone starts with
-        empty channel and simulation caches at its epoch, an empty
-        execution log and no shared executor, so it runs every job
-        exactly as this device would. Topology, native gate set and the
-        static fingerprint digest are immutable and shared.
+        drift and sampling generators' states. The clone starts with an
+        empty channel cache at its epoch, a simulation cache with no
+        store attached, an empty execution log and no shared executor,
+        so it runs every job exactly as this device would. Topology,
+        native gate set and the static fingerprint digest are immutable
+        and shared.
         """
         twin = copy.copy(self)
         twin.drift = self.drift.clone()
@@ -226,7 +223,6 @@ class RigettiAspenDevice:
             twin.channel_cache.epoch = self.drift_epoch
         if self.sim_cache is not None:
             twin.sim_cache = SimulationCache()
-            twin.sim_cache.epoch = self.drift_epoch
         twin._drift_rng = copy.deepcopy(self._drift_rng)
         twin._sample_rng = copy.deepcopy(self._sample_rng)
         twin.shared_executor = None
@@ -251,10 +247,9 @@ class RigettiAspenDevice:
     def sample_rng(self) -> np.random.Generator:
         """The device's own shot-sampling stream.
 
-        This is the generator an unseeded ``run`` call draws from;
-        backends that sample snapshot distributions themselves (the
-        parallel batch paths) must consume it for ``seed=None`` jobs so
-        their counts match a direct unseeded device run.
+        This is the generator an unseeded ``run`` call draws from, so a
+        caller that samples a :meth:`noisy_distribution` itself must
+        consume it for unseeded draws to match a direct unseeded run.
         """
         return self._sample_rng
 
@@ -291,8 +286,6 @@ class RigettiAspenDevice:
         self.drift_epoch += 1
         if self.channel_cache is not None:
             self.channel_cache.invalidate(self.drift_epoch)
-        if self.sim_cache is not None:
-            self.sim_cache.invalidate(self.drift_epoch)
 
     # ------------------------------------------------------------------
     # Parameter-state export (the cross-request dedup key)
@@ -415,26 +408,9 @@ class RigettiAspenDevice:
             if seed is not None
             else self._sample_rng
         )
-        if self.sim_cache is not None:
-            # Cached pipeline: exact distribution through the hierarchy
-            # (lowering + prefix replay + distribution memo), then draw
-            # shots. sample_distribution matches simulator.sample's
-            # sampling semantics exactly (sorted keys, normalized
-            # probabilities, one rng.choice), so the two paths consume
-            # the rng stream identically.
-            distribution = self._exact_distribution(compact, used)
-            counts = sample_distribution(distribution, shots, rng)
-        else:
-            simulator = DensityMatrixSimulator(
-                self._noise_callback_factory(used),
-                operation_compiler=self._operation_compiler_factory(used),
-            )
-            readout = [
-                self.qubit_params[phys].readout_error() for phys in used
-            ]
-            counts = simulator.sample(
-                compact, shots, rng, readout_errors=readout
-            )
+        counts = sample_distribution(
+            self._exact_distribution(compact, used), shots, rng
+        )
         self.log_execution(
             circuit, shots, seed=seed, job_id=job_id, tag=tag, qubits=used
         )
@@ -449,13 +425,7 @@ class RigettiAspenDevice:
         tag: str = "",
         qubits: Optional[List[int]] = None,
     ) -> ExecutionRecord:
-        """Account one executed job: audit record plus clock advance.
-
-        Factored out of :meth:`run` so the execution service can account
-        batch jobs whose distributions were simulated against a shared
-        parameter snapshot — the accounting (record order, durations,
-        drift advance sequence) stays identical to sequential execution.
-        """
+        """Account one executed job: audit record plus clock advance."""
         duration = (
             _JOB_OVERHEAD_US
             + shots * (self.circuit_duration_us(circuit) + _SHOT_OVERHEAD_US)
@@ -859,11 +829,12 @@ class RigettiAspenDevice:
         self, compact: QuantumCircuit, used: List[int]
     ) -> Dict[str, float]:
         """Exact noisy distribution of a compacted circuit, at current
-        parameter values — through the simulation cache when enabled.
+        parameter values.
 
-        The physical placement (``used``) is part of every cache key:
-        equal compact circuits on different physical qubits see
-        different noise and must never share entries.
+        With :attr:`sim_cache` the circuit is lowered, fused and
+        evolved there (or served from an attached dedup store, whose
+        key includes the physical placement ``used``); without it the
+        per-gate :class:`DensityMatrixSimulator` is the reference.
         """
         readout = [self.qubit_params[phys].readout_error() for phys in used]
         if self.sim_cache is not None:

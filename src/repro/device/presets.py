@@ -180,7 +180,6 @@ def build_device(
     idle_noise: bool = False,
     crosstalk_zz: float = 0.0,
     channel_cache: bool = True,
-    sim_cache: bool = True,
 ) -> RigettiAspenDevice:
     """Sample a full device from *profile* on the given topology.
 
@@ -229,7 +228,6 @@ def build_device(
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
         channel_cache=channel_cache,
-        sim_cache=sim_cache,
     )
 
 
@@ -238,7 +236,6 @@ def aspen11(
     profile: NoiseProfile = DEFAULT_PROFILE,
     idle_noise: bool = False,
     crosstalk_zz: float = 0.0,
-    sim_cache: bool = True,
 ) -> RigettiAspenDevice:
     """A 38-qubit Aspen-11-like device (one row of five octagons).
 
@@ -257,7 +254,6 @@ def aspen11(
         profile=profile,
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
-        sim_cache=sim_cache,
     )
 
 
@@ -266,7 +262,6 @@ def aspen_m1(
     profile: NoiseProfile = DEFAULT_PROFILE,
     idle_noise: bool = False,
     crosstalk_zz: float = 0.0,
-    sim_cache: bool = True,
 ) -> RigettiAspenDevice:
     """An 80-qubit Aspen-M-1-like device (two rows of five octagons).
 
@@ -285,7 +280,6 @@ def aspen_m1(
         profile=profile,
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
-        sim_cache=sim_cache,
     )
 
 
@@ -294,7 +288,6 @@ def small_test_device(
     seed: int = 7,
     profile: NoiseProfile = DEFAULT_PROFILE,
     channel_cache: bool = True,
-    sim_cache: bool = True,
 ) -> RigettiAspenDevice:
     """A linear-chain device for unit tests and quick examples."""
     # Force all three gates available on every link so tests are stable.
@@ -309,5 +302,4 @@ def small_test_device(
         seed=seed,
         profile=forced,
         channel_cache=channel_cache,
-        sim_cache=sim_cache,
     )

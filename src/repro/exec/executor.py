@@ -7,16 +7,10 @@ Every submission gets a job id, a workload tag, and a line in the
 did gate selection cost, and how much simulated device time did they
 burn?" without grepping the device log.
 
-Modes:
-
-* ``"sequential"`` (default) — jobs in a batch run one at a time through
-  the backend. With :class:`~repro.exec.backend.LocalBackend` this is
-  bit-identical to the pre-executor ``device.run`` loop, which is what
-  the paper-reproduction tests pin.
-* ``"parallel"`` — batches are handed to the backend's parallel path
-  (every distribution computed against one parameter snapshot, then
-  per-job sampling and clock accounting). Same end-of-batch device
-  state; only the within-batch drift differs.
+Jobs in a batch run one at a time through the backend, in order, on
+one drifting device: the discipline of the paper's probing loop. With
+:class:`~repro.exec.backend.LocalBackend` this is bit-identical to a
+``device.run`` loop, which is what the paper-reproduction tests pin.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from ..exceptions import ExecutionError
 from ..obs import runtime as obs
 from .backend import Backend, LocalBackend
 from .job import Job, JobResult
@@ -34,8 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..device.device import RigettiAspenDevice
 
 __all__ = ["ExecutorStats", "BatchExecutor", "get_executor"]
-
-_MODES = ("sequential", "parallel")
 
 
 @dataclass
@@ -54,20 +45,12 @@ class ExecutorStats:
     wall_time_s: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Simulation-cache hierarchy counters (distribution memo hits skip
-    #: simulation entirely; prefix hits replay a cached state snapshot).
+    #: Exact distributions served from a shared
+    #: :class:`~repro.service.dedup.ProbeDistributionStore` (computed by
+    #: another request at the identical physics state) and simulated.
     sim_dist_hits: int = 0
     sim_dist_misses: int = 0
-    sim_prefix_hits: int = 0
-    sim_prefix_misses: int = 0
-    #: Gauge: prefix-snapshot bytes resident after the latest batch.
-    sim_prefix_bytes: int = 0
-    #: Cross-request dedup: distributions served from / published to a
-    #: shared :class:`~repro.service.dedup.ProbeDistributionStore`.
-    #: Distinct from ``sim_dist_hits`` — those are *same-request* memo
-    #: hits inside one device's own cache; shared hits were computed by
-    #: a different request at the identical physics state.
-    sim_shared_hits: int = 0
+    #: Simulated distributions published to the shared store.
     sim_shared_publishes: int = 0
     #: Transient-fault resubmissions performed by a resilient backend.
     retries: int = 0
@@ -122,10 +105,6 @@ class ExecutorStats:
             "cache_misses": self.cache_misses,
             "sim_dist_hits": self.sim_dist_hits,
             "sim_dist_misses": self.sim_dist_misses,
-            "sim_prefix_hits": self.sim_prefix_hits,
-            "sim_prefix_misses": self.sim_prefix_misses,
-            "sim_prefix_bytes": self.sim_prefix_bytes,
-            "sim_shared_hits": self.sim_shared_hits,
             "sim_shared_publishes": self.sim_shared_publishes,
             "retries": self.retries,
             "job_failures": self.job_failures,
@@ -146,22 +125,13 @@ class ExecutorStats:
             f"channel cache: {self.cache_hits} hits / "
             f"{self.cache_misses} misses",
         ]
-        if (
-            self.sim_dist_hits
-            or self.sim_dist_misses
-            or self.sim_prefix_hits
-            or self.sim_prefix_misses
-        ):
+        if self.sim_dist_hits or self.sim_dist_misses:
             lines.append(
-                f"sim cache: {self.sim_dist_hits} dist hits / "
-                f"{self.sim_dist_misses} misses, "
-                f"{self.sim_prefix_hits} prefix hits / "
-                f"{self.sim_prefix_misses} misses "
-                f"({self.sim_prefix_bytes / 1024:.0f} KiB resident)"
+                f"sim cache: {self.sim_dist_misses} distributions simulated"
             )
-        if self.sim_shared_hits or self.sim_shared_publishes:
+        if self.sim_dist_hits or self.sim_shared_publishes:
             lines.append(
-                f"probe dedup: {self.sim_shared_hits} cross-request hits, "
+                f"probe dedup: {self.sim_dist_hits} cross-request hits, "
                 f"{self.sim_shared_publishes} published"
             )
         if self.coalesced_groups:
@@ -192,13 +162,8 @@ class ExecutorStats:
 class BatchExecutor:
     """Submit jobs (singly or in batches) through a Backend, with stats."""
 
-    def __init__(self, backend: Backend, mode: str = "sequential") -> None:
-        if mode not in _MODES:
-            raise ExecutionError(
-                f"unknown executor mode {mode!r}; expected one of {_MODES}"
-            )
+    def __init__(self, backend: Backend) -> None:
         self.backend = backend
-        self.mode = mode
         self.stats = ExecutorStats()
         self._counter = 0
 
@@ -251,7 +216,6 @@ class BatchExecutor:
             tracer.span(
                 "exec.batch",
                 backend=self.backend.name,
-                mode=self.mode,
                 jobs=len(jobs),
                 # The wall-time histogram records the batch's time per
                 # job, once per job.
@@ -268,10 +232,7 @@ class BatchExecutor:
             submit = (
                 tolerant if tolerant is not None else self.backend.submit_batch
             )
-            results = submit(
-                jobs,
-                parallel=(self.mode == "parallel" and len(jobs) > 1),
-            )
+            results = submit(jobs)
             elapsed = time.perf_counter() - start
             after = self._cache_counters()
             reliability_after = self._reliability_counters()
@@ -295,18 +256,6 @@ class BatchExecutor:
         self.stats.sim_dist_misses += after.get(
             "dist_misses", 0
         ) - before.get("dist_misses", 0)
-        self.stats.sim_prefix_hits += after.get(
-            "prefix_hits", 0
-        ) - before.get("prefix_hits", 0)
-        self.stats.sim_prefix_misses += after.get(
-            "prefix_misses", 0
-        ) - before.get("prefix_misses", 0)
-        self.stats.sim_prefix_bytes = after.get(
-            "prefix_bytes", self.stats.sim_prefix_bytes
-        )
-        self.stats.sim_shared_hits += after.get(
-            "dist_shared_hits", 0
-        ) - before.get("dist_shared_hits", 0)
         self.stats.sim_shared_publishes += after.get(
             "dist_shared_publishes", 0
         ) - before.get("dist_shared_publishes", 0)

@@ -22,7 +22,7 @@ from ..device.device import RigettiAspenDevice
 from ..device.presets import DEFAULT_PROFILE, NoiseProfile, aspen11, aspen_m1
 from ..device.topology import Link
 from ..exceptions import ReproError
-from ..exec import BatchExecutor, Job, LocalBackend, get_executor
+from ..exec import BatchExecutor, Job, get_executor
 from ..metrics import success_rate
 from ..obs import JsonlSpanSink, MetricsRegistry, Tracer
 from ..obs import runtime as obs
@@ -54,8 +54,6 @@ class ExperimentContext:
         fault_seed: Seed for the service's fault stream and the remote
             backend's backoff jitter.
         retry_policy: Remote-client resilience tunables (None = default).
-        parallel: Run executor batches through the snapshot parallel
-            discipline instead of sequentially.
     """
 
     device: RigettiAspenDevice
@@ -65,7 +63,6 @@ class ExperimentContext:
     fault_profile: Optional[FaultProfile] = None
     fault_seed: int = 0
     retry_policy: Optional[RetryPolicy] = None
-    parallel: bool = False
     optimization_level: int = 0
     tracer: Optional[Tracer] = field(
         default=None, repr=False, compare=False
@@ -74,9 +71,6 @@ class ExperimentContext:
         default=None, repr=False, compare=False
     )
     _remote_executor: Optional[BatchExecutor] = field(
-        default=None, repr=False, compare=False
-    )
-    _parallel_executor: Optional[BatchExecutor] = field(
         default=None, repr=False, compare=False
     )
     _obs_previous: Optional[tuple] = field(
@@ -103,8 +97,6 @@ class ExperimentContext:
         fault_profile: object = "none",
         fault_seed: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
-        sim_cache: bool = True,
-        parallel: bool = False,
         optimization_level: int = 0,
         trace: Optional[str] = None,
         metrics: bool = False,
@@ -131,12 +123,6 @@ class ExperimentContext:
                 only meaningful with ``backend="remote"``.
             fault_seed: Seed for fault injection and backoff jitter.
             retry_policy: Remote-client resilience tunables.
-            sim_cache: Enable the device's simulation cache hierarchy
-                (prefix-state + distribution memoization); disable for
-                A/B runs against the uncached simulation path.
-            parallel: Run executor batches in the snapshot discipline
-                (every distribution in a batch computed against one
-                parameter snapshot) instead of sequentially.
             optimization_level: Pre-routing circuit optimization level
                 applied by :meth:`transpile` (0 = off, the
                 bit-identical default; see
@@ -174,7 +160,6 @@ class ExperimentContext:
                 profile=profile,
                 idle_noise=idle_noise,
                 crosstalk_zz=crosstalk_zz,
-                sim_cache=sim_cache,
             )
             service = CalibrationService(device, seed=calibration_seed)
             service.full_calibration()
@@ -205,7 +190,6 @@ class ExperimentContext:
             fault_profile=resolved_profile,
             fault_seed=fault_seed,
             retry_policy=retry_policy,
-            parallel=parallel,
             optimization_level=optimization_level,
             tracer=tracer,
             metrics_registry=registry,
@@ -231,7 +215,6 @@ class ExperimentContext:
             tracer=None,
             metrics_registry=None,
             _remote_executor=None,
-            _parallel_executor=None,
             _obs_previous=None,
             _closed=False,
         )
@@ -266,20 +249,10 @@ class ExperimentContext:
 
         With ``backend_name="remote"`` this is a dedicated executor over
         a :class:`~repro.service.RemoteBackend` (one cloud service per
-        context); otherwise the device's shared local executor. With
-        ``parallel`` the executor runs batches in ``"parallel"`` mode —
-        local contexts get a dedicated executor, so the shared
-        sequential ledger is untouched; remote contexts forward the mode
-        through the cloud service to its local backend.
+        context); otherwise the device's shared local executor.
         """
         if self.backend_name == "local":
-            if not self.parallel:
-                return get_executor(self.device)
-            if self._parallel_executor is None:
-                self._parallel_executor = BatchExecutor(
-                    LocalBackend(self.device), mode="parallel"
-                )
-            return self._parallel_executor
+            return get_executor(self.device)
         if self._remote_executor is None:
             qpu_service = CloudQPUService(
                 self.device,
@@ -290,8 +263,7 @@ class ExperimentContext:
             self._remote_executor = BatchExecutor(
                 RemoteBackend(
                     qpu_service, self.retry_policy, seed=self.fault_seed
-                ),
-                mode="parallel" if self.parallel else "sequential",
+                )
             )
         return self._remote_executor
 
@@ -329,10 +301,8 @@ class ExperimentContext:
         """Absorb every live executor/backend ledger into the registry."""
         registry = self.metrics_registry
         executors = []
-        if self.backend_name == "local" and not self.parallel:
+        if self.backend_name == "local":
             executors.append(get_executor(self.device))
-        if self._parallel_executor is not None:
-            executors.append(self._parallel_executor)
         if self._remote_executor is not None:
             executors.append(self._remote_executor)
         for executor in executors:

@@ -191,15 +191,11 @@ def _replay_tenants(
 
 def main(argv: Optional[list] = None) -> int:
     """CLI: ``python -m repro.experiments.runner [--stats]
-    [--backend local|remote] [--fault-profile NAME] [--parallel]
-    [--tenants N] <id>...``."""
+    [--backend local|remote] [--fault-profile NAME] [--tenants N]
+    <id>...``."""
     argv = list(argv) if argv is not None else sys.argv[1:]
     show_stats = "--stats" in argv
     argv = [arg for arg in argv if arg != "--stats"]
-    no_sim_cache = "--no-sim-cache" in argv
-    argv = [arg for arg in argv if arg != "--no-sim-cache"]
-    parallel = "--parallel" in argv
-    argv = [arg for arg in argv if arg != "--parallel"]
     show_metrics = "--metrics" in argv
     argv = [arg for arg in argv if arg != "--metrics"]
     trace_raw = _pop_option(argv, "--trace", "")
@@ -222,8 +218,7 @@ def main(argv: Optional[list] = None) -> int:
         print(
             "usage: python -m repro.experiments.runner [--stats] "
             "[--backend local|remote] [--fault-profile NAME] "
-            "[--fault-seed N] [--no-sim-cache] "
-            "[--parallel] [--opt-level {0,1,2}] "
+            "[--fault-seed N] [--opt-level {0,1,2}] "
             "[--trace FILE] [--metrics] "
             "[--tenants N [--fleet M]] <experiment-id>..."
         )
@@ -245,8 +240,6 @@ def main(argv: Optional[list] = None) -> int:
         needs_context = (
             show_stats
             or backend != "local"
-            or no_sim_cache
-            or parallel
             or show_metrics
             or trace is not None
             or opt_level != 0
@@ -256,8 +249,6 @@ def main(argv: Optional[list] = None) -> int:
                 backend=backend,
                 fault_profile=fault_profile,
                 fault_seed=fault_seed,
-                sim_cache=not no_sim_cache,
-                parallel=parallel,
                 trace=trace,
                 metrics=show_metrics,
                 optimization_level=opt_level,

@@ -15,8 +15,8 @@ ledger):
   ``instruction_hash_chain`` prefix and the chains recently routed to
   the replica: co-locating same-prefix requests makes the replica's
   dedup partition actually hit. (Each request simulates on its own
-  device, and every job's clock advance flushes that device's
-  simulation caches, so co-location keeps no simulation cache warm.)
+  device, and the dedup store is the only distribution memo, so
+  co-location keeps nothing else warm.)
 
 Two forms of stickiness sit above the score: a request already bound
 stays bound (its device-clock trajectory must stay coherent), and a

@@ -58,7 +58,7 @@ class FleetBackend:
         return f"fleet[{self.replica.name}]/{self.inner.name}"
 
     # ------------------------------------------------------------------
-    def _dispatch(self, jobs, call, *args, **kwargs):
+    def _dispatch(self, jobs, call, *args):
         replica = self.replica
         depth = replica.begin_batch(len(jobs))
         self._set_queue_gauge()
@@ -76,7 +76,7 @@ class FleetBackend:
         device_time_us = 0.0
         try:
             with span:
-                results = call(*args, **kwargs)
+                results = call(*args)
                 completed = [r for r in results if r is not None]
                 device_time_us = sum(r.duration_us for r in completed)
                 if tracer:
@@ -104,10 +104,8 @@ class FleetBackend:
     def submit(self, job):
         return self._dispatch([job], lambda: [self.inner.submit(job)])[0]
 
-    def submit_batch(self, jobs, parallel: bool = False):
-        return self._dispatch(
-            jobs, self.inner.submit_batch, jobs, parallel=parallel
-        )
+    def submit_batch(self, jobs):
+        return self._dispatch(jobs, self.inner.submit_batch, jobs)
 
     def __getattr__(self, name):
         # Only expose the tolerant path when the wrapped backend has it:
@@ -116,10 +114,8 @@ class FleetBackend:
         if name == "submit_batch_tolerant":
             inner_tolerant = getattr(self.inner, name)
 
-            def tolerant(jobs, parallel=False):
-                return self._dispatch(
-                    jobs, inner_tolerant, jobs, parallel=parallel
-                )
+            def tolerant(jobs):
+                return self._dispatch(jobs, inner_tolerant, jobs)
 
             return tolerant
         return getattr(self.inner, name)

@@ -162,16 +162,7 @@ class Histogram:
 #: Ledger keys that are levels, not cumulative totals — ingested as
 #: gauges so an evicted cache never trips the counter monotonicity
 #: contract.
-_GAUGE_KEYS = frozenset(
-    {
-        "entries",
-        "prefix_entries",
-        "prefix_bytes",
-        "sim_prefix_bytes",
-        "dist_entries",
-        "epoch",
-    }
-)
+_GAUGE_KEYS = frozenset({"entries", "epoch"})
 
 
 class MetricsRegistry:

@@ -304,8 +304,7 @@ class _Request:
                 # only adds per-replica accounting, so results stay
                 # bit-identical to the unwrapped path.
                 self.executor = BatchExecutor(
-                    self.binding.wrap_backend(backend),
-                    mode=self.executor.mode,
+                    self.binding.wrap_backend(backend)
                 )
             self.deduped = (
                 store.attach(self.context.device)
@@ -375,8 +374,8 @@ class _Request:
 
     @property
     def dedup_hits(self) -> int:
-        cache = getattr(self.context.device, "sim_cache", None)
-        return cache.shared_hits if cache is not None else 0
+        cache = self.context.device.sim_cache
+        return cache.dist_hits if cache is not None else 0
 
     @property
     def probes_run(self) -> int:

@@ -319,7 +319,6 @@ class CloudQPUService:
     def execute_batch(
         self,
         jobs: Sequence[Job],
-        parallel: bool = False,
         align_window: bool = False,
     ) -> BatchOutcome:
         """Submit a batch; per-job faults are reported positionally.
@@ -330,14 +329,6 @@ class CloudQPUService:
         the batch is dropped wholesale (the jobs never execute), which
         is how real batch endpoints fail when a queue worker dies
         mid-batch.
-
-        With ``parallel`` the surviving jobs run through the local
-        backend's snapshot batch discipline instead of one-at-a-time
-        sequential execution. The fault stream is drawn
-        identically — one roll per non-dropped job, in submission order
-        — so a given (profile, seed, workload) triple injects the same
-        faults either way; what changes is the within-batch drift
-        semantics, exactly as for a local parallel batch.
 
         With ``align_window`` the batch first waits (simulated time) for
         a calibration window it fits into — see :meth:`align_window` —
@@ -360,8 +351,6 @@ class CloudQPUService:
             self._observe_fault(
                 "batch_suffix_drop", dropped=len(jobs) - drop_from
             )
-        if parallel and drop_from > 1:
-            return self._execute_batch_parallel(jobs, drop_from)
         outcome = BatchOutcome()
         for index, job in enumerate(jobs):
             if index >= drop_from:
@@ -375,68 +364,6 @@ class CloudQPUService:
             except ServiceError as exc:
                 outcome.results.append(None)
                 outcome.errors.append(exc)
-        return outcome
-
-    def _execute_batch_parallel(
-        self, jobs: Sequence[Job], drop_from: int
-    ) -> BatchOutcome:
-        """Snapshot-batch execution of the non-dropped jobs.
-
-        Fault rolls are drawn upfront in submission order (the same
-        draws the sequential loop would make); rejected jobs never reach
-        the device, while timeout/lost jobs execute — and advance the
-        clock — before their results are discarded, mirroring the
-        sequential semantics.
-        """
-        profile = self.profile
-        rolls = [
-            float(self._fault_rng.random()) if profile.p_job_fault > 0
-            else 1.0
-            for _ in range(drop_from)
-        ]
-        live = [i for i in range(drop_from) if rolls[i] >= profile.p_reject]
-        executed = {}
-        if live:
-            batch = self._local.submit_batch(
-                [jobs[i] for i in live], parallel=len(live) > 1
-            )
-            executed = dict(zip(live, batch))
-        outcome = BatchOutcome()
-        for index, job in enumerate(jobs):
-            label = job.job_id or job.circuit.name
-            if index >= drop_from:
-                self.stats.lost_results += 1
-                outcome.results.append(None)
-                outcome.errors.append(_dropped_error(job, drop_from))
-                continue
-            roll = rolls[index]
-            if roll < profile.p_reject:
-                self.stats.rejections += 1
-                self._observe_fault("rejected", job_id=label)
-                outcome.results.append(None)
-                outcome.errors.append(
-                    JobRejectedError(f"job {label!r} rejected at submission")
-                )
-            elif roll < profile.p_reject + profile.p_timeout:
-                self.stats.timeouts += 1
-                self._observe_fault("timeout", job_id=label)
-                outcome.results.append(None)
-                outcome.errors.append(
-                    JobTimeoutError(
-                        f"job {label!r} overran its execution slot"
-                    )
-                )
-            elif roll < profile.p_job_fault:
-                self.stats.lost_results += 1
-                self._observe_fault("result_lost", job_id=label)
-                outcome.results.append(None)
-                outcome.errors.append(
-                    ResultLostError(f"result of job {label!r} lost in transit")
-                )
-            else:
-                self.stats.completed += 1
-                outcome.results.append(executed[index])
-                outcome.errors.append(None)
         return outcome
 
     # ------------------------------------------------------------------

@@ -5,11 +5,12 @@ same CopyCat prefixes; when their devices sit at the identical physics
 state, those probe jobs compute the identical exact distribution. The
 :class:`ProbeDistributionStore` is a thread-safe, LRU-bounded map from
 ``(device parameter fingerprint, (placement, circuit fingerprint),
-readout config)`` to the exact noisy output distribution — the same
-``(placement, fingerprint, readout)`` key the per-device
-:class:`~repro.sim.sim_cache.SimulationCache` memoizes under, widened by
-the full physics fingerprint so entries can safely outlive any single
-device's drift epoch.
+readout config)`` to the exact noisy output distribution. It is the
+only distribution memo: each device's
+:class:`~repro.sim.sim_cache.SimulationCache` consults it before
+simulating and publishes what it simulates. The full physics
+fingerprint in the key lets entries outlive any single device's drift
+epoch.
 
 Safety is by construction: a stored distribution is the exact dict some
 device computed, and it is only ever served to a device whose
@@ -83,9 +84,10 @@ class ProbeDistributionStore:
     def attach(self, device: "RigettiAspenDevice") -> bool:
         """Wire a device's simulation cache through this store.
 
-        Returns whether the device could participate (it needs the
-        simulation cache enabled — without it there is no exact
-        distribution to share).
+        Returns whether the device could participate: a device without
+        a simulation cache (built with ``channel_cache=False``, or with
+        ``sim_cache`` set to ``None``) runs the per-gate reference path,
+        which never consults the store.
         """
         cache = getattr(device, "sim_cache", None)
         if cache is None:

@@ -240,11 +240,9 @@ class RemoteBackend:
             cause=last,
         )
 
-    def submit_batch(
-        self, jobs: Sequence[Job], parallel: bool = False
-    ) -> List[JobResult]:
+    def submit_batch(self, jobs: Sequence[Job]) -> List[JobResult]:
         """All-or-nothing batch: any permanent job failure raises."""
-        results = self.submit_batch_tolerant(jobs, parallel)
+        results = self.submit_batch_tolerant(jobs)
         failed = [jobs[i] for i, r in enumerate(results) if r is None]
         if failed:
             raise JobFailedError(
@@ -256,16 +254,13 @@ class RemoteBackend:
         return results  # type: ignore[return-value]
 
     def submit_batch_tolerant(
-        self, jobs: Sequence[Job], parallel: bool = False
+        self, jobs: Sequence[Job]
     ) -> List[Optional[JobResult]]:
         """Batch submission with partial-batch recovery.
 
         Returns one slot per job in submission order; a ``None`` slot is
         a job that failed permanently (retry budget, deadline, or open
         breaker). Each retry round resubmits *only* the failed slots.
-        ``parallel`` is forwarded to the service, whose local backend
-        runs admitted jobs through the device's snapshot batch
-        discipline when asked.
         """
         if not jobs:
             return []
@@ -294,7 +289,6 @@ class RemoteBackend:
                 try:
                     outcome = self.service.execute_batch(
                         [jobs[i] for i in pending],
-                        parallel=parallel,
                         align_window=self.align_windows,
                     )
                 except TransientServiceError as exc:

@@ -19,7 +19,7 @@ from .circuit_compiler import (
     circuit_fingerprint,
     instruction_hash_chain,
 )
-from .sim_cache import PrefixStateCache, SimulationCache
+from .sim_cache import SimulationCache
 from .channels import (
     KrausChannel,
     ReadoutError,
@@ -56,7 +56,6 @@ __all__ = [
     "LoweredOp",
     "circuit_fingerprint",
     "instruction_hash_chain",
-    "PrefixStateCache",
     "SimulationCache",
     "KrausChannel",
     "ReadoutError",

@@ -1,4 +1,4 @@
-"""Circuit lowering and layer fusion for the simulation cache hierarchy.
+"""Circuit lowering and layer fusion for the distribution pipeline.
 
 The density-matrix simulator pays ``O(4^n)`` per operator contraction no
 matter how small the operator is, so the *number* of contractions — not
@@ -11,22 +11,16 @@ tails (the RZ/RX sandwiches nativization wraps around every entangling
 pulse) are embedded into their neighbouring two-qubit superoperator.
 The contraction count drops before any state work happens.
 
-Every lowered operator carries a content *fingerprint* — the
-``(name, qubits, params)`` identity of the instructions it was fused
-from — and the stream carries a chain of rolling prefix hashes over
-those fingerprints. Two circuits that share an instruction prefix (the
-``2L`` mass-replacement probe candidates of a localized search differ
-from the baseline only at one link's sites) produce identical lowered
-prefixes and identical hash chains, which is what lets
-:class:`~repro.sim.sim_cache.PrefixStateCache` replay the shared prefix
-once. Fingerprints deliberately exclude the circuit *name*: probe
-candidates are content-addressed, not label-addressed.
-
 Fusion is exact up to floating-point association: the fused
 superoperator is the matrix product of its parts, so distributions
-agree with the unfused stream to ~1e-15 (pinned by
+agree with the unfused per-gate path to ~1e-15 (pinned by
 ``tests/test_sim_cache.py``); shot counts agree exactly in practice
 because sampling boundaries are never within that slack.
+
+:func:`circuit_fingerprint` (the dedup-store key) and
+:func:`instruction_hash_chain` (the fleet router's affinity signature)
+identify circuits by content, excluding their names: probe candidates
+are content-addressed, not label-addressed.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.gates import Gate
 from .channels import KrausChannel, Superoperator
 
 __all__ = [
@@ -57,7 +50,7 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> Tuple:
 
     Includes every instruction — measures and barriers too, so the
     measured-register definition is part of the identity — but not the
-    circuit's label, so renamed probe copies share cache entries.
+    circuit's label, so renamed probe copies share dedup-store entries.
     """
     return (
         circuit.num_qubits,
@@ -65,22 +58,19 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> Tuple:
     )
 
 
-def instruction_hash_chain(
-    circuit: QuantumCircuit, hash_seed: Tuple = ()
-) -> Tuple[bytes, ...]:
-    """Rolling content hash after each *instruction* (no lowering).
+def instruction_hash_chain(circuit: QuantumCircuit) -> Tuple[bytes, ...]:
+    """Rolling content hash after each instruction.
 
-    The routing-side sibling of :class:`CircuitCompiler`'s lowered
-    prefix chain: the same fingerprint discipline — content atoms
-    ``(name, qubits, params)``, circuit label excluded, ``blake2b`` so
-    keys are stable across processes and runs — but computed straight
-    off the instruction stream, with no device hooks and no matrix work.
-    Two circuits share a chain prefix exactly when they share an
+    Content atoms are ``(name, qubits, params)``, the circuit label is
+    excluded, and ``blake2b`` keeps keys stable across processes and
+    runs. Two circuits share a chain prefix exactly when they share an
     instruction prefix, which is what the fleet router's affinity score
     measures (:mod:`repro.fleet.router`).
     """
+    # The trailing () is the former empty seed; it keeps every chain
+    # byte-identical to the signatures earlier releases produced.
     digest = hashlib.blake2b(
-        repr(("instructions", circuit.num_qubits, tuple(hash_seed))).encode(),
+        repr(("instructions", circuit.num_qubits, ())).encode(),
         digest_size=_HASH_BYTES,
     ).digest()
     chain: List[bytes] = []
@@ -100,38 +90,30 @@ class LoweredOp:
         superop: The channel to contract against the state.
         qubits: Local (compact-register) qubits it acts on, in the
             superoperator's qubit order.
-        fingerprint: Tuple of the ``(name, qubits, params, part)`` atoms
-            this operator was fused from, in application order — the
-            content identity the prefix hash chain is built over.
     """
 
     superop: Superoperator
     qubits: Tuple[int, ...]
-    fingerprint: Tuple
 
 
 @dataclass(frozen=True)
 class LoweredCircuit:
-    """A circuit lowered to fused superoperators plus its hash chain.
+    """A circuit lowered to fused superoperators.
 
     Attributes:
         num_qubits: Compact register width.
         operations: The fused contraction stream, in order.
-        prefix_hashes: ``prefix_hashes[i]`` identifies the state after
-            applying ``operations[0..i]`` — the key a prefix snapshot of
-            that state is stored under.
         raw_op_count: Contractions the unfused stream would have cost
             (for fusion-efficiency reporting).
     """
 
     num_qubits: int
     operations: Tuple[LoweredOp, ...]
-    prefix_hashes: Tuple[bytes, ...]
     raw_op_count: int
 
 
 class CircuitCompiler:
-    """Lower circuits into fingerprinted, layer-fused operator streams.
+    """Lower circuits into layer-fused operator streams.
 
     Args:
         operation_compiler: The per-instruction hook the device already
@@ -142,45 +124,23 @@ class CircuitCompiler:
         noise_callback: Fallback noise hook for instructions the
             operation compiler declines; channels it returns are
             vectorized into superoperators.
-        fuse: Enable layer fusion (on by default; off lowers one
-            operator per instruction part, for A/B testing).
-        hash_seed: Extra context mixed into the prefix hash chain —
-            the device passes the physical qubit placement here so
-            identical compact circuits on different physical qubits
-            never share prefix keys.
-        product_cache: Optional mutable mapping memoizing fused
-            superoperator products across lowerings. Probe variants
-            share most of their instruction stream, so the same
-            ``embed``/``then`` matrix products recur in every lowering;
-            keys embed ``hash_seed`` (the placement) because equal
-            compact atoms under different physical qubits carry
-            different noise. The owner must flush it on drift.
     """
 
     def __init__(
         self,
         operation_compiler: Optional[Callable] = None,
         noise_callback: Optional[Callable] = None,
-        fuse: bool = True,
-        hash_seed: Tuple = (),
-        product_cache: Optional[dict] = None,
     ) -> None:
         self.operation_compiler = operation_compiler
         self.noise_callback = noise_callback
-        self.fuse = fuse
-        self.hash_seed = tuple(hash_seed)
-        self.product_cache = product_cache
 
     # ------------------------------------------------------------------
     def lower(self, circuit: QuantumCircuit) -> LoweredCircuit:
-        """Flatten *circuit* into a fused, fingerprinted operator stream."""
+        """Flatten *circuit* into a fused operator stream."""
         raw = self._raw_stream(circuit)
-        operations = self._fused(raw) if self.fuse else raw
-        hashes = self._hash_chain(circuit.num_qubits, operations)
         return LoweredCircuit(
             num_qubits=circuit.num_qubits,
-            operations=tuple(operations),
-            prefix_hashes=hashes,
+            operations=tuple(_fused(raw)),
             raw_op_count=len(raw),
         )
 
@@ -191,99 +151,42 @@ class CircuitCompiler:
         for gate in circuit:
             if not gate.is_unitary:
                 continue  # barriers/measures do not evolve the state
-            atom = (gate.name, gate.qubits, gate.params)
             compiled = (
                 self.operation_compiler(gate)
                 if self.operation_compiler is not None
                 else None
             )
             if compiled is not None:
-                for part, (operator, qubits) in enumerate(compiled):
+                for operator, qubits in compiled:
                     stream.append(
-                        LoweredOp(
-                            _as_superoperator(operator),
-                            tuple(qubits),
-                            (atom + (part,),),
-                        )
+                        LoweredOp(_as_superoperator(operator), tuple(qubits))
                     )
                 continue
             stream.append(
                 LoweredOp(
                     Superoperator.from_unitary(gate.matrix(), gate.name),
                     gate.qubits,
-                    (atom + ("ideal",),),
                 )
             )
             if self.noise_callback is not None:
-                for part, (channel, qubits) in enumerate(
-                    self.noise_callback(gate)
-                ):
+                for channel, qubits in self.noise_callback(gate):
                     stream.append(
-                        LoweredOp(
-                            _as_superoperator(channel),
-                            tuple(qubits),
-                            (atom + ("noise", part),),
-                        )
+                        LoweredOp(_as_superoperator(channel), tuple(qubits))
                     )
         return stream
 
-    def _fused(self, stream: List[LoweredOp]) -> List[LoweredOp]:
-        """Greedy left-to-right layer fusion over the raw stream."""
-        fused: List[LoweredOp] = []
-        for op in stream:
-            if fused:
-                merged = self._try_fuse(fused[-1], op)
-                if merged is not None:
-                    fused[-1] = merged
-                    continue
-            fused.append(op)
-        return fused
 
-    def _try_fuse(
-        self, pending: LoweredOp, nxt: LoweredOp
-    ) -> Optional[LoweredOp]:
-        """Memoizing wrapper around :func:`_try_fuse`.
-
-        The fused product is a pure function of the two operands'
-        fingerprints (plus placement, carried in ``hash_seed``), so when
-        a product cache is attached the matrix work happens once per
-        distinct fusion within an epoch.
-        """
-        if self.product_cache is None:
-            return _try_fuse(pending, nxt)
-        key = (
-            self.hash_seed,
-            pending.qubits,
-            pending.fingerprint,
-            nxt.qubits,
-            nxt.fingerprint,
-        )
-        try:
-            merged = self.product_cache[key]
-        except KeyError:
-            merged = _try_fuse(pending, nxt)
-            self.product_cache[key] = merged
-        return merged
-
-    def _hash_chain(
-        self, num_qubits: int, operations: List[LoweredOp]
-    ) -> Tuple[bytes, ...]:
-        """Rolling content hash after each fused operator.
-
-        ``blake2b`` (not Python's salted ``hash``) keeps keys stable
-        across processes and runs.
-        """
-        digest = hashlib.blake2b(
-            repr(("lowered", num_qubits, self.hash_seed)).encode(),
-            digest_size=_HASH_BYTES,
-        ).digest()
-        chain: List[bytes] = []
-        for op in operations:
-            hasher = hashlib.blake2b(digest, digest_size=_HASH_BYTES)
-            hasher.update(repr(op.fingerprint).encode())
-            digest = hasher.digest()
-            chain.append(digest)
-        return tuple(chain)
+def _fused(stream: List[LoweredOp]) -> List[LoweredOp]:
+    """Greedy left-to-right layer fusion over the raw stream."""
+    fused: List[LoweredOp] = []
+    for op in stream:
+        if fused:
+            merged = _try_fuse(fused[-1], op)
+            if merged is not None:
+                fused[-1] = merged
+                continue
+        fused.append(op)
+    return fused
 
 
 def _as_superoperator(operator: object) -> Superoperator:
@@ -328,4 +231,4 @@ def _try_fuse(pending: LoweredOp, nxt: LoweredOp) -> Optional[LoweredOp]:
         qubits = nxt.qubits
     else:
         return None
-    return LoweredOp(superop, qubits, pending.fingerprint + nxt.fingerprint)
+    return LoweredOp(superop, qubits)

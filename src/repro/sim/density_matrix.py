@@ -51,22 +51,6 @@ class DensityMatrix:
         dim = 2**self.num_qubits
         return self._tensor.reshape(dim, dim).copy()
 
-    def snapshot(self) -> np.ndarray:
-        """Copy of the state tensor, suitable for caching."""
-        return self._tensor.copy()
-
-    @classmethod
-    def from_snapshot(cls, num_qubits: int, tensor: np.ndarray) -> "DensityMatrix":
-        """Rebuild a state from a :meth:`snapshot` tensor (copied)."""
-        state = cls(num_qubits)
-        if tensor.shape != state._tensor.shape:
-            raise SimulationError(
-                f"snapshot shape {tensor.shape} does not match "
-                f"{num_qubits}-qubit state"
-            )
-        state._tensor = np.array(tensor, dtype=complex, copy=True)
-        return state
-
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 

@@ -534,9 +534,9 @@ def test_executor_stats_surface_shared_and_coalesced():
         )
         angel.compile_and_select(get_benchmark(spec.program).build())
         stats = context.executor.stats
-        assert stats.sim_shared_hits > 0
+        assert stats.sim_dist_hits > 0
         snapshot = stats.snapshot()
-        assert snapshot["sim_shared_hits"] == stats.sim_shared_hits
+        assert snapshot["sim_dist_hits"] == stats.sim_dist_hits
         assert "sim_shared_publishes" in snapshot
         assert "coalesced_groups" in snapshot
         text = stats.to_text()
@@ -697,7 +697,7 @@ def test_clones_share_no_mutable_state():
         _assert_same_context(other, untouched)
         assert len(other.device.channel_cache) == 0
         stats = other.device.sim_cache.stats()
-        assert stats["dist_entries"] == stats["dist_misses"] == 0
+        assert stats["dist_hits"] == stats["dist_misses"] == 0
         assert other.device.shared_executor is None
     assert first.device.topology is template.device.topology
 

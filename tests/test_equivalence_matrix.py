@@ -1,15 +1,17 @@
 """Cross-product bit-equivalence of execution configurations.
 
 One parametrized matrix pins the repo's central execution contract: for
-snapshot (parallel-discipline) batches with per-job seeds, the counts a
-probe batch produces are **bit-identical** across
+sequential probe batches with per-job seeds, the counts a probe batch
+produces are **bit-identical** across
 
-  {simulation cache on, off} x {local backend, zero-fault remote}.
+  {fused pipeline on, off} x {local backend, zero-fault remote}.
+
+"Off" sets ``device.sim_cache = None``: the per-gate reference path.
 
 All four combinations run the same seeded GHZ/QAOA probe batches on the
 same chip-day and must produce byte-for-byte equal counts, including
 across a mid-batch ``advance_time`` drift boundary applied identically
-to every combination. The cache-on local path is the reference;
+to every combination. The pipeline-on local path is the reference;
 everything else must match it exactly — not statistically.
 """
 
@@ -32,8 +34,11 @@ from repro.service import (
 _HOUR_US = 3_600e6
 
 
-def _device(sim_cache: bool):
-    return aspen11(seed=17, sim_cache=sim_cache)
+def _device(fused: bool):
+    device = aspen11(seed=17)
+    if not fused:
+        device.sim_cache = None
+    return device
 
 
 def _probe_jobs(device):
@@ -58,16 +63,16 @@ def _probe_jobs(device):
     return jobs
 
 
-def _run_combo(sim_cache: bool, backend_kind: str):
+def _run_combo(fused: bool, backend_kind: str):
     """Counts from the two probe batches under one configuration, with
     an identical mid-batch drift boundary between them."""
-    device = _device(sim_cache)
+    device = _device(fused)
     if backend_kind == "local":
         backend = LocalBackend(device)
     else:
         service = CloudQPUService(device, fault_profile("none"), seed=0)
         backend = RemoteBackend(service, seed=0)
-    executor = BatchExecutor(backend, mode="parallel")
+    executor = BatchExecutor(backend)
     jobs = _probe_jobs(device)
     half = len(jobs) // 2
     first = executor.submit_batch(jobs[:half])
@@ -85,31 +90,31 @@ def _run_combo(sim_cache: bool, backend_kind: str):
 # case's test id is stable.
 _MATRIX = [
     pytest.param(
-        sim_cache,
+        fused,
         backend_kind,
-        id=f"cache_{'on' if sim_cache else 'off'}-workers_1-{backend_kind}",
+        id=f"cache_{'on' if fused else 'off'}-workers_1-{backend_kind}",
     )
-    for sim_cache in (True, False)
+    for fused in (True, False)
     for backend_kind in ("local", "remote")
 ]
 
 
 @pytest.fixture(scope="module")
 def reference_counts():
-    """The cache-on, local-backend baseline."""
-    return _run_combo(sim_cache=True, backend_kind="local")
+    """The fused, local-backend baseline."""
+    return _run_combo(fused=True, backend_kind="local")
 
 
-@pytest.mark.parametrize("sim_cache,backend_kind", _MATRIX)
+@pytest.mark.parametrize("fused,backend_kind", _MATRIX)
 def test_counts_bit_identical_across_matrix(
-    sim_cache, backend_kind, reference_counts
+    fused, backend_kind, reference_counts
 ):
-    counts = _run_combo(sim_cache, backend_kind)
+    counts = _run_combo(fused, backend_kind)
     assert len(counts) == len(reference_counts)
     for (job_id, got), (ref_id, want) in zip(counts, reference_counts):
         assert job_id == ref_id
         assert got == want, (
-            f"{job_id}: counts diverged under sim_cache={sim_cache}, "
+            f"{job_id}: counts diverged under fused={fused}, "
             f"backend={backend_kind}"
         )
 
@@ -117,7 +122,7 @@ def test_counts_bit_identical_across_matrix(
 def test_matrix_reference_is_deterministic(reference_counts):
     """Rerunning the reference combination reproduces itself exactly
     (guards the fixture against hidden global state)."""
-    again = _run_combo(sim_cache=True, backend_kind="local")
+    again = _run_combo(fused=True, backend_kind="local")
     assert again == reference_counts
 
 
@@ -126,9 +131,8 @@ def test_matrix_reference_is_deterministic(reference_counts):
 
 def _final_runs(optimization_level, explicit=True):
     """(name, ideal, counts) per program at one optimization level."""
-    device = _device(sim_cache=True)
-    backend = LocalBackend(device)
-    executor = BatchExecutor(backend, mode="parallel")
+    device = _device(fused=True)
+    executor = BatchExecutor(LocalBackend(device))
     runs = []
     seed = 9500
     for program in (ghz(4), qaoa_n5()):

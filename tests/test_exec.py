@@ -1,7 +1,6 @@
 """Execution-service tests: jobs, backends, executor, ANGEL equivalence."""
 
 import gc
-import multiprocessing
 import weakref
 
 import numpy as np
@@ -90,79 +89,8 @@ class TestLocalBackend:
         assert record.tag == "probe"
         assert record.job_id == "probe-00042"
 
-    def test_parallel_batch_matches_sequential_end_state(self):
-        """Parallel batches leave the device clock where sequential does."""
-        device_a, _ = _env()
-        device_b, _ = _env()
-        jobs_a = [
-            Job(_native_ghz(device_a), 100, seed=s, tag="probe")
-            for s in (1, 2, 3)
-        ]
-        jobs_b = [
-            Job(_native_ghz(device_b), 100, seed=s, tag="probe")
-            for s in (1, 2, 3)
-        ]
-        par = LocalBackend(device_a).submit_batch(jobs_a, parallel=True)
-        seq = LocalBackend(device_b).submit_batch(jobs_b, parallel=False)
-        assert device_a.clock_us == device_b.clock_us
-        assert [r.started_at_us for r in par] == [
-            r.started_at_us for r in seq
-        ]
-        assert all(sum(r.counts.values()) == 100 for r in par)
-
-    def test_parallel_batch_is_deterministic(self):
-        device_a, _ = _env()
-        device_b, _ = _env()
-        results = []
-        for device in (device_a, device_b):
-            jobs = [
-                Job(_native_ghz(device), 100, seed=s) for s in (5, 6)
-            ]
-            batch = LocalBackend(device).submit_batch(jobs, parallel=True)
-            results.append([r.counts for r in batch])
-        assert results[0] == results[1]
-
-    def test_parallel_batch_seed_none_uses_device_stream(self):
-        """seed=None parallel jobs sample from ``device.sample_rng``:
-        deterministic under a fixed device seed, and consuming the same
-        stream a direct unseeded run would."""
-        results = []
-        for _ in range(2):
-            device, _ = _env(seed=41)
-            jobs = [Job(_native_ghz(device), 100) for _ in range(3)]
-            assert all(job.seed is None for job in jobs)
-            batch = LocalBackend(device).submit_batch(jobs, parallel=True)
-            results.append([r.counts for r in batch])
-            assert all(
-                sum(r.counts.values()) == 100 for r in batch
-            )
-        assert results[0] == results[1]
-        # A different device seed gives a different unseeded stream.
-        device_c, _ = _env(seed=42)
-        jobs_c = [Job(_native_ghz(device_c), 100) for _ in range(3)]
-        batch_c = LocalBackend(device_c).submit_batch(jobs_c, parallel=True)
-        assert [r.counts for r in batch_c] != results[0]
-
-    def test_parallel_batch_starts_no_process(self):
-        """Snapshot batches compute in-process: no child process is
-        started, even while the parallel executor stays referenced."""
-        device, _ = _env()
-        executor = BatchExecutor(LocalBackend(device), mode="parallel")
-        jobs = [
-            Job(_native_ghz(device), 50, seed=s, tag="probe")
-            for s in (1, 2)
-        ]
-        results = executor.submit_batch(jobs)
-        assert all(sum(r.counts.values()) == 50 for r in results)
-        assert multiprocessing.active_children() == []
-
 
 class TestBatchExecutor:
-    def test_rejects_unknown_mode(self):
-        device, _ = _env()
-        with pytest.raises(ExecutionError):
-            BatchExecutor(LocalBackend(device), mode="turbo")
-
     def test_assigns_job_ids_and_stats(self):
         device, _ = _env()
         executor = BatchExecutor(LocalBackend(device))

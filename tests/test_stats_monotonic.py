@@ -3,9 +3,9 @@
 ``ExecutorStats`` and ``Backend.cache_stats()`` are cumulative ledgers —
 the executor diffs them before/after each batch and the metrics registry
 absorbs them with never-backwards semantics, so a counter that ever
-decreases across batches corrupts both. Gauges (``sim_prefix_bytes``,
-cache ``entries``/``epoch``...) are exempt: they report current state,
-not accumulation.
+decreases across batches corrupts both. Gauges (cache
+``entries``/``epoch``) are exempt: they report current state, not
+accumulation.
 
 The formatting guard pins ``to_text`` against field loss or duplication:
 with pairwise-distinct sentinel values, every rendered field's value
@@ -27,17 +27,8 @@ from repro.programs.ghz import ghz
 _HOUR_US = 3_600e6
 
 #: Ledger keys that are gauges (point-in-time readings), not counters.
-_STATS_GAUGES = frozenset({"sim_prefix_bytes"})
-_CACHE_GAUGES = frozenset(
-    {
-        "entries",
-        "prefix_entries",
-        "prefix_bytes",
-        "sim_prefix_bytes",
-        "dist_entries",
-        "epoch",
-    }
-)
+_STATS_GAUGES = frozenset()
+_CACHE_GAUGES = frozenset({"entries", "epoch"})
 
 
 def _flatten(ledger, prefix=""):
@@ -198,9 +189,7 @@ class TestToTextRendering:
             cache_misses=131,
             sim_dist_hits=137,
             sim_dist_misses=139,
-            sim_prefix_hits=149,
-            sim_prefix_misses=151,
-            sim_prefix_bytes=157 * 1024,  # renders as 157 KiB
+            sim_shared_publishes=157,
             retries=163,
             job_failures=167,
             breaker_trips=173,
@@ -220,9 +209,7 @@ class TestToTextRendering:
             "cache_misses": "131",
             "sim_dist_hits": "137",
             "sim_dist_misses": "139",
-            "sim_prefix_hits": "149",
-            "sim_prefix_misses": "151",
-            "sim_prefix_bytes": "157",
+            "sim_shared_publishes": "157",
             "retries": "163",
             "job_failures": "167",
             "breaker_trips": "173",
