@@ -36,14 +36,8 @@ HEADLINES = {
     "service_resilience": (
         "local.wall_time_s", "lower", "local-baseline wall time (s)"
     ),
-    "fleet_scaling": (
-        "throughput_scaling", "higher", "fleet throughput scaling (x)"
-    ),
     "opt_scoreboard": (
         "mean_two_qubit_reduction", "higher", "mean 2q-gate reduction"
-    ),
-    "slo_load_harness": (
-        "throughput_rps", "higher", "load-harness throughput (req/s)"
     ),
 }
 

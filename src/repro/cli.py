@@ -222,32 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument("--shots", type=int, default=1024)
     serve_parser.add_argument("--probe-shots", type=int, default=256)
-    serve_parser.add_argument(
-        "--fleet",
-        type=int,
-        default=0,
-        metavar="N",
-        help="route requests across N independently drifting device "
-        "replicas (0 disables fleet mode)",
-    )
-    serve_parser.add_argument(
-        "--fleet-stagger-hours",
-        type=float,
-        default=0.0,
-        help="calibration-cadence stagger between consecutive replicas",
-    )
-    serve_parser.add_argument(
-        "--fleet-record",
-        metavar="FILE",
-        default=None,
-        help="write the router's placement map to FILE (JSON) for replay",
-    )
-    serve_parser.add_argument(
-        "--fleet-replay",
-        metavar="FILE",
-        default=None,
-        help="replay a recorded placement map instead of live routing",
-    )
     _add_context_arguments(serve_parser)
 
     load_parser = sub.add_parser(
@@ -409,12 +383,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         raise ReproError("--programs must name at least one benchmark")
     if args.tenants < 1 or args.requests < 1:
         raise ReproError("--tenants and --requests must be >= 1")
-    if args.fleet < 0:
-        raise ReproError("--fleet must be >= 0")
-    if (args.fleet_record or args.fleet_replay) and not args.fleet:
-        raise ReproError(
-            "--fleet-record/--fleet-replay require --fleet N"
-        )
     for name in programs:
         get_benchmark(name)  # fail fast on typos
     base = RequestSpec(
@@ -438,25 +406,13 @@ def _command_serve(args: argparse.Namespace) -> int:
         ]
         for index in range(args.tenants)
     }
-    fleet = None
-    placements = None
-    if args.fleet:
-        from .fleet import FleetSpec
-
-        fleet = FleetSpec.create(
-            args.fleet, stagger_hours=args.fleet_stagger_hours
-        )
-        if args.fleet_replay:
-            placements = json.loads(Path(args.fleet_replay).read_text())
     # The service is created here (not inside replay_workload) so the
-    # end-of-run summary can read its store/fleet ledgers before close.
+    # end-of-run summary can read its store ledger before close.
     service = AngelService(
         num_workers=args.workers,
         round_budget_jobs=args.window_jobs,
         dedup=not args.no_dedup,
         tenants=tuple(TenantConfig(name) for name in sorted(workload)),
-        fleet=fleet,
-        fleet_placements=placements,
     )
     try:
         outcomes = replay_workload(workload, service=service)
@@ -494,31 +450,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             f"{row['publishes']} publishes, {row['evictions']} "
             f"evictions ({row['entries']} entries)"
         )
-    report = service.fleet_report()
-    if report is not None:
-        print(
-            f"{'replica':12s} {'placed':>6s} {'jobs':>6s} "
-            f"{'peak-q':>6s} {'device-time':>12s}"
-        )
-        for replica in report["replicas"]:
-            print(
-                f"{replica['name']:12s} {replica['placements']:>6d} "
-                f"{replica['jobs']:>6d} {replica['peak_queue_depth']:>6d} "
-                f"{replica['device_time_us'] / 1e6:>11.3f}s"
-            )
-        router = report["router"]
-        print(
-            f"router: {router['placements']} placements, "
-            f"{router['migrations']} migrations, affinity-hit ratio "
-            f"{router['affinity_hit_ratio']:.1%}"
-        )
-        if args.fleet_record:
-            record_path = Path(args.fleet_record)
-            record_path.write_text(
-                json.dumps(service.fleet.placement_map(), indent=2)
-                + "\n"
-            )
-            print(f"placements recorded to {record_path}")
     return 0
 
 
@@ -536,7 +467,6 @@ def _command_load(args: argparse.Namespace) -> int:
         f"workload {workload.name!r}: {len(workload.tenants)} tenants, "
         f"{len(schedule)} requests, seed {workload.seed}, "
         f"{workload.workers} service workers"
-        + (f", fleet {workload.fleet}" if workload.fleet else "")
     )
     report = generator.run(
         pacing=args.pacing,

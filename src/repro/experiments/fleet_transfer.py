@@ -1,29 +1,32 @@
-"""Cross-device transfer study: does the winning sequence survive a fleet?
+"""Cross-device transfer study: does a winning sequence survive other chips?
 
 The paper's Figs. 21/22 ask whether ANGEL's runtime-best sequence
-survives *drift on one device*. A device fleet poses the multi-device
-version: compile on replica A, then carry the winning native-gate
-sequence to replicas B..N — same Aspen preset, independent seeded
-drift, staggered calibration cadences — and ask two questions per
-replica:
+survives *drift on one device*. This study asks the multi-device
+version over N *replicas* — chip days of the same Aspen preset, each a
+seed offset of the first: replica ``i`` is
+``ExperimentContext.create(seed=seed + 1009*i, calibration_seed=
+calibration_seed + 7*i, drift_hours=drift_hours + stagger_hours*i)``,
+so it drifts independently and sits deeper into its calibration
+window. Compile on replica 0, carry the winning native-gate sequence
+to replicas 1..N-1, and ask two questions per replica:
 
 * **survival** — does a replica-local ANGEL search (same probe budget,
   same search seed, the replica's own transpile) pick the *same*
-  per-site native-gate choices? A survived sequence means replica A's
+  per-site native-gate choices? A survived sequence means replica 0's
   compile decision ships as-is; a dead one means the replica's drift
   has moved the optimum.
 * **transfer cost** — how much exact success rate is lost by running
-  replica A's gate choices instead of the replica-local winner
+  replica 0's gate choices instead of the replica-local winner
   (``sr_local - sr_transfer``; zero when the sequence survived).
 
 Both are reported against **drift divergence**: the mean absolute
 difference between the replica's raw drift-process parameter state and
-replica A's, sampled at context creation (the
+replica 0's, sampled at context creation (the
 ``parameter_state`` vector whose clipped values feed
 ``parameter_fingerprint``).
 
-Replicas are independently sampled chips, so a gate replica A chose
-may simply not exist on replica B's link (seeded missing-gate
+Replicas are independently sampled chips, so a gate replica 0 chose
+may simply not exist on another replica's link (seeded missing-gate
 fractions — the real cross-device hazard). Transferred choices fall
 back to the replica's own calibration-reference gate at such sites;
 the substitution count is reported per replica.
@@ -31,35 +34,23 @@ the substitution count is reported per replica.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..compiler import transpile
 from ..core.angel import Angel, AngelConfig
 from ..core.sequence import NativeGateSequence
-from ..fleet import FleetSpec
+from ..exceptions import ReproError
 from ..programs import get_benchmark
 from .context import ExperimentContext
 from .reporting import ExperimentResult
 
 __all__ = ["fleet_transfer_study"]
 
-
-@dataclass(frozen=True)
-class _Recipe:
-    """The device-build fields a replica adjustment applies to.
-
-    A minimal stand-in for the service layer's ``RequestSpec`` (not
-    imported here — experiments must stay importable without the
-    service tier) with exactly the fields
-    :meth:`~repro.fleet.ReplicaSpec.adjust` rewrites.
-    """
-
-    seed: int
-    calibration_seed: int
-    drift_hours: float
-    fault_profile: str = "none"
-    fault_seed: int = 0
+#: Seed strides between consecutive replicas. Any nonzero stride gives
+#: an independent drift process; primes keep accidental collisions with
+#: user-chosen seeds unlikely.
+_SEED_STRIDE = 1009
+_CALIBRATION_STRIDE = 7
 
 
 def _divergence(
@@ -91,27 +82,27 @@ def fleet_transfer_study(
     own chip-day).
     """
     del context  # each replica builds its own context
-    fleet = FleetSpec.create(replicas, stagger_hours=stagger_hours)
-    base = _Recipe(
-        seed=seed,
-        calibration_seed=calibration_seed,
-        drift_hours=drift_hours,
-    )
+    if replicas < 1:
+        raise ReproError("fleet_transfer needs at least one replica")
+    replica_drift = [
+        drift_hours + stagger_hours * index for index in range(replicas)
+    ]
     contexts: List[ExperimentContext] = []
     try:
         states: List[Dict[Tuple, float]] = []
-        for replica_spec in fleet.replicas:
-            recipe = replica_spec.adjust(base)
+        for index in range(replicas):
             ctx = ExperimentContext.create(
                 device_name=device_name,
-                seed=recipe.seed,
-                calibration_seed=recipe.calibration_seed,
-                drift_hours=recipe.drift_hours,
+                seed=seed + _SEED_STRIDE * index,
+                calibration_seed=(
+                    calibration_seed + _CALIBRATION_STRIDE * index
+                ),
+                drift_hours=replica_drift[index],
             )
             contexts.append(ctx)
             # Snapshot the pristine drift state (before any probe
             # advances the clock) so divergence is a property of the
-            # fleet, not of the search traffic.
+            # replicas, not of the search traffic.
             states.append(dict(ctx.device.parameter_state()))
 
         config = AngelConfig(probe_shots=probe_shots, seed=angel_seed)
@@ -173,9 +164,8 @@ def fleet_transfer_study(
                 survived_count += 1
             rows.append(
                 (
-                    fleet.replicas[index].name,
-                    drift_hours
-                    + fleet.replicas[index].drift_offset_hours,
+                    f"replica-{index}",
+                    replica_drift[index],
                     divergence,
                     "yes" if survived else "no",
                     substituted,

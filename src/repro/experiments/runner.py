@@ -117,17 +117,13 @@ def _replay_tenants(
     backend: str,
     fault_profile: str,
     fault_seed: int,
-    fleet: int = 0,
 ) -> int:
     """``--tenants N`` mode: replay the Table I mix through the compile
-    service, N synthetic tenants each compiling the standard programs.
-    ``--fleet M`` routes the same workload across M drifting replicas."""
+    service, N synthetic tenants each compiling the standard programs."""
     from ..service import RequestSpec, TenantConfig, replay_workload
 
     if tenants < 1:
         raise ReproError("--tenants must be >= 1")
-    if fleet < 0:
-        raise ReproError("--fleet must be >= 0")
     programs = ("GHZ_n4", "BV_n4", "QAOA_n5")
     workload = {
         f"tenant-{index}": [
@@ -147,9 +143,8 @@ def _replay_tenants(
     from ..service import AngelService
 
     service = AngelService(
-        num_workers=min(4, max(tenants, fleet or 1)),
+        num_workers=min(4, tenants),
         tenants=tuple(TenantConfig(name) for name in sorted(workload)),
-        fleet=fleet or None,
     )
     try:
         outcomes = replay_workload(workload, service=service)
@@ -173,19 +168,6 @@ def _replay_tenants(
         f"total: {total} requests ({failed} failed), {probes} probes, "
         f"{dedup_hits} dedup hits ({ratio:.1%})"
     )
-    report = service.fleet_report()
-    if report is not None:
-        for replica in report["replicas"]:
-            print(
-                f"{replica['name']}: {replica['placements']} requests, "
-                f"{replica['jobs']} jobs, peak queue "
-                f"{replica['peak_queue_depth']}"
-            )
-        router = report["router"]
-        print(
-            f"router: {router['migrations']} migrations, affinity-hit "
-            f"ratio {router['affinity_hit_ratio']:.1%}"
-        )
     return 0
 
 
@@ -204,15 +186,20 @@ def main(argv: Optional[list] = None) -> int:
     fault_profile = _pop_option(argv, "--fault-profile", "none")
     fault_seed = int(_pop_option(argv, "--fault-seed", "0"))
     opt_level = int(_pop_option(argv, "--opt-level", "0"))
-    fleet_raw = _pop_option(argv, "--fleet", "")
     tenants_raw = _pop_option(argv, "--tenants", "")
     if tenants_raw:
+        if argv:
+            # The replay takes no experiment ids: refuse leftovers
+            # before any service is built rather than ignore them.
+            for arg in argv:
+                print(
+                    f"unexpected argument {arg!r} with --tenants; known: "
+                    "--backend, --fault-profile, --fault-seed",
+                    file=sys.stderr,
+                )
+            return 2
         return _replay_tenants(
-            int(tenants_raw),
-            backend,
-            fault_profile,
-            fault_seed,
-            fleet=int(fleet_raw) if fleet_raw else 0,
+            int(tenants_raw), backend, fault_profile, fault_seed
         )
     if not argv or argv[0] in ("-h", "--help"):
         print(
@@ -220,7 +207,7 @@ def main(argv: Optional[list] = None) -> int:
             "[--backend local|remote] [--fault-profile NAME] "
             "[--fault-seed N] [--opt-level {0,1,2}] "
             "[--trace FILE] [--metrics] "
-            "[--tenants N [--fleet M]] <experiment-id>..."
+            "[--tenants N] <experiment-id>..."
         )
         print("known experiments:", ", ".join(sorted(EXPERIMENTS)))
         return 0

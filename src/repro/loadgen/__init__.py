@@ -14,7 +14,7 @@ into a pass/fail :class:`SloVerdict` with per-metric margins.
 Determinism is the design center: same workload + seed means the same
 request schedule, per-request outcomes bit-identical to
 :func:`~repro.service.run_standalone`, and reproducible simulated-time
-percentiles — which is what lets ``benchmarks/bench_slo.py`` and the CI
+percentiles — which is what lets ``repro load --check`` and the CI
 ``slo-gate`` job fail on tail-latency regressions instead of a human
 reading traces. Quickstart::
 

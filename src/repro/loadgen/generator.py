@@ -3,7 +3,7 @@
 :class:`LoadGenerator` expands a :class:`~repro.loadgen.workload.
 WorkloadSpec` into its deterministic submission schedule and replays it
 against a service built to the workload's shape (workers, round budget,
-dedup, fleet), with an observability pair installed for the duration so
+dedup), with an observability pair installed for the duration so
 every ``svc.request`` / ``svc.coalesce`` / ``search`` / ``exec.batch``
 span lands in the report.
 
@@ -19,9 +19,8 @@ Two drive modes:
   divided by ``speedup``; the mode for latency realism on a live box.
 
 Every completed request's :class:`~repro.service.CompileOutcome` is
-bit-identical to ``run_standalone(spec)`` (or the replica-adjusted spec
-in fleet mode) — the service equivalence contract, re-pinned under load
-by ``tests/test_equivalence_matrix.py``.
+bit-identical to ``run_standalone(spec)`` — the service equivalence
+contract, re-pinned under load by ``tests/test_equivalence_matrix.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
-from ..fleet import FleetSpec
 from ..obs import MetricsRegistry, Tracer
 from ..obs import runtime as obs
 from ..service import (
@@ -63,7 +61,6 @@ class LoadReport:
     rejected: int
     tenant_report: Dict[str, Dict[str, object]]
     store_stats: List[Dict[str, object]] = field(default_factory=list)
-    fleet_report: Optional[Dict[str, object]] = None
 
     @property
     def completed(self) -> List[CompileOutcome]:
@@ -110,14 +107,6 @@ class LoadGenerator:
     # ------------------------------------------------------------------
     def _build_service(self) -> AngelService:
         workload = self.workload
-        fleet = (
-            FleetSpec.create(
-                workload.fleet,
-                stagger_hours=workload.fleet_stagger_hours,
-            )
-            if workload.fleet
-            else None
-        )
         return AngelService(
             num_workers=workload.workers,
             round_budget_jobs=workload.round_budget_jobs,
@@ -131,7 +120,6 @@ class LoadGenerator:
                 )
                 for tenant in workload.tenants
             ),
-            fleet=fleet,
         )
 
     def run(
@@ -238,7 +226,6 @@ class LoadGenerator:
             wall_time_s = time.perf_counter() - start
             tenant_report = service.tenant_report()
             store_stats = service.store_stats()
-            fleet_report = service.fleet_report()
         finally:
             try:
                 service.close()
@@ -262,5 +249,4 @@ class LoadGenerator:
             rejected=rejected[0],
             tenant_report=tenant_report,
             store_stats=store_stats,
-            fleet_report=fleet_report,
         )

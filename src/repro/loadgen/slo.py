@@ -6,18 +6,17 @@ and ``exec.batch`` regions underneath — to one nested metrics dict:
 p50/p95/p99 compile latency on *both* clocks (host wall seconds and
 simulated device microseconds), queue wait, jitter, throughput,
 admission-rejection rate, dedup and coalescing ratios, and the same
-percentiles per tenant and per fleet replica. Percentiles use the
-nearest-rank order statistic (:func:`repro.obs.percentile`), so on a
-deterministic workload the simulated-time numbers are bit-reproducible
-across runs and machines.
+percentiles per tenant. Percentiles use the nearest-rank order
+statistic (:func:`repro.obs.percentile`), so on a deterministic
+workload the simulated-time numbers are bit-reproducible across runs
+and machines.
 
 :class:`SloPolicy` is the gate: a list of :class:`SloBound` declarations
 (``metric`` dotted path, ``max_value`` / ``min_value``) evaluated
 against an analysis dict into an :class:`SloVerdict` with a per-metric
 margin — how far inside (or outside) the bound the measured value
-landed. ``benchmarks/bench_slo.py`` and ``repro load --check`` turn a
-failing verdict into a nonzero exit, which is what the CI ``slo-gate``
-job keys on.
+landed. ``repro load --check`` turns a failing verdict into a nonzero
+exit, which is what the CI ``slo-gate`` job keys on.
 """
 
 from __future__ import annotations
@@ -152,13 +151,6 @@ class SloAnalyzer:
             str(tenant): self._request_block(spans)
             for tenant, spans in sorted(
                 group_by_attr(self.requests, "tenant").items(),
-                key=lambda item: str(item[0]),
-            )
-        }
-        report["per_replica"] = {
-            str(replica): self._request_block(spans)
-            for replica, spans in sorted(
-                group_by_attr(self.requests, "replica").items(),
                 key=lambda item: str(item[0]),
             )
         }

@@ -4,13 +4,15 @@ A :class:`WorkloadSpec` is the load harness's single input: it names
 the tenants, their arrival processes (:class:`~repro.loadgen.arrivals.
 ArrivalSpec`), the program mix each draws from, the base
 :class:`~repro.service.RequestSpec` every request derives from, the
-service shape (workers, round budget, dedup, fleet), and the
+service shape (workers, round budget, dedup), and the
 :class:`~repro.loadgen.slo.SloPolicy` bounds the run is gated on.
 
 Specs are plain dataclasses that round-trip losslessly through
 ``to_dict`` / ``from_dict`` and therefore through JSON — and through
 YAML when PyYAML is importable (:func:`load_workload` dispatches on the
-file suffix). :meth:`WorkloadSpec.schedule` expands the spec into the
+file suffix); an unknown key at the top level or in ``service`` or
+``base`` is a :class:`~repro.exceptions.ReproError`, never silently
+dropped. :meth:`WorkloadSpec.schedule` expands the spec into the
 deterministic list of :class:`ScheduledRequest` submissions: same spec
 + same seed, same schedule, bit for bit.
 """
@@ -39,6 +41,20 @@ __all__ = [
 ]
 
 _PROGRAM_MODES = ("cycle", "random")
+_WORKLOAD_KEYS = ("name", "seed", "base", "service", "tenants", "slo")
+_SERVICE_KEYS = ("workers", "round_budget_jobs", "dedup")
+_REQUEST_FIELDS = tuple(f.name for f in dataclasses.fields(RequestSpec))
+
+
+def _reject_unknown_keys(
+    section: str, data: Dict[str, object], known: Sequence[str]
+) -> None:
+    for key in data:
+        if key not in known:
+            raise ReproError(
+                f"workload {section} key {key!r} is not one of "
+                f"{', '.join(known)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -73,9 +89,8 @@ class TenantLoad:
             raise ReproError(
                 f"program_mode must be one of {_PROGRAM_MODES}"
             )
-        field_names = {f.name for f in dataclasses.fields(RequestSpec)}
         for key, _ in self.overrides:
-            if key not in field_names:
+            if key not in _REQUEST_FIELDS:
                 raise ReproError(
                     f"tenant {self.name!r} override {key!r} is not a "
                     f"RequestSpec field"
@@ -139,8 +154,6 @@ class WorkloadSpec:
     workers: int = 2
     round_budget_jobs: Optional[int] = None
     dedup: bool = True
-    fleet: int = 0
-    fleet_stagger_hours: float = 0.0
     #: Declared SLO bounds this workload is gated on.
     slo: Tuple[SloBound, ...] = ()
 
@@ -152,8 +165,6 @@ class WorkloadSpec:
             raise ReproError("tenant names must be unique")
         if self.workers < 1:
             raise ReproError("workload workers must be >= 1")
-        if self.fleet < 0:
-            raise ReproError("workload fleet must be >= 0")
 
     @property
     def total_requests(self) -> int:
@@ -221,8 +232,6 @@ class WorkloadSpec:
                 "workers": self.workers,
                 "round_budget_jobs": self.round_budget_jobs,
                 "dedup": self.dedup,
-                "fleet": self.fleet,
-                "fleet_stagger_hours": self.fleet_stagger_hours,
             },
             "tenants": [
                 {
@@ -246,7 +255,11 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "WorkloadSpec":
+        _reject_unknown_keys("top-level", data, _WORKLOAD_KEYS)
         service = dict(data.get("service", {}))
+        _reject_unknown_keys("service", service, _SERVICE_KEYS)
+        base = dict(data.get("base", {"program": "GHZ_n4"}))
+        _reject_unknown_keys("base", base, _REQUEST_FIELDS)
         tenants = []
         for raw in data.get("tenants", []):
             raw = dict(raw)
@@ -267,12 +280,10 @@ class WorkloadSpec:
             tenants=tuple(tenants),
             name=data.get("name", "workload"),
             seed=data.get("seed", 0),
-            base=RequestSpec(**dict(data.get("base", {"program": "GHZ_n4"}))),
+            base=RequestSpec(**base),
             workers=service.get("workers", 2),
             round_budget_jobs=service.get("round_budget_jobs"),
             dedup=service.get("dedup", True),
-            fleet=service.get("fleet", 0),
-            fleet_stagger_hours=service.get("fleet_stagger_hours", 0.0),
             slo=tuple(
                 SloBound(**dict(raw)) for raw in data.get("slo", [])
             ),

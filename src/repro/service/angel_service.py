@@ -34,18 +34,10 @@ deduplication:
   state and replayed exactly everywhere else, with per-tenant
   ``dedup_hits`` ledgers.
 
-* **Fleet mode** — with ``fleet=N`` the service fronts a device fleet
-  (:mod:`repro.fleet`): requests are routed to independently drifting
-  Aspen replicas by an affinity-aware router, and the dedup store is
-  partitioned per replica. A 1-replica fleet stays bit-identical to
-  :func:`run_standalone`, and a pinned request's outcome is
-  independent of how other tenants' requests are routed.
-
 The request lifecycle emits a ``svc.request`` summary span (queue wait,
 latency, probes, dedup hits), a ``context.clone`` span per chip-day memo
 hit, and ``service.tenant.<name>.*`` registry counters when
-observability is installed; fleet mode adds ``fleet.*`` spans, events,
-and per-replica counters.
+observability is installed.
 
 An unexpected exception in the scheduler thread fails every queued and
 in-flight handle with a :class:`~repro.exceptions.ServiceError` chained
@@ -58,16 +50,14 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..compiler.passes import transpile
 from ..core import Angel, AngelConfig, AngelResult
 from ..exceptions import ServiceError
 from ..exec import Job
-from ..exec.executor import BatchExecutor
 from ..experiments.context import ExperimentContext
-from ..fleet import FleetService, FleetSpec, ReplicaBinding
 from ..obs import runtime as obs
 from ..programs import get_benchmark
 from .dedup import ProbeDistributionStore
@@ -114,12 +104,6 @@ class RequestSpec:
     #: :meth:`CloudQPUService.align_window`). Part of the spec so the
     #: standalone reference run takes the identical clock trajectory.
     align_windows: bool = False
-    #: Pin this request to one fleet replica (index into the fleet).
-    #: ``None`` lets the :class:`~repro.fleet.FleetRouter` choose.
-    #: Ignored outside fleet mode — :func:`run_standalone` always runs
-    #: the spec as written; the fleet reference for a pinned request is
-    #: ``run_standalone(fleet.spec.replicas[i].adjust(spec))``.
-    replica: Optional[int] = None
     #: Pre-routing optimization level (see :func:`repro.compiler.
     #: transpile`). Part of the spec — the service and the standalone
     #: reference transpile at the same level, so service-vs-standalone
@@ -144,9 +128,6 @@ class CompileOutcome:
     dedup_hits: int
     queue_wait_s: float = 0.0
     latency_s: float = 0.0
-    #: Fleet replica index the request ran on (``None`` outside fleet
-    #: mode) — lets audits pick the right standalone reference.
-    fleet_replica: Optional[int] = None
     #: Host seconds between the first scheduling grant and completion
     #: (``latency_s`` minus ``queue_wait_s``, measured directly).
     service_time_s: float = 0.0
@@ -254,58 +235,30 @@ class _Request:
         self,
         spec: RequestSpec,
         store: Optional[ProbeDistributionStore] = None,
-        fleet: Optional[FleetService] = None,
-        request_key: Optional[str] = None,
-        tenant: Optional[str] = None,
         chip_days: Optional["_ChipDayMemo"] = None,
     ) -> None:
         self.spec = spec
         self.outcome_counts: Optional[Dict[str, int]] = None
         self.result: Optional[AngelResult] = None
-        self.fleet = fleet
-        self.binding: Optional[ReplicaBinding] = None
-        if fleet is not None:
-            # Bind lazily at build time (the request's first scheduling
-            # grant) so the router sees live queue depths. The binding
-            # replaces the shared store with the replica's partition
-            # and rewrites the device recipe to the replica's.
-            self.binding = fleet.bind(
-                request_key or f"anonymous/{id(self):x}", tenant, spec
-            )
-            effective = self.binding.adjusted(spec)
-            store = self.binding.replica.store
-        else:
-            effective = spec
         recipe = {
-            "device_name": effective.device_name,
-            "seed": effective.seed,
-            "calibration_seed": effective.calibration_seed,
-            "drift_hours": effective.drift_hours,
-            "backend": effective.backend,
-            "fault_profile": effective.fault_profile,
-            "fault_seed": effective.fault_seed,
+            "device_name": spec.device_name,
+            "seed": spec.seed,
+            "calibration_seed": spec.calibration_seed,
+            "drift_hours": spec.drift_hours,
+            "backend": spec.backend,
+            "fault_profile": spec.fault_profile,
+            "fault_seed": spec.fault_seed,
         }
-        try:
-            self.context = (
-                chip_days.context(recipe)
-                if chip_days is not None
-                else ExperimentContext.create(**recipe)
-            )
-        except BaseException:
-            self._release_binding()
-            raise
+        self.context = (
+            chip_days.context(recipe)
+            if chip_days is not None
+            else ExperimentContext.create(**recipe)
+        )
         try:
             self.executor = self.context.executor
             backend = self.executor.backend
             if hasattr(backend, "align_windows"):
                 backend.align_windows = spec.align_windows
-            if self.binding is not None:
-                # Same backend, same jobs, same order — the fleet facade
-                # only adds per-replica accounting, so results stay
-                # bit-identical to the unwrapped path.
-                self.executor = BatchExecutor(
-                    self.binding.wrap_backend(backend)
-                )
             self.deduped = (
                 store.attach(self.context.device)
                 if store is not None
@@ -330,7 +283,6 @@ class _Request:
             )
             self.plan = self.angel.plan(self.compiled, observe=True)
         except BaseException:
-            self._release_binding()
             self.context.close()
             raise
 
@@ -386,13 +338,7 @@ class _Request:
         """Simulated device occupancy consumed so far (executor ledger)."""
         return float(self.executor.stats.device_time_us)
 
-    def _release_binding(self) -> None:
-        if self.fleet is not None and self.binding is not None:
-            self.fleet.release(self.binding)
-            self.binding = None
-
     def close(self) -> None:
-        self._release_binding()
         self.context.close()
 
 
@@ -483,16 +429,12 @@ class _ServiceEntry:
         tenant: TenantState,
         handle: RequestHandle,
         store: Optional[ProbeDistributionStore],
-        fleet: Optional[FleetService] = None,
-        request_key: Optional[str] = None,
         chip_days: Optional[_ChipDayMemo] = None,
     ) -> None:
         self.spec = spec
         self.tenant = tenant
         self.handle = handle
         self.store = store
-        self.fleet = fleet
-        self.request_key = request_key
         self.chip_days = chip_days
         self.request: Optional[_Request] = None
         self.error: Optional[BaseException] = None
@@ -517,12 +459,7 @@ class _ServiceEntry:
                 # the handle records the boundary directly.
                 self.handle.scheduled_at = time.monotonic()
                 self.request = _Request(
-                    self.spec,
-                    self.store,
-                    fleet=self.fleet,
-                    request_key=self.request_key,
-                    tenant=self.tenant.name,
-                    chip_days=self.chip_days,
+                    self.spec, self.store, chip_days=self.chip_days
                 )
             self.request.step()
         except BaseException as exc:  # noqa: BLE001 - forwarded to handle
@@ -542,13 +479,6 @@ class AngelService:
             :class:`ProbeDistributionStore`.
         tenants: Tenant configurations to pre-register. Unknown tenant
             names submit under a default config (no rate limit).
-        fleet: Run in fleet mode — an ``int`` (``FleetSpec.create(n)``),
-            a :class:`~repro.fleet.FleetSpec`, or a prebuilt
-            :class:`~repro.fleet.FleetService`. Requests are routed to
-            drifting device replicas and the dedup store is partitioned
-            per replica (``store`` stays ``None``).
-        fleet_placements: Recorded ``{request_key: replica_index}``
-            placements to replay verbatim (fleet mode only).
     """
 
     def __init__(
@@ -557,24 +487,11 @@ class AngelService:
         round_budget_jobs: Optional[int] = None,
         dedup: bool = True,
         tenants: Sequence[TenantConfig] = (),
-        fleet: Optional[Union[int, FleetSpec, FleetService]] = None,
-        fleet_placements: Optional[Mapping[str, int]] = None,
     ) -> None:
         if num_workers < 1:
             raise ServiceError("num_workers must be >= 1")
         self.num_workers = num_workers
-        if fleet is not None and not isinstance(fleet, FleetService):
-            fleet = FleetService(
-                fleet,
-                dedup=dedup,
-                replay=(
-                    dict(fleet_placements) if fleet_placements else None
-                ),
-            )
-        self.fleet: Optional[FleetService] = fleet
-        self.store = (
-            ProbeDistributionStore() if dedup and fleet is None else None
-        )
+        self.store = ProbeDistributionStore() if dedup else None
         self.scheduler = DeficitRoundRobin(round_budget_jobs)
         self._chip_days = _ChipDayMemo()
         self._tenants: Dict[str, TenantState] = {}
@@ -637,18 +554,9 @@ class AngelService:
                 self._observe_reject(state, spec, exc)
                 raise
             handle = RequestHandle(state.name, spec)
-            # Deterministic per-tenant key: replayable placements need
-            # the same request to carry the same key across runs.
-            request_key = f"{state.name}/{state.submitted}"
             state.queue.append(
                 _ServiceEntry(
-                    spec,
-                    state,
-                    handle,
-                    self.store,
-                    fleet=self.fleet,
-                    request_key=request_key,
-                    chip_days=self._chip_days,
+                    spec, state, handle, self.store, chip_days=self._chip_days
                 )
             )
             self._inflight += 1
@@ -781,11 +689,6 @@ class AngelService:
         device_time_us = (
             request.device_time_us if request is not None else 0.0
         )
-        replica = (
-            request.binding.index
-            if request is not None and request.binding is not None
-            else None
-        )
         failed = entry.error is not None
         if failed:
             tenant.failed += 1
@@ -802,7 +705,6 @@ class AngelService:
             dedup_hits,
             service_time=service_time,
             device_time_us=device_time_us,
-            replica=replica,
         )
         if request is not None:
             try:
@@ -823,7 +725,6 @@ class AngelService:
                 dedup_hits=dedup_hits,
                 queue_wait_s=queue_wait,
                 latency_s=latency,
-                fleet_replica=replica,
                 service_time_s=service_time,
                 device_time_us=device_time_us,
             )
@@ -839,7 +740,6 @@ class AngelService:
         dedup_hits: int,
         service_time: float = 0.0,
         device_time_us: float = 0.0,
-        replica: Optional[int] = None,
     ) -> None:
         tracer = obs.active_tracer()
         if tracer:
@@ -861,8 +761,6 @@ class AngelService:
                     dedup_hits=dedup_hits,
                     failed=entry.error is not None,
                 )
-                if replica is not None:
-                    span.set(replica=replica)
         registry = obs.active_registry()
         if registry is not None:
             prefix = f"service.tenant.{tenant.name}"
@@ -895,29 +793,12 @@ class AngelService:
                 for name, state in sorted(self._tenants.items())
             }
 
-    def fleet_report(self) -> Optional[Dict[str, object]]:
-        """Per-replica ledgers and router counters (``None`` off-fleet)."""
-        return self.fleet.report() if self.fleet is not None else None
-
     def store_stats(self) -> List[Dict[str, object]]:
-        """Probe-distribution store counters, one row per partition.
-
-        One row for the shared store, or one per fleet replica — each
-        with the replica label attached so the serve summary can render
-        the partitioning.
-        """
-        if self.fleet is not None:
-            rows = []
-            for replica in self.fleet.replicas:
-                if replica.store is None:
-                    continue
-                row: Dict[str, object] = {"partition": replica.name}
-                row.update(replica.store.stats())
-                rows.append(row)
-            return rows
+        """Probe-distribution store counters: one ``shared`` row, or
+        none when dedup is off."""
         if self.store is None:
             return []
-        row = {"partition": "shared"}
+        row: Dict[str, object] = {"partition": "shared"}
         row.update(self.store.stats())
         return [row]
 
@@ -969,8 +850,6 @@ def replay_workload(
     dedup: bool = True,
     tenants: Sequence[TenantConfig] = (),
     service: Optional[AngelService] = None,
-    fleet: Optional[Union[int, FleetSpec, FleetService]] = None,
-    fleet_placements: Optional[Mapping[str, int]] = None,
 ) -> Dict[str, List[Union[CompileOutcome, BaseException]]]:
     """Submit a whole multi-tenant workload and collect every outcome.
 
@@ -986,8 +865,6 @@ def replay_workload(
             round_budget_jobs=round_budget_jobs,
             dedup=dedup,
             tenants=tenants,
-            fleet=fleet,
-            fleet_placements=fleet_placements,
         )
     try:
         handles = {
@@ -1009,12 +886,3 @@ def replay_workload(
         if owned:
             service.close()
 
-
-def _spec_variants(
-    base: RequestSpec, count: int, programs: Sequence[str]
-) -> List[RequestSpec]:
-    """``count`` specs cycling through ``programs`` (workload helper)."""
-    return [
-        replace(base, program=programs[index % len(programs)])
-        for index in range(count)
-    ]

@@ -17,7 +17,6 @@ from .circuit_compiler import (
     LoweredCircuit,
     LoweredOp,
     circuit_fingerprint,
-    instruction_hash_chain,
 )
 from .sim_cache import SimulationCache
 from .channels import (
@@ -55,7 +54,6 @@ __all__ = [
     "LoweredCircuit",
     "LoweredOp",
     "circuit_fingerprint",
-    "instruction_hash_chain",
     "SimulationCache",
     "KrausChannel",
     "ReadoutError",

@@ -17,15 +17,13 @@ agree with the unfused per-gate path to ~1e-15 (pinned by
 ``tests/test_sim_cache.py``); shot counts agree exactly in practice
 because sampling boundaries are never within that slack.
 
-:func:`circuit_fingerprint` (the dedup-store key) and
-:func:`instruction_hash_chain` (the fleet router's affinity signature)
-identify circuits by content, excluding their names: probe candidates
-are content-addressed, not label-addressed.
+:func:`circuit_fingerprint` (the dedup-store key) identifies circuits
+by content, excluding their names: probe candidates are
+content-addressed, not label-addressed.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -39,10 +37,7 @@ __all__ = [
     "LoweredCircuit",
     "CircuitCompiler",
     "circuit_fingerprint",
-    "instruction_hash_chain",
 ]
-
-_HASH_BYTES = 16
 
 
 def circuit_fingerprint(circuit: QuantumCircuit) -> Tuple:
@@ -56,30 +51,6 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> Tuple:
         circuit.num_qubits,
         tuple((g.name, g.qubits, g.params) for g in circuit),
     )
-
-
-def instruction_hash_chain(circuit: QuantumCircuit) -> Tuple[bytes, ...]:
-    """Rolling content hash after each instruction.
-
-    Content atoms are ``(name, qubits, params)``, the circuit label is
-    excluded, and ``blake2b`` keeps keys stable across processes and
-    runs. Two circuits share a chain prefix exactly when they share an
-    instruction prefix, which is what the fleet router's affinity score
-    measures (:mod:`repro.fleet.router`).
-    """
-    # The trailing () is the former empty seed; it keeps every chain
-    # byte-identical to the signatures earlier releases produced.
-    digest = hashlib.blake2b(
-        repr(("instructions", circuit.num_qubits, ())).encode(),
-        digest_size=_HASH_BYTES,
-    ).digest()
-    chain: List[bytes] = []
-    for gate in circuit:
-        hasher = hashlib.blake2b(digest, digest_size=_HASH_BYTES)
-        hasher.update(repr((gate.name, gate.qubits, gate.params)).encode())
-        digest = hasher.digest()
-        chain.append(digest)
-    return tuple(chain)
 
 
 @dataclass(frozen=True)

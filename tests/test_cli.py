@@ -134,36 +134,3 @@ class TestCommands:
         assert "total: 2 requests (0 failed)" in out
         assert "dedup store [shared]:" in out
         assert "publishes" in out and "evictions" in out
-
-    def test_serve_fleet_record_replay_roundtrip(self, tmp_path, capsys):
-        import json
-
-        record = tmp_path / "placements.json"
-        base = [
-            "serve",
-            "--tenants", "2",
-            "--requests", "1",
-            "--programs", "GHZ_n4",
-            "--shots", "64",
-            "--probe-shots", "16",
-            "--fleet", "2",
-            "--fleet-stagger-hours", "1.5",
-        ]
-        assert main(base + ["--fleet-record", str(record)]) == 0
-        out = capsys.readouterr().out
-        assert "dedup store [replica-0]:" in out
-        assert "replica-0" in out and "replica-1" in out
-        assert "router:" in out and "affinity-hit ratio" in out
-        assert f"placements recorded to {record}" in out
-        placements = json.loads(record.read_text())
-        assert set(placements) == {"tenant-0/1", "tenant-1/1"}
-        assert all(index in (0, 1) for index in placements.values())
-        # Replaying the recorded map reproduces the placements exactly.
-        assert main(base + ["--fleet-replay", str(record)]) == 0
-        replay_out = capsys.readouterr().out
-        assert "total: 2 requests (0 failed)" in replay_out
-
-    def test_serve_fleet_flags_validated(self, capsys):
-        assert main(["serve", "--fleet-record", "x.json"]) == 1
-        err = capsys.readouterr().err
-        assert "require --fleet" in err

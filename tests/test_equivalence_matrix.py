@@ -178,7 +178,6 @@ def test_opt_level_zero_counts_bit_identical():
 
 
 def _load_equivalence_imports():
-    from repro.fleet import FleetSpec
     from repro.loadgen import (
         ArrivalSpec,
         LoadGenerator,
@@ -188,7 +187,6 @@ def _load_equivalence_imports():
     from repro.service import RequestSpec, run_standalone
 
     return (
-        FleetSpec,
         ArrivalSpec,
         LoadGenerator,
         TenantLoad,
@@ -199,7 +197,7 @@ def _load_equivalence_imports():
 
 
 #: Memoized standalone references shared across load-axis combinations
-#: (the same spec appears under several tenant/fleet shapes).
+#: (the same spec appears under several tenant shapes).
 _LOAD_REFERENCES = {}
 
 
@@ -207,29 +205,20 @@ _LOAD_MATRIX = [
     pytest.param(
         num_tenants,
         backend_kind,
-        fleet,
-        id=f"tenants_{num_tenants}-{backend_kind}-"
-        + (f"fleet_{fleet}" if fleet else "no_fleet"),
+        id=f"tenants_{num_tenants}-{backend_kind}",
     )
     for num_tenants in (1, 4)
     for backend_kind in ("local", "remote")
-    for fleet in (0, 2)
 ]
 
 
-@pytest.mark.parametrize("num_tenants,backend_kind,fleet", _LOAD_MATRIX)
-def test_load_driven_outcomes_bit_identical(
-    num_tenants, backend_kind, fleet
-):
+@pytest.mark.parametrize("num_tenants,backend_kind", _LOAD_MATRIX)
+def test_load_driven_outcomes_bit_identical(num_tenants, backend_kind):
     """The load-driven axis of the service equivalence contract:
-    {1, 4 tenants} x {local, zero-fault remote} x {no fleet, 2-replica
-    fleet}. Every ``CompileOutcome`` a :class:`LoadGenerator` run
-    produces must be bit-identical to ``run_standalone`` on the same
-    spec — replica-adjusted first in fleet mode, where the reference
-    for a request routed to replica ``i`` is the standalone run of
-    ``fleet.replicas[i].adjust(spec)``."""
+    {1, 4 tenants} x {local, zero-fault remote}. Every
+    ``CompileOutcome`` a :class:`LoadGenerator` run produces must be
+    bit-identical to ``run_standalone`` on the same spec."""
     (
-        FleetSpec,
         ArrivalSpec,
         LoadGenerator,
         TenantLoad,
@@ -239,7 +228,7 @@ def test_load_driven_outcomes_bit_identical(
     ) = _load_equivalence_imports()
 
     workload = WorkloadSpec(
-        name=f"equiv-{num_tenants}t-{backend_kind}-f{fleet}",
+        name=f"equiv-{num_tenants}t-{backend_kind}",
         seed=21,
         base=RequestSpec(
             program="GHZ_n4",
@@ -250,7 +239,6 @@ def test_load_driven_outcomes_bit_identical(
             fault_profile="none",
         ),
         workers=2,
-        fleet=fleet,
         tenants=tuple(
             TenantLoad(
                 name=f"tenant-{index}",
@@ -269,16 +257,8 @@ def test_load_driven_outcomes_bit_identical(
     assert report.rejected == 0
     assert len(report.completed) == workload.total_requests
 
-    fleet_spec = FleetSpec.create(fleet) if fleet else None
     for outcome in report.completed:
         spec = outcome.spec
-        if fleet_spec is not None:
-            assert outcome.fleet_replica is not None
-            spec = fleet_spec.replicas[outcome.fleet_replica].adjust(
-                spec
-            )
-        else:
-            assert outcome.fleet_replica is None
         if spec not in _LOAD_REFERENCES:
             _LOAD_REFERENCES[spec] = run_standalone(spec)
         reference = _LOAD_REFERENCES[spec]

@@ -83,6 +83,25 @@ class TestRegistry:
         )
         assert all(name in captured.err for name in runner.EXPERIMENTS)
 
+    def test_runner_tenants_mode_rejects_leftover_arguments(
+        self, monkeypatch, capsys
+    ):
+        from repro.experiments import runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("service built for an invalid command")
+
+        monkeypatch.setattr(runner, "_replay_tenants", refuse)
+        assert runner.main(["--tenants", "1", "fig99", "--bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "unexpected argument 'fig99' with --tenants; known: "
+            "--backend, --fault-profile, --fault-seed",
+            "unexpected argument '--bogus' with --tenants; known: "
+            "--backend, --fault-profile, --fault-seed",
+        ]
+
 
 class TestMotivation:
     def test_fig1c(self, context):
@@ -321,8 +340,23 @@ class TestFleetTransfer:
         assert replica1[2] > 0.0
         assert 0.0 <= replica1[5] <= 1.0  # sr_transfer
         assert 0.0 <= replica1[6] <= 1.0  # sr_local
+        # The exact rows of the seed-offset recipe (replica i: seed
+        # +1009*i, calibration seed +7*i, drift +stagger*i).
+        assert [row[0] for row in result.rows] == ["replica-0", "replica-1"]
+        assert [row[1] for row in result.rows] == [2.0, 8.0]  # drift_h
+        assert [row[3] for row in result.rows] == ["yes", "no"]
+        assert [row[4] for row in result.rows] == [0, 0]  # substituted
+        assert replica0[5] == pytest.approx(0.7569256670587922, abs=1e-9)
+        assert replica0[6] == pytest.approx(0.7569256670587922, abs=1e-9)
+        assert replica1[2] == pytest.approx(1.117741804631445, abs=1e-9)
+        assert replica1[5] == pytest.approx(0.6931124918417194, abs=1e-9)
+        assert replica1[6] == pytest.approx(0.7373163975470296, abs=1e-9)
         assert "survived" in result.summary
         assert len(result.series["sr_transfer"]) == 2
+
+    def test_transfer_study_needs_a_replica(self):
+        with pytest.raises(ReproError, match="at least one replica"):
+            run_experiment("fleet_transfer", replicas=0)
 
 
 class TestDeviceReport:

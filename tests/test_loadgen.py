@@ -5,8 +5,8 @@ Four layers, cheapest first:
 * arrival-process generators — seeded determinism, statistical sanity,
   serialization round-trips (pure functions, no service);
 * :class:`SloAnalyzer` on hand-built span fixtures — exact nearest-rank
-  percentiles, host-vs-simulated clock separation, per-tenant and
-  per-replica grouping, empty/degenerate inputs;
+  percentiles, host-vs-simulated clock separation, per-tenant
+  grouping, empty/degenerate inputs;
 * :class:`SloPolicy` verdicts — margins, missing metrics, text table;
 * one small live run through :class:`LoadGenerator` and the ``repro
   load`` CLI — outcomes bit-identical to ``run_standalone`` and the
@@ -316,6 +316,26 @@ class TestWorkloadSpec:
         dump_workload(workload, path)
         assert load_workload(path) == workload
 
+    def test_unknown_top_level_key_rejected(self):
+        data = _small_workload().to_dict()
+        data["sevrice"] = {"workers": 3}
+        with pytest.raises(ReproError, match="top-level key 'sevrice'"):
+            WorkloadSpec.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["wokers", "fleet"])
+    def test_unknown_service_key_rejected(self, key):
+        data = _small_workload().to_dict()
+        data["service"][key] = 3
+        with pytest.raises(ReproError, match=f"service key '{key}'"):
+            WorkloadSpec.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["shotz", "replica"])
+    def test_unknown_base_key_rejected(self, key):
+        data = _small_workload().to_dict()
+        data["base"][key] = 1
+        with pytest.raises(ReproError, match=f"base key '{key}'"):
+            WorkloadSpec.from_dict(data)
+
     def test_example_workload_loads(self):
         if not HAVE_YAML:
             pytest.skip("PyYAML not installed")
@@ -356,7 +376,6 @@ def _request_span(
     service_time_s=None,
     probes=4,
     dedup_hits=2,
-    replica=None,
     failed=False,
     end_wall_s=None,
 ):
@@ -374,8 +393,6 @@ def _request_span(
         "probes": probes,
         "dedup_hits": dedup_hits,
     }
-    if replica is not None:
-        attributes["replica"] = replica
     if failed:
         attributes["failed"] = True
     return {
@@ -427,11 +444,11 @@ class TestSloAnalyzer:
         assert report["latency"]["host"]["p99_s"] == 1.0
         assert report["throughput_rps"] == pytest.approx(0.5)
 
-    def test_per_tenant_and_per_replica_grouping(self):
+    def test_per_tenant_grouping(self):
         spans = [
-            _request_span("alice", 1.0, 100.0, replica=0),
-            _request_span("alice", 3.0, 300.0, replica=1),
-            _request_span("bob", 5.0, 500.0, replica=1),
+            _request_span("alice", 1.0, 100.0),
+            _request_span("alice", 3.0, 300.0),
+            _request_span("bob", 5.0, 500.0),
         ]
         report = SloAnalyzer(spans, wall_time_s=6.0).analyze()
         assert set(report["per_tenant"]) == {"alice", "bob"}
@@ -443,12 +460,6 @@ class TestSloAnalyzer:
         assert (
             report["per_tenant"]["bob"]["latency"]["host"]["p50_s"]
             == 5.0
-        )
-        assert set(report["per_replica"]) == {"0", "1"}
-        assert report["per_replica"]["1"]["requests"] == 2
-        assert (
-            report["per_replica"]["1"]["latency"]["device"]["p99_us"]
-            == 500.0
         )
 
     def test_rejections_and_coalescing(self):
@@ -671,6 +682,16 @@ class TestCliLoadGate:
         assert code != 0
         assert "SLO: FAIL" in captured.out
         assert "CHECK FAILED" in captured.err
+
+    def test_unknown_workload_key_is_a_cli_error(self, tmp_path, capsys):
+        path = self._write_workload(tmp_path, slo=())
+        data = json.loads(path.read_text())
+        data["base"]["shotz"] = 64
+        path.write_text(json.dumps(data))
+        code = cli_main(["load", "--workload", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: workload base key 'shotz'")
 
     def test_check_passes_with_generous_bounds(self, tmp_path, capsys):
         path = self._write_workload(
