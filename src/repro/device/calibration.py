@@ -16,14 +16,25 @@ fidelity plus estimation noise; fast) or by actually running a
 mirror-benchmarking protocol on the device (shots, fits, the works) — and
 timestamps the records. Consumers (the noise-adaptive baseline, ANGEL's
 reference initialization) only ever see the possibly-stale records.
+
+An analytic sweep does everything that moves state when it runs: one
+estimation-noise draw per record, the timestamp, the cadence bookkeeping
+and the clock advance. The ground truth waits: each record keeps the
+sweep's parameter snapshot (the device's
+:attr:`~repro.device.drift.DriftState.current` list, which advance and
+field edits replace rather than write into) and evaluates its fidelity
+from it on first read — the value evaluating it at sweep time gives,
+bit for bit. Most records are overwritten by the next sweep of their
+gate before anyone reads them.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -55,15 +66,99 @@ DEFAULT_REFRESH_PERIOD_US: Dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class CalibrationRecord:
-    """One published fidelity number and when it was measured."""
+#: Published fidelities are clipped to ``[_FIDELITY_FLOOR, 1]``.
+_FIDELITY_FLOOR = 0.25
 
-    value: float
-    timestamp_us: float
+
+class CalibrationRecord:
+    """One published fidelity number and when it was measured.
+
+    Records are immutable; equality, hashing, ``repr`` and copies read
+    :attr:`value`. An analytic sweep publishes records whose value is
+    computed on first read (see :class:`_DeferredRecord`); once read,
+    they are plain records like these.
+    """
+
+    # Slots, and no class attribute named ``value``, keep reading a
+    # resolved record a plain slot read, as cheap as a dataclass field.
+    # ``_pending`` is _DeferredRecord's, declared here so that one can
+    # turn into a plain record (a class change needs the same layout).
+    __slots__ = ("value", "timestamp_us", "_pending")
+
+    def __init__(self, value: float, timestamp_us: float) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "timestamp_us", timestamp_us)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, CalibrationRecord):
+            return NotImplemented
+        return (self.value, self.timestamp_us) == (
+            other.value,
+            other.timestamp_us,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.timestamp_us))
+
+    def __repr__(self) -> str:
+        return (
+            f"CalibrationRecord(value={self.value!r}, "
+            f"timestamp_us={self.timestamp_us!r})"
+        )
+
+    def __reduce__(self):
+        return CalibrationRecord, (self.value, self.timestamp_us)
 
     def age_us(self, now_us: float) -> float:
         return now_us - self.timestamp_us
+
+
+class _DeferredRecord(CalibrationRecord):
+    """A record an analytic sweep published before evaluating its truth.
+
+    The sweep drew the estimation noise and set the timestamp; the
+    record holds ``truth`` — a fidelity function of the device's
+    immutable :class:`~repro.device.device.NoiseLayout`, bound to the
+    sweep's parameter snapshot, never the live device — and that noise.
+    The first read of :attr:`value` computes ``min(1, max(0.25, truth()
+    + noise))``, stores it, drops the snapshot and turns the record into
+    a plain :class:`CalibrationRecord`, so every later read is a plain
+    slot read.
+
+    Resolution is deterministic and idempotent: it reads only the
+    snapshot, which nothing writes, and the stored noise. Two threads
+    that resolve one shared record (service workers reading records of a
+    memoized chip day that their clones share) compute and store the
+    same float; the value is stored before the snapshot is dropped.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self, truth: Callable[[], float], noise: float, timestamp_us: float
+    ) -> None:
+        object.__setattr__(self, "timestamp_us", timestamp_us)
+        object.__setattr__(self, "_pending", (truth, noise))
+
+    def __getattr__(self, name):
+        # Reached only while the ``value`` slot is still empty.
+        if name != "value":
+            raise AttributeError(name)
+        pending = self._pending
+        if pending is None:  # another thread resolved it meanwhile
+            return object.__getattribute__(self, "value")
+        truth, noise = pending
+        value = float(min(1.0, max(_FIDELITY_FLOOR, truth() + noise)))
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "__class__", CalibrationRecord)
+        object.__setattr__(self, "_pending", None)
+        return value
 
 
 @dataclass
@@ -123,7 +218,12 @@ class CalibrationData:
         return record.value
 
     def snapshot(self) -> "CalibrationData":
-        """An immutable-ish copy (records are frozen) for later comparison."""
+        """A copy of the three maps for later comparison.
+
+        The records themselves are shared (they are immutable): resolving
+        a deferred record through either copy resolves it for both, with
+        the same value.
+        """
         return CalibrationData(
             two_qubit=dict(self.two_qubit),
             single_qubit=dict(self.single_qubit),
@@ -241,6 +341,14 @@ def _emit_random_pauli(emit, qubit: int, rng: np.random.Generator) -> None:
 class CalibrationService:
     """Periodic benchmarking of a device, with per-gate cadence.
 
+    In analytic mode a sweep draws each record's estimation noise and
+    stamps it at sweep time, and the ground truth is evaluated from the
+    sweep's parameter snapshot on the record's first read (see
+    :class:`_DeferredRecord`). Single-qubit records are deferred the
+    same way in every mode; readout records, and the two-qubit records of
+    the mirror and IRB protocols (which run circuits on the device), are
+    computed when measured.
+
     Args:
         device: The device to benchmark (shares its clock).
         refresh_period_us: Per-native-gate refresh period; gates absent
@@ -295,20 +403,40 @@ class CalibrationService:
         """Benchmark every link supporting *gate_name*; returns link count.
 
         Costs simulated wall time, so calibrating itself lets the device
-        drift — as on real hardware.
+        drift — as on real hardware. In analytic mode the records are
+        deferred: noise drawn and timestamp set now, ground truth
+        evaluated from this sweep's snapshot on first read.
         """
         links = self.device.links_supporting(gate_name)
-        for link in links:
-            estimate = self._estimate(link, gate_name)
-            self.data.two_qubit[(link, gate_name)] = CalibrationRecord(
-                value=estimate, timestamp_us=self.device.clock_us
-            )
+        records = self.data.two_qubit
         if self.mode == "analytic":
+            fidelity = self.device.noise_layout.pulse_fidelity
+            snapshot = self.device.drift.current
+            for link in links:
+                records[(link, gate_name)] = self._defer(
+                    partial(fidelity, link, gate_name, snapshot),
+                    self.estimation_noise_std,
+                )
             self.device.advance_time(_CALIBRATION_SWEEP_US)
+        else:
+            for link in links:
+                estimate = self._benchmark(link, gate_name)
+                records[(link, gate_name)] = CalibrationRecord(
+                    estimate, self.device.clock_us
+                )
         self._last_calibrated_us[gate_name] = self.device.clock_us
         return len(links)
 
-    def _estimate(self, link: Link, gate_name: str) -> float:
+    def _defer(
+        self, truth: Callable[[], float], noise_std: float
+    ) -> CalibrationRecord:
+        """Draw one record's estimation noise and stamp it now; *truth*
+        (bound to the sweep's snapshot) waits for the first read."""
+        noise = noise_std * float(self._rng.standard_normal())
+        return _DeferredRecord(truth, noise, self.device.clock_us)
+
+    def _benchmark(self, link: Link, gate_name: str) -> float:
+        """Run the mirror or IRB protocol on the device now."""
         if self.mode == "mirror":
             return mirror_benchmark_fidelity(
                 self.device,
@@ -317,31 +445,24 @@ class CalibrationService:
                 shots=self.mirror_shots,
                 rng=self._rng,
             )
-        if self.mode == "irb":
-            from .rb import interleaved_rb_fidelity
+        from .rb import interleaved_rb_fidelity
 
-            return interleaved_rb_fidelity(
-                self.device,
-                link,
-                gate_name,
-                shots=self.mirror_shots,
-                rng=self._rng,
-            )
-        truth = self.device.true_pulse_fidelity(link, gate_name)
-        noisy = truth + self.estimation_noise_std * float(
-            self._rng.standard_normal()
+        return interleaved_rb_fidelity(
+            self.device,
+            link,
+            gate_name,
+            shots=self.mirror_shots,
+            rng=self._rng,
         )
-        return float(min(1.0, max(0.25, noisy)))
 
     def calibrate_single_qubit(self) -> None:
+        """Deferred RX records for every qubit, from one snapshot."""
+        fidelity = self.device.noise_layout.rx_fidelity
+        snapshot = self.device.drift.current
         for qubit in self.device.topology.qubits:
-            truth = self.device.true_rx_fidelity(qubit)
-            noisy = truth + 0.3 * self.estimation_noise_std * float(
-                self._rng.standard_normal()
-            )
-            self.data.single_qubit[qubit] = CalibrationRecord(
-                value=float(min(1.0, max(0.25, noisy))),
-                timestamp_us=self.device.clock_us,
+            self.data.single_qubit[qubit] = self._defer(
+                partial(fidelity, qubit, snapshot),
+                0.3 * self.estimation_noise_std,
             )
 
     def calibrate_readout(self) -> None:
@@ -352,8 +473,7 @@ class CalibrationService:
                 self._rng.standard_normal()
             )
             self.data.readout[qubit] = CalibrationRecord(
-                value=float(min(1.0, max(0.5, noisy))),
-                timestamp_us=self.device.clock_us,
+                float(min(1.0, max(0.5, noisy))), self.device.clock_us
             )
 
     def full_calibration(self) -> None:

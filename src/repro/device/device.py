@@ -19,7 +19,16 @@ import copy
 import hashlib
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 import numpy as np
 
@@ -168,6 +177,9 @@ class RigettiAspenDevice:
             [(r.drift, r.offset, len(r.FIELDS)) for r in records]
         )
         self._bind_records(qubit_params, gate_params)
+        #: Offsets and pulse durations every noise map reads through
+        #: (immutable; clones share it).
+        self.noise_layout = NoiseLayout(self.qubit_params, self.gate_params)
         self.clock_us = 0.0
         self.execution_log: List[ExecutionRecord] = []
         #: Counts how many times drift has moved the noise parameters;
@@ -211,8 +223,8 @@ class RigettiAspenDevice:
         empty channel cache at its epoch, a simulation cache with no
         store attached, an empty execution log and no shared executor,
         so it runs every job exactly as this device would. Topology,
-        native gate set and the static fingerprint digest are immutable
-        and shared.
+        native gate set, noise layout and the static fingerprint digest
+        are immutable and shared.
         """
         twin = copy.copy(self)
         twin.drift = self.drift.clone()
@@ -605,61 +617,34 @@ class RigettiAspenDevice:
 
         return compiler
 
-    def _relaxation_times(self, phys: int) -> Tuple[float, float]:
-        """This qubit's current ``(T1, T2)``, with T2 clipped to ``2 T1``."""
-        params = self.qubit_params[phys]
-        t1 = params.t1_us.current
-        return t1, min(params.t2_us.current, 2 * t1)
-
     def _thermal_channel(self, phys: int, duration_us: float) -> KrausChannel:
         """This qubit's relaxation over *duration_us*, at current values."""
-        t1, t2 = self._relaxation_times(phys)
+        t1, t2 = self.noise_layout._relaxation_times(phys, self.drift.current)
         return self._cached(
             ("thermal", duration_us, t1, t2),
             lambda: thermal_relaxation_channel(duration_us, t1, t2),
         )
 
     def _fused_idle(self, phys: int, duration_us: float) -> Superoperator:
-        t1, t2 = self._relaxation_times(phys)
-        return thermal_superoperator(duration_us, t1, t2)
-
-    def _rx_noise(self, phys: int) -> Superoperator:
-        """The noise map trailing every ``rx`` pulse on *phys*, now."""
-        params = self.qubit_params[phys]
-        over = params.rx_over_rotation.current
-        return _noise_map(
-            single_qubit_coherent_error(over if abs(over) > 1e-12 else 0.0),
-            params.rx_depolarizing.current,
-            self._fused_idle(phys, params.rx_duration_ns / _NS_PER_US),
-        )
-
-    def _pulse_noise(
-        self, gate_name: str, phys_pair: Tuple[int, int]
-    ) -> Superoperator:
-        """The noise map trailing one entangling pulse, qubits in order."""
-        params = self.gate_params[(make_link(*phys_pair), gate_name)]
-        over = params.over_rotation.current
-        zz = params.zz_error.current
-        duration = params.duration_ns / _NS_PER_US
-        return _noise_map(
-            coherent_error_unitary(gate_name, over, zz)
-            if abs(over) > 1e-12 or abs(zz) > 1e-12
-            else np.eye(4),
-            params.depolarizing.current,
-            tensor_maps([self._fused_idle(q, duration) for q in phys_pair]),
+        return self.noise_layout._fused_idle(
+            phys, duration_us, self.drift.current
         )
 
     def _fused_single(self, gate: Gate, phys: int) -> Superoperator:
         superop = Superoperator.from_unitary(gate.matrix(), gate.name)
         if gate.name == "rz":
             return superop  # virtual frame update: noiseless
-        return superop.then(self._rx_noise(phys))
+        return superop.then(
+            self.noise_layout._rx_noise(phys, self.drift.current)
+        )
 
     def _fused_two(
         self, gate: Gate, phys_pair: Tuple[int, int]
     ) -> Superoperator:
         return Superoperator.from_unitary(gate.matrix(), gate.name).then(
-            self._pulse_noise(gate.name, phys_pair)
+            self.noise_layout._pulse_noise(
+                gate.name, phys_pair, self.drift.current
+            )
         )
 
     def _idle_noise(
@@ -862,14 +847,112 @@ class RigettiAspenDevice:
         randomized-benchmarking experiment would converge to. The
         calibration service adds staleness and estimation noise on top.
         """
-        link = make_link(*link)
-        if (link, gate_name) not in self.gate_params:
-            raise DeviceError(f"link {link} lacks gate {gate_name!r}")
-        return _average_fidelity(self._pulse_noise(gate_name, link))
+        return self.noise_layout.pulse_fidelity(
+            link, gate_name, self.drift.current
+        )
 
     def true_rx_fidelity(self, qubit: int) -> float:
         """Exact average fidelity of one RX(pi/2) pulse on *qubit*, now."""
-        return _average_fidelity(self._rx_noise(qubit))
+        return self.noise_layout.rx_fidelity(qubit, self.drift.current)
+
+
+#: Positions of the fields the noise maps read within a record's slots.
+_T1, _T2, _RX_DEPOLARIZING, _RX_OVER_ROTATION = (
+    QubitNoiseParameters.FIELDS.index(name)
+    for name in ("t1_us", "t2_us", "rx_depolarizing", "rx_over_rotation")
+)
+_OVER_ROTATION, _ZZ_ERROR, _DEPOLARIZING = (
+    TwoQubitGateNoiseParameters.FIELDS.index(name)
+    for name in ("over_rotation", "zz_error", "depolarizing")
+)
+
+
+class NoiseLayout:
+    """Where a device's noise parameters sit in its drift value vector.
+
+    Holds each qubit's ``(offset, rx_duration_ns)`` and each (link,
+    gate)'s ``(offset, duration_ns)`` — immutable structure that a
+    device shares with its clones. Every pulse noise map and ground-truth
+    fidelity is computed here from a *values* vector indexed by those
+    offsets: the live :attr:`DriftState.current
+    <repro.device.drift.DriftState.current>` when the simulator fuses a
+    gate or the device reports a fidelity now, or the list a calibration
+    sweep kept as its snapshot when a deferred record is first read.
+    """
+
+    __slots__ = ("_qubits", "_gates")
+
+    def __init__(
+        self,
+        qubit_params: Mapping[int, QubitNoiseParameters],
+        gate_params: Mapping[Tuple[Link, str], TwoQubitGateNoiseParameters],
+    ) -> None:
+        self._qubits = {
+            qubit: (params.offset, params.rx_duration_ns)
+            for qubit, params in qubit_params.items()
+        }
+        self._gates = {
+            key: (params.offset, params.duration_ns)
+            for key, params in gate_params.items()
+        }
+
+    def _relaxation_times(
+        self, phys: int, values: Sequence[float]
+    ) -> Tuple[float, float]:
+        """This qubit's ``(T1, T2)``, with T2 clipped to ``2 T1``."""
+        offset = self._qubits[phys][0]
+        t1 = values[offset + _T1]
+        return t1, min(values[offset + _T2], 2 * t1)
+
+    def _fused_idle(
+        self, phys: int, duration_us: float, values: Sequence[float]
+    ) -> Superoperator:
+        t1, t2 = self._relaxation_times(phys, values)
+        return thermal_superoperator(duration_us, t1, t2)
+
+    def _rx_noise(self, phys: int, values: Sequence[float]) -> Superoperator:
+        """The noise map trailing every ``rx`` pulse on *phys*."""
+        offset, duration_ns = self._qubits[phys]
+        over = values[offset + _RX_OVER_ROTATION]
+        return _noise_map(
+            single_qubit_coherent_error(over if abs(over) > 1e-12 else 0.0),
+            values[offset + _RX_DEPOLARIZING],
+            self._fused_idle(phys, duration_ns / _NS_PER_US, values),
+        )
+
+    def _pulse_noise(
+        self,
+        gate_name: str,
+        phys_pair: Tuple[int, int],
+        values: Sequence[float],
+    ) -> Superoperator:
+        """The noise map trailing one entangling pulse, qubits in order."""
+        offset, duration_ns = self._gates[(make_link(*phys_pair), gate_name)]
+        over = values[offset + _OVER_ROTATION]
+        zz = values[offset + _ZZ_ERROR]
+        duration = duration_ns / _NS_PER_US
+        return _noise_map(
+            coherent_error_unitary(gate_name, over, zz)
+            if abs(over) > 1e-12 or abs(zz) > 1e-12
+            else np.eye(4),
+            values[offset + _DEPOLARIZING],
+            tensor_maps(
+                [self._fused_idle(q, duration, values) for q in phys_pair]
+            ),
+        )
+
+    def pulse_fidelity(
+        self, link: Link, gate_name: str, values: Sequence[float]
+    ) -> float:
+        """Average gate fidelity of one entangling pulse at *values*."""
+        link = make_link(*link)
+        if (link, gate_name) not in self._gates:
+            raise DeviceError(f"link {link} lacks gate {gate_name!r}")
+        return _average_fidelity(self._pulse_noise(gate_name, link, values))
+
+    def rx_fidelity(self, qubit: int, values: Sequence[float]) -> float:
+        """Average fidelity of one RX(pi/2) pulse on *qubit* at *values*."""
+        return _average_fidelity(self._rx_noise(qubit, values))
 
 
 def _noise_map(

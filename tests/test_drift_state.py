@@ -302,6 +302,49 @@ class TestFieldEdits:
                 row[0] = 1.0
 
 
+class TestSnapshotInvariant:
+    """Advance and field edits replace ``current`` and ``observed``; they
+    never write into a list or array handed out before. A deferred
+    calibration record keeps the ``current`` list of its sweep as its
+    parameter snapshot and relies on this."""
+
+    @staticmethod
+    def _captured(drift):
+        current, observed = drift.current, drift.observed
+        return current, observed, _bits(current), observed.tobytes()
+
+    @staticmethod
+    def _assert_untouched(captured):
+        current, observed, current_bits, observed_bits = captured
+        assert _bits(current) == current_bits
+        assert observed.tobytes() == observed_bits
+
+    @pytest.mark.parametrize("name", sorted(_DEVICES))
+    def test_advance_leaves_captured_values(self, name):
+        device = _DEVICES[name]()
+        captured = self._captured(device.drift)
+        device.advance_time(3 * _HOUR_US)
+        self._assert_untouched(captured)
+        if device.drift.std.max() > 0:  # moved, so replaced
+            assert device.drift.current is not captured[0]
+            assert device.drift.observed is not captured[1]
+            assert _bits(device.drift.current) != captured[2]
+
+    def test_field_edit_leaves_captured_values(self):
+        device = aspen11(seed=11)
+        captured = self._captured(device.drift)
+        device.qubit_params[0].t1_us = DriftingValue.fixed(3.0)
+        self._assert_untouched(captured)
+        assert device.drift.current[device.qubit_params[0].offset] == 3.0
+
+    def test_clone_advance_leaves_the_original_captured_values(self):
+        device = aspen11(seed=11)
+        captured = self._captured(device.drift)
+        device.clone().advance_time(3 * _HOUR_US)
+        self._assert_untouched(captured)
+        assert device.drift.current is captured[0]
+
+
 class TestParameterFingerprint:
     """The cross-request dedup key changes with any physics change."""
 
