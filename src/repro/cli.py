@@ -9,10 +9,6 @@ Commands:
 * ``serve`` — replay a synthetic multi-tenant workload through the
   :class:`~repro.service.AngelService` compile service (fair
   scheduling, probe coalescing, cross-tenant dedup).
-* ``load`` — drive the compile service from a workload file
-  (:mod:`repro.loadgen`): seeded arrival processes, SLO percentile
-  extraction from spans, and a pass/fail verdict table (``--check``
-  turns violations into a nonzero exit).
 * ``experiments`` — regenerate paper artifacts (delegates to
   :mod:`repro.experiments.runner`).
 * ``device`` — print a device's topology and calibrated fidelity map.
@@ -24,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -224,57 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--probe-shots", type=int, default=256)
     _add_context_arguments(serve_parser)
 
-    load_parser = sub.add_parser(
-        "load",
-        help="drive the compile service from a workload file and "
-        "gate on its SLO bounds",
-    )
-    load_parser.add_argument(
-        "--workload",
-        required=True,
-        metavar="FILE",
-        help="workload spec (.yaml/.yml/.json; see "
-        "examples/workload_burst.yaml)",
-    )
-    load_parser.add_argument(
-        "--pacing",
-        default="none",
-        choices=("none", "wall"),
-        help="'none' submits in schedule order as fast as possible "
-        "(CI mode); 'wall' honors offsets on the host clock",
-    )
-    load_parser.add_argument(
-        "--speedup",
-        type=float,
-        default=1.0,
-        help="with --pacing wall, divide every offset/think time by "
-        "this factor",
-    )
-    load_parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override the workload's schedule seed",
-    )
-    load_parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="stream the run's JSONL span trace to FILE",
-    )
-    load_parser.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="write the full SLO analysis + verdict as JSON to FILE",
-    )
-    load_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit nonzero when any request fails or any declared SLO "
-        "bound is violated",
-    )
-
     experiments_parser = sub.add_parser(
         "experiments", help="regenerate paper artifacts"
     )
@@ -383,6 +327,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         raise ReproError("--programs must name at least one benchmark")
     if args.tenants < 1 or args.requests < 1:
         raise ReproError("--tenants and --requests must be >= 1")
+    if args.shots < 1 or args.probe_shots < 1:
+        raise ReproError("--shots and --probe-shots must be >= 1")
     for name in programs:
         get_benchmark(name)  # fail fast on typos
     base = RequestSpec(
@@ -407,7 +353,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         for index in range(args.tenants)
     }
     # The service is created here (not inside replay_workload) so the
-    # end-of-run summary can read its store ledger before close.
+    # end-of-run summary can read its store ledger.
     service = AngelService(
         num_workers=args.workers,
         round_budget_jobs=args.window_jobs,
@@ -444,94 +390,13 @@ def _command_serve(args: argparse.Namespace) -> int:
         f"total: {total} requests ({failed} failed), {probes} probes, "
         f"{dedup_hits} dedup hits ({ratio:.1%})"
     )
-    for row in service.store_stats():
+    if service.store is not None:
+        stats = service.store.stats()
         print(
-            f"dedup store [{row['partition']}]: {row['hits']} hits, "
-            f"{row['publishes']} publishes, {row['evictions']} "
-            f"evictions ({row['entries']} entries)"
+            f"dedup store: {stats['hits']} hits, "
+            f"{stats['publishes']} publishes, {stats['evictions']} "
+            f"evictions ({stats['entries']} entries)"
         )
-    return 0
-
-
-def _command_load(args: argparse.Namespace) -> int:
-    import dataclasses as _dc
-
-    from .loadgen import LoadGenerator, load_workload
-
-    workload = load_workload(args.workload)
-    if args.seed is not None:
-        workload = _dc.replace(workload, seed=args.seed)
-    generator = LoadGenerator(workload)
-    schedule = generator.schedule()
-    print(
-        f"workload {workload.name!r}: {len(workload.tenants)} tenants, "
-        f"{len(schedule)} requests, seed {workload.seed}, "
-        f"{workload.workers} service workers"
-    )
-    report = generator.run(
-        pacing=args.pacing,
-        speedup=args.speedup,
-        trace_path=args.trace,
-    )
-    analysis = report.analyze()
-    print(
-        f"{'tenant':12s} {'ok':>4s} {'fail':>5s} {'rej':>4s} "
-        f"{'p50':>8s} {'p95':>8s} {'q-p95':>8s} {'dedup':>6s}"
-    )
-    for name, block in analysis["per_tenant"].items():
-        print(
-            f"{name:12s} {block['completed']:>4d} {block['failed']:>5d} "
-            f"{report.tenant_report.get(name, {}).get('rejected', 0):>4} "
-            f"{block['latency']['host']['p50_s']:>7.3f}s "
-            f"{block['latency']['host']['p95_s']:>7.3f}s "
-            f"{block['queue_wait']['p95_s']:>7.3f}s "
-            f"{block['dedup']['ratio']:>6.1%}"
-        )
-    print(
-        f"total: {analysis['completed']}/{analysis['requests']} completed "
-        f"({analysis['rejected']} rejected, "
-        f"{analysis['rejection_rate']:.1%}) in "
-        f"{report.wall_time_s:.2f}s = "
-        f"{analysis['throughput_rps']:.2f} req/s"
-    )
-    latency = analysis["latency"]
-    print(
-        f"latency: host p50 {latency['host']['p50_s']:.3f}s / "
-        f"p95 {latency['host']['p95_s']:.3f}s / "
-        f"p99 {latency['host']['p99_s']:.3f}s "
-        f"(jitter {latency['host']['jitter_s']:.3f}s); "
-        f"device p95 {latency['device']['p95_us'] / 1e6:.3f}s simulated"
-    )
-    coalescing = analysis["coalescing"]
-    print(
-        f"coalescing: {coalescing['rounds']} rounds, "
-        f"{coalescing['mean_units_per_round']:.2f} units/round; "
-        f"dedup ratio {analysis['dedup']['ratio']:.1%}"
-    )
-    verdict = report.verdict()
-    if workload.slo:
-        print()
-        print(verdict.to_text())
-    if args.trace:
-        print(f"trace written to {args.trace}")
-    if args.out:
-        payload = {
-            "workload": workload.to_dict(),
-            "analysis": analysis,
-            "verdict": verdict.to_dict(),
-        }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"report written to {args.out}")
-    if args.check and (report.failed or not verdict.passed):
-        reasons = []
-        if report.failed:
-            reasons.append(f"{report.failed} requests failed")
-        if not verdict.passed:
-            reasons.append(
-                f"{len(verdict.violations)} SLO bounds violated"
-            )
-        print(f"CHECK FAILED: {'; '.join(reasons)}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -560,8 +425,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _command_compile(args)
         if args.command == "serve":
             return _command_serve(args)
-        if args.command == "load":
-            return _command_load(args)
         if args.command == "experiments":
             for experiment_id in args.ids:
                 print(run_experiment(experiment_id).to_text())

@@ -112,69 +112,9 @@ def _pop_option(argv: list, name: str, default: str) -> str:
     return value
 
 
-def _replay_tenants(
-    tenants: int,
-    backend: str,
-    fault_profile: str,
-    fault_seed: int,
-) -> int:
-    """``--tenants N`` mode: replay the Table I mix through the compile
-    service, N synthetic tenants each compiling the standard programs."""
-    from ..service import RequestSpec, TenantConfig, replay_workload
-
-    if tenants < 1:
-        raise ReproError("--tenants must be >= 1")
-    programs = ("GHZ_n4", "BV_n4", "QAOA_n5")
-    workload = {
-        f"tenant-{index}": [
-            RequestSpec(
-                program=program,
-                shots=1024,
-                probe_shots=256,
-                drift_hours=2.0,
-                backend=backend,
-                fault_profile=fault_profile,
-                fault_seed=fault_seed,
-            )
-            for program in programs
-        ]
-        for index in range(tenants)
-    }
-    from ..service import AngelService
-
-    service = AngelService(
-        num_workers=min(4, tenants),
-        tenants=tuple(TenantConfig(name) for name in sorted(workload)),
-    )
-    try:
-        outcomes = replay_workload(workload, service=service)
-    finally:
-        service.close()
-    total = failed = probes = dedup_hits = 0
-    for name in sorted(outcomes):
-        slots = outcomes[name]
-        done = [o for o in slots if not isinstance(o, BaseException)]
-        probes += sum(o.probes_run for o in done)
-        dedup_hits += sum(o.dedup_hits for o in done)
-        total += len(slots)
-        failed += len(slots) - len(done)
-        print(
-            f"{name}: {len(done)}/{len(slots)} requests, "
-            f"{sum(o.probes_run for o in done)} probes, "
-            f"{sum(o.dedup_hits for o in done)} dedup hits"
-        )
-    ratio = dedup_hits / probes if probes else 0.0
-    print(
-        f"total: {total} requests ({failed} failed), {probes} probes, "
-        f"{dedup_hits} dedup hits ({ratio:.1%})"
-    )
-    return 0
-
-
 def main(argv: Optional[list] = None) -> int:
     """CLI: ``python -m repro.experiments.runner [--stats]
-    [--backend local|remote] [--fault-profile NAME] [--tenants N]
-    <id>...``."""
+    [--backend local|remote] [--fault-profile NAME] <id>...``."""
     argv = list(argv) if argv is not None else sys.argv[1:]
     show_stats = "--stats" in argv
     argv = [arg for arg in argv if arg != "--stats"]
@@ -186,28 +126,12 @@ def main(argv: Optional[list] = None) -> int:
     fault_profile = _pop_option(argv, "--fault-profile", "none")
     fault_seed = int(_pop_option(argv, "--fault-seed", "0"))
     opt_level = int(_pop_option(argv, "--opt-level", "0"))
-    tenants_raw = _pop_option(argv, "--tenants", "")
-    if tenants_raw:
-        if argv:
-            # The replay takes no experiment ids: refuse leftovers
-            # before any service is built rather than ignore them.
-            for arg in argv:
-                print(
-                    f"unexpected argument {arg!r} with --tenants; known: "
-                    "--backend, --fault-profile, --fault-seed",
-                    file=sys.stderr,
-                )
-            return 2
-        return _replay_tenants(
-            int(tenants_raw), backend, fault_profile, fault_seed
-        )
     if not argv or argv[0] in ("-h", "--help"):
         print(
             "usage: python -m repro.experiments.runner [--stats] "
             "[--backend local|remote] [--fault-profile NAME] "
             "[--fault-seed N] [--opt-level {0,1,2}] "
-            "[--trace FILE] [--metrics] "
-            "[--tenants N] <experiment-id>..."
+            "[--trace FILE] [--metrics] <experiment-id>..."
         )
         print("known experiments:", ", ".join(sorted(EXPERIMENTS)))
         return 0

@@ -29,15 +29,7 @@ Or from the CLI: ``python -m repro angel GHZ_n5 --trace trace.jsonl
 --metrics``.
 """
 
-from .export import (
-    attr_values,
-    filter_spans,
-    group_by_attr,
-    percentile,
-    percentiles,
-    read_trace,
-    render_trace,
-)
+from .export import read_trace, render_trace
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .runtime import (
     NULL_SPAN,
@@ -68,9 +60,4 @@ __all__ = [
     "event",
     "read_trace",
     "render_trace",
-    "filter_spans",
-    "attr_values",
-    "group_by_attr",
-    "percentile",
-    "percentiles",
 ]

@@ -10,20 +10,11 @@ objects or loaded dicts) into the indented tree the CLI prints.
 from __future__ import annotations
 
 import json
-import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Union
 
 from .tracer import Span
 
-__all__ = [
-    "read_trace",
-    "render_trace",
-    "filter_spans",
-    "attr_values",
-    "group_by_attr",
-    "percentile",
-    "percentiles",
-]
+__all__ = ["read_trace", "render_trace"]
 
 #: Span attributes promoted into the rendered summary column.
 _SUMMARY_KEYS = ("jobs", "shots", "tag", "link", "candidates")
@@ -46,79 +37,6 @@ def _as_dicts(
     return [
         span.to_dict() if isinstance(span, Span) else span for span in spans
     ]
-
-
-def filter_spans(
-    spans: Iterable[Union[Span, Dict[str, Any]]],
-    name: Optional[str] = None,
-    **attrs: Any,
-) -> List[Dict[str, Any]]:
-    """Spans (as dicts) matching a name and/or exact attribute values.
-
-    The building block the SLO analyzer queries traces with: ``filter_
-    spans(spans, "svc.request", tenant="alice")`` selects one tenant's
-    request summaries. Live :class:`Span` objects are converted, so the
-    same query runs on an in-process tracer or a loaded JSONL file.
-    """
-    selected = []
-    for record in _as_dicts(spans):
-        if name is not None and record.get("name") != name:
-            continue
-        attributes = record.get("attributes", {})
-        if any(
-            attributes.get(key) != value for key, value in attrs.items()
-        ):
-            continue
-        selected.append(record)
-    return selected
-
-
-def attr_values(
-    spans: Iterable[Union[Span, Dict[str, Any]]], key: str
-) -> List[Any]:
-    """One attribute's value per span, skipping spans that lack it."""
-    values = []
-    for record in _as_dicts(spans):
-        attributes = record.get("attributes", {})
-        if key in attributes:
-            values.append(attributes[key])
-    return values
-
-
-def group_by_attr(
-    spans: Iterable[Union[Span, Dict[str, Any]]], key: str
-) -> Dict[Any, List[Dict[str, Any]]]:
-    """Spans bucketed by one attribute's value (lacking spans dropped)."""
-    groups: Dict[Any, List[Dict[str, Any]]] = {}
-    for record in _as_dicts(spans):
-        attributes = record.get("attributes", {})
-        if key in attributes:
-            groups.setdefault(attributes[key], []).append(record)
-    return groups
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (exact order statistic, no interpolation).
-
-    ``q`` is in percent. The nearest-rank definition always returns a
-    value that actually occurred — the right semantics for latency
-    SLOs, where an interpolated latency nobody experienced would make
-    the gate both untight and irreproducible. Empty input returns 0.0.
-    """
-    if not values:
-        return 0.0
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    rank = math.ceil(q / 100.0 * len(ordered))
-    return float(ordered[max(0, min(len(ordered) - 1, rank - 1))])
-
-
-def percentiles(
-    values: Sequence[float], qs: Sequence[float] = (50, 95, 99)
-) -> Dict[str, float]:
-    """``{"p50": ..., "p95": ...}`` via :func:`percentile`."""
-    return {f"p{q:g}": percentile(values, q) for q in qs}
 
 
 def render_trace(

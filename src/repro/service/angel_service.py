@@ -133,7 +133,7 @@ class CompileOutcome:
     service_time_s: float = 0.0
     #: Simulated device occupancy this request consumed (the executor's
     #: cumulative job durations) — deterministic for a deterministic
-    #: spec, which makes simulated-time SLO percentiles reproducible.
+    #: spec, so simulated-time latencies are reproducible.
     device_time_us: float = 0.0
 
 
@@ -792,15 +792,6 @@ class AngelService:
                 name: state.ledger()
                 for name, state in sorted(self._tenants.items())
             }
-
-    def store_stats(self) -> List[Dict[str, object]]:
-        """Probe-distribution store counters: one ``shared`` row, or
-        none when dedup is off."""
-        if self.store is None:
-            return []
-        row: Dict[str, object] = {"partition": "shared"}
-        row.update(self.store.stats())
-        return [row]
 
     def close(self, timeout: Optional[float] = None) -> None:
         """Drain outstanding work, stop the scheduler, free the pool.

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ..exceptions import ServiceError
 from .tenant import TenantState
 
 __all__ = ["DeficitRoundRobin"]
@@ -54,7 +55,7 @@ class DeficitRoundRobin:
 
     def __init__(self, round_budget_jobs: Optional[int] = None) -> None:
         if round_budget_jobs is not None and round_budget_jobs < 1:
-            raise ValueError("round_budget_jobs must be >= 1 when set")
+            raise ServiceError("round_budget_jobs must be >= 1 when set")
         self.round_budget_jobs = round_budget_jobs
         self.rounds = 0
         self._cursor = 0

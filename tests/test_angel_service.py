@@ -2,11 +2,12 @@
 
 The tentpole invariant, pinned as a matrix: a request compiled through
 :class:`~repro.service.AngelService` yields **bit-identical**
-``AngelResult`` sequences/traces and final counts to the same
-:class:`~repro.service.RequestSpec` run through
+``AngelResult`` sequences/traces, final counts and device time to the
+same :class:`~repro.service.RequestSpec` run through
 :func:`~repro.service.run_standalone` — for any tenant mix, service
-worker count, or backend (local / zero-fault remote), including a spec
-whose drift lands exactly on a calibration-refresh boundary. On top of
+worker count, backend (local / zero-fault remote) or number of client
+threads submitting, including a spec whose drift lands exactly on a
+calibration-refresh boundary. On top of
 that: cross-tenant probe dedup changes *who computes*, never *what*;
 deficit round-robin bounds a light tenant's queue waits under a heavy
 tenant's flood; and one tenant's flaky fault profile never perturbs
@@ -82,6 +83,7 @@ def _assert_bit_identical(outcome, reference) -> None:
     )
     assert outcome.final_counts == reference.final_counts
     assert outcome.probes_run == reference.probes_run
+    assert outcome.device_time_us == reference.device_time_us
 
 
 def _spec_mix(num_tenants: int, backend: str):
@@ -129,14 +131,14 @@ def test_staggered_requests_dedup_with_identical_results():
     with AngelService(num_workers=2) as service:
         first = service.submit("alice", spec).result(timeout=120)
         second = service.submit("bob", spec).result(timeout=120)
-        store_stats = service.store.stats()
+        stats = service.store.stats()
     _assert_bit_identical(first, _reference(spec))
     _assert_bit_identical(second, _reference(spec))
     # The second request arrived after the first published: its probe
     # distributions (and the final) replay from the shared store.
     assert second.dedup_hits > 0
-    assert first.dedup_hits + second.dedup_hits == store_stats["hits"]
-    assert store_stats["publishes"] > 0
+    assert first.dedup_hits + second.dedup_hits == stats["hits"]
+    assert stats["publishes"] > 0
 
 
 def test_dedup_disabled_still_identical():
@@ -365,17 +367,32 @@ def test_retry_after_hint_clamped_to_positive_floor():
 
 
 def test_admission_error_carries_retry_hint():
-    with AngelService(
-        num_workers=1,
-        tenants=(TenantConfig("limited", rate=0.001, burst=1),),
-    ) as service:
-        service.submit("limited", _SPECS["ghz"]).result(timeout=120)
-        with pytest.raises(AdmissionError) as excinfo:
-            service.submit("limited", _SPECS["ghz"])
-        assert excinfo.value.retry_after_s > 0
-        report = service.tenant_report()
+    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import runtime as obs
+
+    tracer = Tracer()
+    registry = MetricsRegistry()
+    previous = obs.install(tracer, registry)
+    try:
+        with AngelService(
+            num_workers=1,
+            tenants=(TenantConfig("limited", rate=0.001, burst=1),),
+        ) as service:
+            service.submit("limited", _SPECS["ghz"]).result(timeout=120)
+            with pytest.raises(AdmissionError) as excinfo:
+                service.submit("limited", _SPECS["ghz"])
+            assert excinfo.value.retry_after_s > 0
+            report = service.tenant_report()
+    finally:
+        obs.uninstall(previous)
     assert report["limited"]["rejected"] == 1
     assert report["limited"]["submitted"] == 2
+    # The bounce is explainable from the trace and the registry alone.
+    (reject,) = [s for s in tracer.spans if s.name == "svc.reject"]
+    assert reject.attributes["tenant"] == "limited"
+    assert reject.attributes["retry_after_s"] > 0
+    counters = registry.snapshot()["counters"]
+    assert counters["service.tenant.limited.rejected"] == 1
 
 
 def test_duplicate_tenant_registration_rejected():
@@ -599,8 +616,12 @@ def test_service_emits_spans_and_tenant_counters():
     previous = obs.install(tracer, registry)
     try:
         with AngelService(num_workers=2) as service:
-            service.submit("alice", _SPECS["ghz"]).result(timeout=120)
-            service.submit("bob", _SPECS["ghz"]).result(timeout=120)
+            outcomes = {
+                tenant: service.submit(tenant, _SPECS["ghz"]).result(
+                    timeout=120
+                )
+                for tenant in ("alice", "bob")
+            }
     finally:
         obs.uninstall(previous)
     names = {span.name for span in tracer.spans}
@@ -612,7 +633,11 @@ def test_service_emits_spans_and_tenant_counters():
         "bob",
     }
     for span in request_spans:
+        outcome = outcomes[span.attributes["tenant"]]
         assert span.attributes["latency_s"] >= 0.0
+        assert span.attributes["queue_wait_s"] >= 0.0
+        assert span.attributes["service_time_s"] >= 0.0
+        assert span.attributes["device_time_us"] == outcome.device_time_us
         assert span.attributes["probes"] > 0
     counters = registry.snapshot()["counters"]
     assert counters["service.tenant.alice.completed"] == 1
@@ -875,3 +900,55 @@ def test_close_timeout_bounds_the_call_and_threads_still_stop():
         assert error is None or isinstance(error, ServiceError)
     assert any(handle.exception(timeout=0) is not None for handle in handles)
     assert _leftover_threads(before) == []
+
+
+# ---------------------------------------------------------------------------
+# Submission from several client threads
+# ---------------------------------------------------------------------------
+def test_client_threads_and_a_burst_match_standalone():
+    # Four closed-loop clients (each awaits one result before its next
+    # submit) race a burst from the main thread, with thread switches
+    # forced as often as the interpreter allows. Every caller must get
+    # the standalone outcome, and no thread may outlive the run.
+    local = [_SPECS["ghz"], _SPECS["bv"]]
+    remote = [replace(spec, backend="remote") for spec in local]
+    before = set(threading.enumerate())
+    results = []
+    lock = threading.Lock()
+
+    def client(index, service):
+        for spec in (local[index % 2], remote[(index + 1) % 2]):
+            try:
+                slot = service.submit(f"client-{index}", spec).result(
+                    timeout=300
+                )
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                slot = exc
+            with lock:
+                results.append((spec, slot))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with AngelService(num_workers=2) as service:
+            clients = [
+                threading.Thread(target=client, args=(index, service))
+                for index in range(4)
+            ]
+            for thread in clients:
+                thread.start()
+            burst = [
+                (spec, service.submit("burst", spec)) for spec in local + remote
+            ]
+            for thread in clients:
+                thread.join(timeout=300)
+            for spec, handle in burst:
+                results.append((spec, handle.result(timeout=300)))
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in clients)
+    assert _leftover_threads(before) == []
+    assert len(results) == 4 * 2 + len(burst)
+    for spec, slot in results:
+        assert not isinstance(slot, BaseException), slot
+        _assert_bit_identical(slot, _reference(spec))

@@ -132,5 +132,40 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "total: 2 requests (0 failed)" in out
-        assert "dedup store [shared]:" in out
+        assert "dedup store: " in out
         assert "publishes" in out and "evictions" in out
+
+    def test_serve_without_dedup_prints_no_store_line(self, capsys):
+        code = main(
+            [
+                "serve",
+                "--tenants", "1",
+                "--requests", "1",
+                "--programs", "GHZ_n4",
+                "--shots", "64",
+                "--probe-shots", "16",
+                "--no-dedup",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "total: 1 requests (0 failed)" in out
+        assert "dedup store" not in out
+
+    @pytest.mark.parametrize(
+        "flag", ["--window-jobs", "--shots", "--probe-shots"]
+    )
+    def test_serve_rejects_non_positive_numeric_flag(self, flag, capsys):
+        code = main(
+            [
+                "serve",
+                "--tenants", "1",
+                "--requests", "1",
+                "--programs", "GHZ_n4",
+                flag, "0",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

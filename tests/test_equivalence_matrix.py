@@ -177,97 +177,6 @@ def test_opt_level_zero_counts_bit_identical():
         assert got == want
 
 
-def _load_equivalence_imports():
-    from repro.loadgen import (
-        ArrivalSpec,
-        LoadGenerator,
-        TenantLoad,
-        WorkloadSpec,
-    )
-    from repro.service import RequestSpec, run_standalone
-
-    return (
-        ArrivalSpec,
-        LoadGenerator,
-        TenantLoad,
-        WorkloadSpec,
-        RequestSpec,
-        run_standalone,
-    )
-
-
-#: Memoized standalone references shared across load-axis combinations
-#: (the same spec appears under several tenant shapes).
-_LOAD_REFERENCES = {}
-
-
-_LOAD_MATRIX = [
-    pytest.param(
-        num_tenants,
-        backend_kind,
-        id=f"tenants_{num_tenants}-{backend_kind}",
-    )
-    for num_tenants in (1, 4)
-    for backend_kind in ("local", "remote")
-]
-
-
-@pytest.mark.parametrize("num_tenants,backend_kind", _LOAD_MATRIX)
-def test_load_driven_outcomes_bit_identical(num_tenants, backend_kind):
-    """The load-driven axis of the service equivalence contract:
-    {1, 4 tenants} x {local, zero-fault remote}. Every
-    ``CompileOutcome`` a :class:`LoadGenerator` run produces must be
-    bit-identical to ``run_standalone`` on the same spec."""
-    (
-        ArrivalSpec,
-        LoadGenerator,
-        TenantLoad,
-        WorkloadSpec,
-        RequestSpec,
-        run_standalone,
-    ) = _load_equivalence_imports()
-
-    workload = WorkloadSpec(
-        name=f"equiv-{num_tenants}t-{backend_kind}",
-        seed=21,
-        base=RequestSpec(
-            program="GHZ_n4",
-            shots=32,
-            probe_shots=8,
-            drift_hours=0.5,
-            backend=backend_kind,
-            fault_profile="none",
-        ),
-        workers=2,
-        tenants=tuple(
-            TenantLoad(
-                name=f"tenant-{index}",
-                arrival=ArrivalSpec(
-                    kind="burst", bursts=1, burst_size=2, spacing_s=0.0
-                ),
-                programs=(
-                    ("GHZ_n4",) if index % 2 == 0 else ("QAOA_n5",)
-                ),
-            )
-            for index in range(num_tenants)
-        ),
-    )
-    report = LoadGenerator(workload).run()
-    assert report.failed == 0
-    assert report.rejected == 0
-    assert len(report.completed) == workload.total_requests
-
-    for outcome in report.completed:
-        spec = outcome.spec
-        if spec not in _LOAD_REFERENCES:
-            _LOAD_REFERENCES[spec] = run_standalone(spec)
-        reference = _LOAD_REFERENCES[spec]
-        assert outcome.result.sequence == reference.result.sequence
-        assert outcome.result.trace == reference.result.trace
-        assert outcome.final_counts == reference.final_counts
-        assert outcome.device_time_us == reference.device_time_us
-
-
 def test_opt_level_two_tv_bounded_and_fidelity_holds():
     """Level 2 may reshape the executable (native cleanup shortens
     probes and finals) but must stay close in distribution and not

@@ -83,23 +83,21 @@ class TestRegistry:
         )
         assert all(name in captured.err for name in runner.EXPERIMENTS)
 
-    def test_runner_tenants_mode_rejects_leftover_arguments(
+    def test_runner_treats_stray_flags_as_unknown_ids(
         self, monkeypatch, capsys
     ):
         from repro.experiments import runner
 
         def refuse(*args, **kwargs):
-            raise AssertionError("service built for an invalid command")
+            raise AssertionError("context built for an invalid command")
 
-        monkeypatch.setattr(runner, "_replay_tenants", refuse)
-        assert runner.main(["--tenants", "1", "fig99", "--bogus"]) == 2
+        monkeypatch.setattr(runner.ExperimentContext, "create", refuse)
+        assert runner.main(["--tenants", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "unexpected argument 'fig99' with --tenants; known: "
-            "--backend, --fault-profile, --fault-seed",
-            "unexpected argument '--bogus' with --tenants; known: "
-            "--backend, --fault-profile, --fault-seed",
+        assert [line.split(";")[0] for line in captured.err.splitlines()] == [
+            "unknown experiment '--tenants'",
+            "unknown experiment '2'",
         ]
 
 
