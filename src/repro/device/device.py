@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
     Dict,
+    Hashable,
     List,
     Mapping,
     Optional,
@@ -34,9 +37,10 @@ import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.dag import circuit_moments
-from ..circuit.gates import Gate
+from ..circuit.gates import BARRIER, MEASURE, Gate, gate_matrix
 from ..exceptions import DeviceError
 from ..sim.channel_cache import ChannelCache
+from ..sim.circuit_compiler import Executable, circuit_digest, fusion_plan
 from ..sim.channels import (
     KrausChannel,
     Superoperator,
@@ -75,6 +79,14 @@ _SHOT_OVERHEAD_US = 10.0
 _JOB_OVERHEAD_US = 50_000.0
 
 _NS_PER_US = 1000.0
+
+#: Executables a device and its clones keep, least recently used evicted
+#: first. Sized for ``paper_eval``'s working set: about 230 distinct
+#: circuits over 64 evaluations of one context.
+_EXECUTABLE_MEMO_SIZE = 256
+#: Distinct instructions and channel keys the memo shares between its
+#: executables before it starts a fresh pool.
+_SHARED_TUPLES = 16384
 
 
 @dataclass(frozen=True)
@@ -136,15 +148,17 @@ class RigettiAspenDevice:
         channel_cache: Memoize noise-channel construction and fuse each
             gate's ideal unitary plus its whole noise tail into one
             cached superoperator (applied as a single contraction). The
-            cache is keyed on the current noise-parameter values and
-            cleared whenever :meth:`advance_time` drifts them (tracked
-            by :attr:`drift_epoch`), so it is exact. On by default;
-            disable to run the reference per-Kraus-operator path.
-            With the channel cache the device also builds its
-            :class:`~repro.sim.sim_cache.SimulationCache` (lowering plus
-            layer fusion, and the optional cross-request dedup store);
-            setting :attr:`sim_cache` to ``None`` on a built device runs
-            fused per-gate operators without layer fusion.
+            cache holds the channels of the current noise-parameter
+            values only: it is cleared whenever :meth:`advance_time`
+            drifts them (tracked by :attr:`drift_epoch`) or an edit
+            replaces them, so it is exact. On by default; disable to
+            run the reference per-Kraus-operator path. With the channel
+            cache the device also builds its
+            :class:`~repro.sim.sim_cache.SimulationCache` (layer fusion
+            along each executable's plan, and the optional cross-request
+            dedup store); setting :attr:`sim_cache` to ``None`` on a
+            built device runs fused per-gate operators without layer
+            fusion.
     """
 
     def __init__(
@@ -185,12 +199,16 @@ class RigettiAspenDevice:
         #: Counts how many times drift has moved the noise parameters;
         #: the channel cache is valid only within one epoch.
         self.drift_epoch = 0
-        self.channel_cache: Optional[ChannelCache] = (
-            ChannelCache() if channel_cache else None
-        )
+        self.channel_cache: Optional[ChannelCache] = None
+        if channel_cache:
+            self.channel_cache = ChannelCache()
+            self.channel_cache.values = self.drift.current
         self.sim_cache: Optional[SimulationCache] = (
             SimulationCache() if channel_cache else None
         )
+        #: Each prepared circuit's :class:`Executable`, by content
+        #: (structure only, so clones share it).
+        self.executables = ExecutableMemo()
         self._drift_rng = np.random.default_rng(seed)
         self._sample_rng = np.random.default_rng(seed + 1)
         self._static_digest = self._static_part()
@@ -224,7 +242,9 @@ class RigettiAspenDevice:
         store attached, an empty execution log and no shared executor,
         so it runs every job exactly as this device would. Topology,
         native gate set, noise layout and the static fingerprint digest
-        are immutable and shared.
+        are immutable and shared, and so is the memo of prepared
+        executables (:attr:`executables`), which depend on that
+        structure alone.
         """
         twin = copy.copy(self)
         twin.drift = self.drift.clone()
@@ -233,6 +253,7 @@ class RigettiAspenDevice:
         if self.channel_cache is not None:
             twin.channel_cache = ChannelCache()
             twin.channel_cache.epoch = self.drift_epoch
+            twin.channel_cache.values = twin.drift.current
         if self.sim_cache is not None:
             twin.sim_cache = SimulationCache()
         twin._drift_rng = copy.deepcopy(self._drift_rng)
@@ -297,7 +318,9 @@ class RigettiAspenDevice:
         self.drift.advance(dt_us, self._drift_rng)
         self.drift_epoch += 1
         if self.channel_cache is not None:
-            self.channel_cache.invalidate(self.drift_epoch)
+            self.channel_cache.invalidate(
+                self.drift_epoch, self.drift.current
+            )
 
     # ------------------------------------------------------------------
     # Parameter-state export (the cross-request dedup key)
@@ -383,8 +406,31 @@ class RigettiAspenDevice:
         return DEFAULT_PULSE_DURATIONS_NS.get(gate.name, 0.0)
 
     # ------------------------------------------------------------------
-    # Execution
+    # Execution: prepare once per circuit, bind per job
     # ------------------------------------------------------------------
+    def prepare(self, circuit: QuantumCircuit) -> Executable:
+        """The circuit's :class:`Executable` on this device.
+
+        Validation, compaction onto the touched qubits, the duration
+        schedule (and the idle markers, with idle noise), the channel
+        keys and the fusion plan depend only on the circuit's content
+        and on this device's structure, which is immutable. So the
+        executable is memoized by the circuit's content digest in
+        :attr:`executables`, shared with every clone; the circuit's name
+        is not part of it.
+
+        Raises:
+            DeviceError: On every call for a circuit this device cannot
+                run (such circuits are never stored).
+        """
+        digest = circuit_digest(circuit)
+        executable = self.executables.get(digest)
+        if executable is None:
+            executable = self.executables.put(
+                digest, self._build_executable(circuit, digest)
+            )
+        return executable
+
     def run(
         self,
         circuit: QuantumCircuit,
@@ -409,23 +455,16 @@ class RigettiAspenDevice:
         """
         if shots < 1:
             raise DeviceError("shots must be positive")
-        self._validate(circuit)
-        used = self._used_qubits(circuit)
-        compact, local_of = self._compact_circuit(circuit, used)
-        if self.idle_noise:
-            compact = self._with_idle_markers(compact)
-
+        executable = self.prepare(circuit)
         rng = (
             np.random.default_rng(seed)
             if seed is not None
             else self._sample_rng
         )
         counts = sample_distribution(
-            self._exact_distribution(compact, used), shots, rng
+            self._exact_distribution(executable), shots, rng
         )
-        self.log_execution(
-            circuit, shots, seed=seed, job_id=job_id, tag=tag, qubits=used
-        )
+        self._log(executable, circuit.name, shots, seed, job_id, tag)
         return counts
 
     def log_execution(
@@ -438,16 +477,31 @@ class RigettiAspenDevice:
         qubits: Optional[List[int]] = None,
     ) -> ExecutionRecord:
         """Account one executed job: audit record plus clock advance."""
+        return self._log(
+            self.prepare(circuit), circuit.name, shots, seed, job_id, tag,
+            qubits,
+        )
+
+    def _log(
+        self,
+        executable: Executable,
+        name: str,
+        shots: int,
+        seed: Optional[int],
+        job_id: str,
+        tag: str,
+        qubits: Optional[List[int]] = None,
+    ) -> ExecutionRecord:
         duration = (
             _JOB_OVERHEAD_US
-            + shots * (self.circuit_duration_us(circuit) + _SHOT_OVERHEAD_US)
+            + shots * (executable.duration_us + _SHOT_OVERHEAD_US)
         )
         record = ExecutionRecord(
-            circuit_name=circuit.name,
+            circuit_name=name,
             shots=shots,
             started_at_us=self.clock_us,
             duration_us=duration,
-            qubits=tuple(qubits if qubits is not None else self._used_qubits(circuit)),
+            qubits=tuple(qubits) if qubits is not None else executable.qubits,
             seed=seed,
             job_id=job_id,
             tag=tag,
@@ -494,60 +548,156 @@ class RigettiAspenDevice:
             used.update(gate.qubits)
         return sorted(used)
 
-    @staticmethod
-    def _compact_circuit(
-        circuit: QuantumCircuit, used: List[int]
-    ) -> Tuple[QuantumCircuit, Dict[int, int]]:
-        """Relabel physical qubits onto a dense 0..k-1 register."""
+    def _build_executable(
+        self, circuit: QuantumCircuit, digest: bytes
+    ) -> Executable:
+        """Validate, compact, schedule and fusion-plan *circuit*.
+
+        Instructions land in ASAP moments as
+        :func:`~repro.circuit.dag.circuit_moments` assigns them
+        (barriers align every wire); each moment lasts as long as its
+        slowest instruction, and the moments add up to one shot's
+        duration exactly as :meth:`circuit_duration_us` sums them. With
+        idle noise, the instructions are re-emitted moment by moment
+        with an ``idle(duration)`` marker on every compact qubit the
+        moment leaves untouched, whose channel applies T1/T2 decay.
+        """
+        self._validate(circuit)
+        used = self._used_qubits(circuit)
         local_of = {phys: local for local, phys in enumerate(used)}
-        compact = QuantumCircuit(len(used), name=circuit.name)
+        frontier = [0] * len(used)
+        instructions = []
+        moments: Dict[int, list] = {}
+        moment_ns: Dict[int, float] = {}
         for gate in circuit:
             if gate.is_barrier:
-                compact.barrier()
-            else:
-                compact.append(
-                    Gate(
-                        gate.name,
-                        tuple(local_of[q] for q in gate.qubits),
-                        gate.params,
-                    )
-                )
-        return compact, local_of
-
-    def _with_idle_markers(self, compact: QuantumCircuit) -> QuantumCircuit:
-        """Insert explicit ``idle`` gates per moment on untouched wires.
-
-        Each moment lasts as long as its slowest instruction; every
-        compact-register qubit not acted on in that moment receives an
-        ``idle(duration)`` marker whose noise hook applies T1/T2 decay.
-        """
-        marked = QuantumCircuit(compact.num_qubits, name=compact.name)
-        for moment in circuit_moments(compact):
-            duration = max(
-                (self._gate_duration_ns(g) for g in moment.gates),
-                default=0.0,
-            )
-            busy = set(moment.qubits())
-            for _, gate in moment.items:
-                marked.append(gate)
-            if duration <= 0:
+                instructions.append((BARRIER, (), ()))
+                frontier = [max(frontier)] * len(used)
                 continue
-            for qubit in range(compact.num_qubits):
-                if qubit not in busy:
-                    marked.append(Gate("idle", (qubit,), (duration,)))
-        return marked
+            local = tuple(local_of[q] for q in gate.qubits)
+            instruction = (gate.name, local, gate.params)
+            instructions.append(instruction)
+            level = max(frontier[q] for q in local)
+            for qubit in local:
+                frontier[qubit] = level + 1
+            duration = self._gate_duration_ns(gate)
+            moments.setdefault(level, []).append(instruction)
+            moment_ns[level] = max(moment_ns.get(level, duration), duration)
+        total_ns = 0.0
+        for level in sorted(moment_ns):
+            total_ns += moment_ns[level]
+        if self.idle_noise:
+            instructions = []
+            for level in sorted(moments):
+                items = moments[level]
+                instructions.extend(items)
+                duration = moment_ns[level]
+                if duration <= 0:
+                    continue
+                busy = {q for _, qubits, _ in items for q in qubits}
+                instructions.extend(
+                    ("idle", (qubit,), (duration,))
+                    for qubit in range(len(used))
+                    if qubit not in busy
+                )
+        keys: Dict[Hashable, int] = {}
+        stream = []
+        phys_of = dict(enumerate(used))
+        for name, local, params in instructions:
+            if name == MEASURE or name == BARRIER:
+                continue  # measures and barriers do not evolve the state
+            key = self._channel_key(
+                name, params, tuple(used[q] for q in local)
+            )
+            if key is None:
+                continue
+            stream.append((keys.setdefault(key, len(keys)), local))
+            if len(local) == 2 and self.crosstalk_zz:
+                crosstalk = keys.setdefault(("xtalk-superop",), len(keys))
+                stream.extend(
+                    (crosstalk, pair)
+                    for pair in self._crosstalk_pairs(local, phys_of)
+                )
+        return Executable(
+            digest=digest,
+            qubits=tuple(used),
+            instructions=tuple(instructions),
+            measured=tuple(
+                dict.fromkeys(
+                    local[0]
+                    for name, local, _ in instructions
+                    if name == MEASURE
+                )
+            ),
+            duration_us=total_ns / _NS_PER_US,
+            channel_keys=tuple(keys),
+            blocks=fusion_plan(stream),
+        )
 
     def _cached(self, key, factory):
-        """Memoize a channel construction if the cache is enabled.
+        """Memoize a reference-path channel if the cache is enabled.
 
-        Keys embed the drifting parameter *values* they were built from,
-        so a hit is bit-identical to a fresh construction by design; the
-        epoch invalidation in :meth:`advance_time` merely keeps the
-        table from accumulating dead pre-drift entries.
+        These keys embed the drifting parameter *values* they were built
+        from, so a hit is bit-identical to a fresh construction by
+        design; the invalidation merely keeps the table from
+        accumulating dead entries.
         """
         if self.channel_cache is None:
             return factory()
         return self.channel_cache.get(key, factory)
+
+    @staticmethod
+    def _channel_key(
+        name: str, params: Tuple[float, ...], phys: Tuple[int, ...]
+    ) -> Optional[Hashable]:
+        """The channel-cache key of one unitary instruction on physical
+        qubits *phys*; ``None`` for an idle marker of no duration."""
+        if name == "idle":
+            return ("fused-idle", phys[0], params) if params[0] > 0 else None
+        if len(phys) == 1:
+            return ("fused-1q", name, params, phys[0])
+        return ("fused-2q", name, params, phys)
+
+    def _channel(self, key: Hashable) -> Superoperator:
+        """The fused per-gate channel behind an executable's channel key,
+        at current values, through the channel cache."""
+        cache = self.channel_cache
+        if cache is None:
+            return self._build_channel(key)
+        return cache.get(key, lambda: self._build_channel(key))
+
+    def _build_channel(self, key: Hashable) -> Superoperator:
+        """Build one fused per-gate channel: the gate's ideal unitary and
+        its whole noise tail as one superoperator.
+
+        Keys are ``("fused-1q", name, params, phys)``, ``("fused-2q",
+        name, params, phys_pair)``, ``("fused-idle", phys, params)`` and
+        ``("xtalk-superop",)``. They carry no parameter values, which is
+        why the channel cache must only ever hold one state's channels.
+        """
+        kind = key[0]
+        values = self.drift.current
+        if kind == "fused-1q":
+            _, name, params, phys = key
+            superop = Superoperator.from_unitary(
+                gate_matrix(name, *params), name
+            )
+            if name == "rz":
+                return superop  # virtual frame update: noiseless
+            return superop.then(self.noise_layout._rx_noise(phys, values))
+        if kind == "fused-2q":
+            _, name, params, phys_pair = key
+            return Superoperator.from_unitary(
+                gate_matrix(name, *params), name
+            ).then(self.noise_layout._pulse_noise(name, phys_pair, values))
+        if kind == "fused-idle":
+            _, phys, params = key
+            return self._fused_idle(phys, params[0] / _NS_PER_US)
+        if kind == "xtalk-superop":
+            return Superoperator.from_unitary(
+                self._crosstalk_unitary(), "crosstalk_zz"
+            )
+        raise DeviceError(f"unknown channel key {key!r}")
 
     def _noise_callback_factory(self, used: List[int]):
         """Noise hook for the density-matrix simulator, in local indices."""
@@ -567,53 +717,32 @@ class RigettiAspenDevice:
         return callback
 
     def _operation_compiler_factory(self, used: List[int]):
-        """Fused fast path: one cached superoperator per gate instance.
-
-        Each instruction's ideal unitary and full noise tail (coherent
-        error, depolarizing, both qubits' relaxation) collapse into a
-        single superoperator, memoized per (gate, physical placement)
-        until drift invalidates it. Returns ``None`` when the cache is
-        disabled, falling back to the per-Kraus reference path.
+        """Fused fast path of the reference simulator: one cached
+        superoperator per gate instance, from the same channel keys and
+        builds an executable uses (each instruction's ideal unitary and
+        its full noise tail as one map). Returns ``None`` when the cache
+        is disabled, falling back to the per-Kraus reference path.
         """
         if self.channel_cache is None:
             return None
-        cache = self.channel_cache
         phys_of = dict(enumerate(used))
 
         def compiler(gate: Gate):
-            if gate.name == "idle":
-                phys = phys_of[gate.qubits[0]]
-                duration_us = gate.params[0] / _NS_PER_US
-                if duration_us <= 0:
-                    return ()
-                superop = cache.get(
-                    ("fused-idle", phys, gate.params),
-                    lambda: self._fused_idle(phys, duration_us),
+            if gate.num_qubits > 2:
+                return None  # unknown arity: reference path decides
+            key = self._channel_key(
+                gate.name, gate.params, tuple(phys_of[q] for q in gate.qubits)
+            )
+            if key is None:
+                return ()
+            operations = [(self._channel(key), gate.qubits)]
+            if gate.num_qubits == 2 and self.crosstalk_zz:
+                crosstalk = self._channel(("xtalk-superop",))
+                operations.extend(
+                    (crosstalk, pair)
+                    for pair in self._crosstalk_pairs(gate.qubits, phys_of)
                 )
-                return ((superop, gate.qubits),)
-            if gate.num_qubits == 1:
-                phys = phys_of[gate.qubits[0]]
-                superop = cache.get(
-                    ("fused-1q", gate.name, gate.params, phys),
-                    lambda: self._fused_single(gate, phys),
-                )
-                return ((superop, gate.qubits),)
-            if gate.num_qubits == 2:
-                phys_pair = (
-                    phys_of[gate.qubits[0]],
-                    phys_of[gate.qubits[1]],
-                )
-                superop = cache.get(
-                    ("fused-2q", gate.name, gate.params, phys_pair),
-                    lambda: self._fused_two(gate, phys_pair),
-                )
-                operations = [(superop, gate.qubits)]
-                if self.crosstalk_zz:
-                    operations.extend(
-                        self._crosstalk_superops(gate, phys_of)
-                    )
-                return tuple(operations)
-            return None  # unknown arity: reference path decides
+            return tuple(operations)
 
         return compiler
 
@@ -628,23 +757,6 @@ class RigettiAspenDevice:
     def _fused_idle(self, phys: int, duration_us: float) -> Superoperator:
         return self.noise_layout._fused_idle(
             phys, duration_us, self.drift.current
-        )
-
-    def _fused_single(self, gate: Gate, phys: int) -> Superoperator:
-        superop = Superoperator.from_unitary(gate.matrix(), gate.name)
-        if gate.name == "rz":
-            return superop  # virtual frame update: noiseless
-        return superop.then(
-            self.noise_layout._rx_noise(phys, self.drift.current)
-        )
-
-    def _fused_two(
-        self, gate: Gate, phys_pair: Tuple[int, int]
-    ) -> Superoperator:
-        return Superoperator.from_unitary(gate.matrix(), gate.name).then(
-            self.noise_layout._pulse_noise(
-                gate.name, phys_pair, self.drift.current
-            )
         )
 
     def _idle_noise(
@@ -749,13 +861,14 @@ class RigettiAspenDevice:
         ).astype(complex)
 
     def _crosstalk_pairs(
-        self, gate: Gate, phys_of: Dict[int, int]
+        self, pulsed: Tuple[int, ...], phys_of: Dict[int, int]
     ) -> List[Tuple[int, int]]:
-        """(pulsed, spectator) local-index pairs coupled during a pulse."""
+        """(pulsed, spectator) local-index pairs coupled during a pulse
+        on the *pulsed* local qubits."""
         local_of = {phys: local for local, phys in phys_of.items()}
         pairs: List[Tuple[int, int]] = []
-        pulsed_local = set(gate.qubits)
-        for local_qubit in gate.qubits:
+        pulsed_local = set(pulsed)
+        for local_qubit in pulsed:
             phys = phys_of[local_qubit]
             for neighbour_phys in self.topology.neighbors(phys):
                 spectator = local_of.get(neighbour_phys)
@@ -779,20 +892,8 @@ class RigettiAspenDevice:
             lambda: unitary_channel(self._crosstalk_unitary(), "crosstalk_zz"),
         )
         return [
-            (channel, pair) for pair in self._crosstalk_pairs(gate, phys_of)
-        ]
-
-    def _crosstalk_superops(
-        self, gate: Gate, phys_of: Dict[int, int]
-    ) -> List[Tuple[Superoperator, Tuple[int, ...]]]:
-        superop = self._cached(
-            ("xtalk-superop",),
-            lambda: Superoperator.from_unitary(
-                self._crosstalk_unitary(), "crosstalk_zz"
-            ),
-        )
-        return [
-            (superop, pair) for pair in self._crosstalk_pairs(gate, phys_of)
+            (channel, pair)
+            for pair in self._crosstalk_pairs(gate.qubits, phys_of)
         ]
 
     def noisy_distribution(self, circuit: QuantumCircuit) -> Dict[str, float]:
@@ -803,33 +904,35 @@ class RigettiAspenDevice:
         view used by characterization studies to separate physics from
         shot noise. Real users of the device cannot call this.
         """
-        self._validate(circuit)
-        used = self._used_qubits(circuit)
-        compact, _ = self._compact_circuit(circuit, used)
-        if self.idle_noise:
-            compact = self._with_idle_markers(compact)
-        return self._exact_distribution(compact, used)
+        return self._exact_distribution(self.prepare(circuit))
 
-    def _exact_distribution(
-        self, compact: QuantumCircuit, used: List[int]
-    ) -> Dict[str, float]:
-        """Exact noisy distribution of a compacted circuit, at current
+    def _exact_distribution(self, executable: Executable) -> Dict[str, float]:
+        """Exact noisy distribution of an executable, at current
         parameter values.
 
-        With :attr:`sim_cache` the circuit is lowered, fused and
-        evolved there (or served from an attached dedup store, whose
-        key includes the physical placement ``used``); without it the
-        per-gate :class:`DensityMatrixSimulator` is the reference.
+        With :attr:`sim_cache` the executable's channels are built,
+        folded along its plan and evolved there (or the distribution is
+        served from an attached dedup store); without it the per-gate
+        :class:`DensityMatrixSimulator` runs the compact circuit as the
+        reference. Either way the channel cache is first cleared if the
+        parameter values changed since it was filled.
         """
-        readout = [self.qubit_params[phys].readout_error() for phys in used]
+        readout = [
+            self.qubit_params[phys].readout_error()
+            for phys in executable.qubits
+        ]
+        cache = self.channel_cache
+        if cache is not None and cache.values is not self.drift.current:
+            cache.invalidate(self.drift_epoch, self.drift.current)
         if self.sim_cache is not None:
             return self.sim_cache.distribution(
-                compact,
-                readout,
-                operation_compiler=self._operation_compiler_factory(used),
-                noise_callback=self._noise_callback_factory(used),
-                placement=tuple(used),
+                executable, readout, self._channel
             )
+        used = list(executable.qubits)
+        compact = QuantumCircuit(
+            len(used),
+            [Gate(*instruction) for instruction in executable.instructions],
+        )
         simulator = DensityMatrixSimulator(
             self._noise_callback_factory(used),
             operation_compiler=self._operation_compiler_factory(used),
@@ -977,3 +1080,73 @@ def _average_fidelity(noise: Superoperator) -> float:
     dim = noise.dim
     entanglement = float(np.trace(noise.matrix).real) / (dim * dim)
     return (dim * entanglement + 1.0) / (dim + 1.0)
+
+
+class ExecutableMemo:
+    """A bounded, thread-safe map from circuit digest to executable.
+
+    A device and its clones share one: an executable depends only on the
+    circuit and on the device's structure, which clones share. The
+    least recently used entry is evicted past ``max_entries``. Equal
+    instructions and channel keys recur across circuits (every
+    nativized CNOT repeats the same RZ/RX dressing), so stored
+    executables share one copy of each. Worker threads stepping clones
+    may both build a missing executable; the builds are equal and the
+    first one stored is the one every caller gets.
+    """
+
+    __slots__ = ("_entries", "_lock", "_shared", "max_entries", "hits",
+                 "misses", "evictions")
+
+    def __init__(self, max_entries: int = _EXECUTABLE_MEMO_SIZE) -> None:
+        self._entries: "OrderedDict[bytes, Executable]" = OrderedDict()
+        self._lock = threading.Lock()
+        self._shared: Dict[tuple, tuple] = {}
+        self.max_entries = int(max_entries)
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, digest: bytes) -> Optional[Executable]:
+        with self._lock:
+            executable = self._entries.get(digest)
+            if executable is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(digest)
+            self.hits += 1
+            return executable
+
+    def put(self, digest: bytes, executable: Executable) -> Executable:
+        """Store *executable* under *digest*; returns the stored one."""
+        with self._lock:
+            stored = self._entries.get(digest)
+            if stored is not None:
+                return stored
+            while len(self._entries) >= self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+            if len(self._shared) >= _SHARED_TUPLES:
+                self._shared = {}
+            share = self._shared.setdefault
+            stored = self._entries[digest] = executable._replace(
+                instructions=tuple(
+                    [share(item, item) for item in executable.instructions]
+                ),
+                channel_keys=tuple(
+                    [share(key, key) for key in executable.channel_keys]
+                ),
+            )
+            return stored
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }

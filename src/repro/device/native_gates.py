@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from ..circuit.gates import Gate
@@ -171,7 +172,35 @@ def cnot_decomposition(native: str, control: int, target: int) -> List[Gate]:
     """Nativize ``CNOT(control, target)`` through the chosen native gate.
 
     Returns the gate list in application order, exact up to global phase.
+    Gates are immutable, so each (native, control, target) builds its
+    gates once per process, and decompositions touching the same qubit
+    share its equal dressing gates; every call returns a new list.
     """
+    return list(_cnot_gates(native, int(control), int(target)))
+
+
+#: Distinct (native, control, target) decompositions kept: every
+#: directed link of an 80-qubit Aspen-M-1 through all three natives.
+_CNOT_DECOMPOSITIONS = 1024
+
+
+@lru_cache(maxsize=_CNOT_DECOMPOSITIONS)
+def _cnot_gates(native: str, control: int, target: int) -> Tuple[Gate, ...]:
+    return tuple(
+        _shared_gate(gate)
+        for gate in _build_cnot_decomposition(native, control, target)
+    )
+
+
+@lru_cache(maxsize=4 * _CNOT_DECOMPOSITIONS)
+def _shared_gate(gate: Gate) -> Gate:
+    """The first instance seen of each distinct gate."""
+    return gate
+
+
+def _build_cnot_decomposition(
+    native: str, control: int, target: int
+) -> List[Gate]:
     if native == "cz":
         return (
             hadamard_native(target)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -231,6 +232,23 @@ def build_device(
     )
 
 
+@lru_cache(maxsize=None)
+def _aspen11_topology() -> Topology:
+    return aspen_topology(
+        rows=1, cols=5, name="aspen-11", dead_qubits=(14, 33)
+    )
+
+
+@lru_cache(maxsize=None)
+def _aspen_m1_topology() -> Topology:
+    return aspen_topology(
+        rows=2,
+        cols=5,
+        name="aspen-m-1",
+        disabled_links=((11, 26), (10, 63), (31, 46)),
+    )
+
+
 def aspen11(
     seed: int = 11,
     profile: NoiseProfile = DEFAULT_PROFILE,
@@ -240,16 +258,12 @@ def aspen11(
     """A 38-qubit Aspen-11-like device (one row of five octagons).
 
     Five octagons give 40 fabricated qubits; two are dead, matching the
-    38 usable qubits the paper reports.
+    38 usable qubits the paper reports. Every Aspen-11 device in the
+    process shares one :class:`Topology` (immutable, with deterministic
+    memos), so a fresh chip day does not recompute its BFS orders.
     """
-    topology = aspen_topology(
-        rows=1,
-        cols=5,
-        name="aspen-11",
-        dead_qubits=(14, 33),
-    )
     return build_device(
-        topology,
+        _aspen11_topology(),
         seed=seed,
         profile=profile,
         idle_noise=idle_noise,
@@ -266,16 +280,11 @@ def aspen_m1(
     """An 80-qubit Aspen-M-1-like device (two rows of five octagons).
 
     The full lattice has 106 links; three are disabled so the active
-    count matches the 103 physical links the paper counts.
+    count matches the 103 physical links the paper counts. Every
+    Aspen-M-1 device in the process shares one :class:`Topology`.
     """
-    topology = aspen_topology(
-        rows=2,
-        cols=5,
-        name="aspen-m-1",
-        disabled_links=((11, 26), (10, 63), (31, 46)),
-    )
     return build_device(
-        topology,
+        _aspen_m1_topology(),
         seed=seed,
         profile=profile,
         idle_noise=idle_noise,

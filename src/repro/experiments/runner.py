@@ -112,6 +112,17 @@ def _pop_option(argv: list, name: str, default: str) -> str:
     return value
 
 
+def _pop_int_option(argv: list, name: str, default: int) -> Optional[int]:
+    """:func:`_pop_option` for an integer flag; ``None`` (after printing
+    an error) when its value is not an integer."""
+    raw = _pop_option(argv, name, str(default))
+    try:
+        return int(raw)
+    except ValueError:
+        print(f"error: {name} must be an integer", file=sys.stderr)
+        return None
+
+
 def main(argv: Optional[list] = None) -> int:
     """CLI: ``python -m repro.experiments.runner [--stats]
     [--backend local|remote] [--fault-profile NAME] <id>...``."""
@@ -124,8 +135,10 @@ def main(argv: Optional[list] = None) -> int:
     trace = trace_raw or None
     backend = _pop_option(argv, "--backend", "local")
     fault_profile = _pop_option(argv, "--fault-profile", "none")
-    fault_seed = int(_pop_option(argv, "--fault-seed", "0"))
-    opt_level = int(_pop_option(argv, "--opt-level", "0"))
+    fault_seed = _pop_int_option(argv, "--fault-seed", 0)
+    opt_level = _pop_int_option(argv, "--opt-level", 0)
+    if fault_seed is None or opt_level is None:
+        return 2
     if not argv or argv[0] in ("-h", "--help"):
         print(
             "usage: python -m repro.experiments.runner [--stats] "

@@ -12,12 +12,7 @@
 """
 
 from .channel_cache import ChannelCache
-from .circuit_compiler import (
-    CircuitCompiler,
-    LoweredCircuit,
-    LoweredOp,
-    circuit_fingerprint,
-)
+from .circuit_compiler import Executable, circuit_digest
 from .sim_cache import SimulationCache
 from .channels import (
     KrausChannel,
@@ -50,10 +45,8 @@ from .statevector import StatevectorSimulator, StateVector, ideal_distribution
 
 __all__ = [
     "ChannelCache",
-    "CircuitCompiler",
-    "LoweredCircuit",
-    "LoweredOp",
-    "circuit_fingerprint",
+    "Executable",
+    "circuit_digest",
     "SimulationCache",
     "KrausChannel",
     "ReadoutError",

@@ -4,10 +4,14 @@ Building a gate's noise tail — coherent-error unitaries, depolarizing
 Kraus sets, thermal-relaxation channels, and the fused per-gate
 superoperators derived from them — is pure in the device's *current*
 noise parameters: the same parameter values always produce the same
-operators. The device therefore memoizes those constructions here and
-clears the cache whenever :meth:`~repro.device.device.RigettiAspenDevice.
-advance_time` moves the parameters (each such move bumps the device's
-``drift_epoch``), so a cached entry can never outlive the parameter
+operators. The device therefore memoizes those constructions here, keyed
+by gate and placement only, and ties the entries to the parameter list
+they were built from (:attr:`ChannelCache.values`, the device's
+``DriftState.current``): :meth:`~repro.device.device.RigettiAspenDevice.
+advance_time` clears the cache (each drift bumps the device's
+``drift_epoch``), and so does the device before building channels
+whenever that list has been replaced since — an edited noise parameter
+replaces it too — so a cached entry can never outlive the parameter
 values it was built from.
 
 The cache is deliberately generic — ``get(key, factory)`` — so it lives
@@ -39,6 +43,9 @@ class ChannelCache:
             capacity (LRU: the least recently used entry goes first).
         invalidations: How many times the cache was cleared by drift.
         epoch: The drift epoch the current entries were built under.
+        values: The parameter-value list the current entries were built
+            from, compared by identity (``None`` until the owner sets
+            it).
     """
 
     def __init__(self, max_entries: int = _DEFAULT_MAX_ENTRIES) -> None:
@@ -49,6 +56,7 @@ class ChannelCache:
         self.evictions = 0
         self.invalidations = 0
         self.epoch = 0
+        self.values: Any = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -76,12 +84,16 @@ class ChannelCache:
         self.hits += 1
         return value
 
-    def invalidate(self, epoch: int) -> None:
-        """Drop every entry: the parameters they encode no longer hold."""
+    def invalidate(self, epoch: int, values: Any = None) -> None:
+        """Drop every entry: the parameters they encode no longer hold.
+
+        The next entries are built from *values* (see :attr:`values`).
+        """
         if self._entries:
             self._entries.clear()
         self.invalidations += 1
         self.epoch = epoch
+        self.values = values
 
     def stats(self) -> Dict[str, int]:
         return {

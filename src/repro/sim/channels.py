@@ -34,6 +34,7 @@ __all__ = [
     "thermal_relaxation_channel",
     "thermal_superoperator",
     "tensor_maps",
+    "embedded_matrix",
     "compose_channels",
     "ReadoutError",
 ]
@@ -144,9 +145,10 @@ class Superoperator:
         """Embed a 1-qubit map into a *num_qubits* register at *position*."""
         if self.num_qubits != 1:
             raise SimulationError("embed expects a single-qubit map")
-        maps = [_IDENTITY_MAP] * num_qubits
-        maps[position] = self
-        return tensor_maps(maps, f"{self.label}@q{position}")
+        return Superoperator(
+            embedded_matrix(self.matrix, position, num_qubits),
+            f"{self.label}@q{position}",
+        )
 
     def depolarized(self, probability: float) -> "Superoperator":
         """This trace-preserving map ``S``, then depolarizing noise *p*.
@@ -175,17 +177,34 @@ def tensor_maps(
     each half big-endian over the qubits: each map's four axes are placed
     at their register positions, and one broadcast product tensors them.
     """
-    count = len(maps)
+    return Superoperator(
+        _tensor_matrices([superop.matrix for superop in maps]), label
+    )
+
+
+def _tensor_matrices(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    count = len(matrices)
     total = 1.0
-    for qubit, superop in enumerate(maps):
+    for qubit, matrix in enumerate(matrices):
         shape = [1] * (4 * count)
         shape[qubit::count] = [2] * 4
-        total = total * superop.matrix.reshape(shape)
+        total = total * matrix.reshape(shape)
     dim = 2**count
-    return Superoperator(total.reshape(dim * dim, dim * dim), label)
+    return total.reshape(dim * dim, dim * dim)
 
 
-_IDENTITY_MAP = Superoperator(np.eye(4, dtype=complex), "identity")
+def embedded_matrix(
+    matrix: np.ndarray, position: int, num_qubits: int
+) -> np.ndarray:
+    """A single-qubit superoperator *matrix* embedded at *position* of a
+    *num_qubits* register: the matrix of
+    ``Superoperator(matrix).embed(position, num_qubits)``, bit for bit."""
+    matrices = [_IDENTITY] * num_qubits
+    matrices[position] = matrix
+    return _tensor_matrices(matrices)
+
+
+_IDENTITY = np.eye(4, dtype=complex)
 
 
 def identity_channel(num_qubits: int = 1) -> KrausChannel:

@@ -1,205 +1,196 @@
-"""Circuit lowering and layer fusion for the distribution pipeline.
+"""Prepared executables and their layer-fusion plan.
 
 The density-matrix simulator pays ``O(4^n)`` per operator contraction no
 matter how small the operator is, so the *number* of contractions — not
-their individual size — is what a probe workload buys with its wall
-time. This module flattens a circuit through the device's
-``operation_compiler`` hook into a stream of fused superoperators and
-then performs **layer fusion**: runs of consecutive operators acting on
-the same qubit set collapse into one superoperator, and single-qubit
-tails (the RZ/RX sandwiches nativization wraps around every entangling
-pulse) are embedded into their neighbouring two-qubit superoperator.
-The contraction count drops before any state work happens.
+their individual size — is what a job buys with its wall time. A device
+therefore prepares each circuit once
+(:meth:`~repro.device.device.RigettiAspenDevice.prepare`) into an
+:class:`Executable`: the validated compact instructions, the job
+duration, the distinct per-gate channels a job must build, and a
+**fusion plan** that collapses the stream of per-gate channels into few
+contractions. Everything in it depends on the circuit and on the
+device's structure only, never on the drift state, so the device
+memoizes it. Per job only numeric work is left: build the channels at
+the current parameter values, :func:`fold` them along the plan, evolve
+the state and apply readout.
 
-Fusion is exact up to floating-point association: the fused
-superoperator is the matrix product of its parts, so distributions
-agree with the unfused per-gate path to ~1e-15 (pinned by
-``tests/test_sim_cache.py``); shot counts agree exactly in practice
-because sampling boundaries are never within that slack.
+The plan is greedy and left to right over the per-gate stream (the
+pending block is applied first):
 
-:func:`circuit_fingerprint` (the dedup-store key) identifies circuits
-by content, excluding their names: probe candidates are
-content-addressed, not label-addressed.
+* identical qubit tuples — compose directly;
+* a single-qubit op after a two-qubit block that contains its qubit —
+  embed the single-qubit map into the block's space, then compose;
+* a two-qubit op after a single-qubit block on one of its qubits —
+  embed the accumulated single-qubit block, then apply the two-qubit op.
+
+Anything else (disjoint or order-swapped supports) starts a new block.
+:func:`fold` evaluates each block with the same matrix products in the
+same association (``later @ earlier``) as composing one superoperator per
+step would, so the fused maps are bit-identical to that composition;
+against the unfused per-gate path a device without a simulation cache
+runs, fusion reassociates floating-point products (~1e-15 relative
+slack, pinned in ``tests/test_sim_cache.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+import hashlib
+import marshal
+from typing import (
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    NamedTuple,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
-from .channels import KrausChannel, Superoperator
+from .channels import embedded_matrix
 
-__all__ = [
-    "LoweredOp",
-    "LoweredCircuit",
-    "CircuitCompiler",
-    "circuit_fingerprint",
-]
+__all__ = ["Executable", "circuit_digest", "fusion_plan", "fold"]
 
+#: One compact instruction: ``(name, local qubits, params)``.
+Instruction = Tuple[str, Tuple[int, ...], Tuple[float, ...]]
+#: One fused contraction: its local qubits and its steps, flattened as
+#: ``(kind, channel index, position, kind, channel index, ...)``.
+Block = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-def circuit_fingerprint(circuit: QuantumCircuit) -> Tuple:
-    """Hashable content identity of a circuit (its name excluded).
-
-    Includes every instruction — measures and barriers too, so the
-    measured-register definition is part of the identity — but not the
-    circuit's label, so renamed probe copies share dedup-store entries.
-    """
-    return (
-        circuit.num_qubits,
-        tuple((g.name, g.qubits, g.params) for g in circuit),
-    )
+# Step kinds. ``M`` is a channel's matrix, ``E`` that matrix embedded at
+# ``position`` of the two-qubit block, ``acc`` the block so far.
+_START = 0  # acc = M
+_START_EMBEDDED = 1  # acc = E
+_THEN = 2  # acc = M @ acc
+_THEN_EMBEDDED = 3  # acc = E @ acc
+_EMBED_THEN = 4  # acc = M @ (acc embedded at position)
 
 
-@dataclass(frozen=True)
-class LoweredOp:
-    """One fused contraction: a superoperator on a fixed qubit tuple.
+class Executable(NamedTuple):
+    """A circuit prepared for one device structure.
+
+    It holds only ints, floats, strings, tuples and one digest — no
+    gates and no arrays — so it is immutable, and a device and its
+    clones share it.
 
     Attributes:
-        superop: The channel to contract against the state.
-        qubits: Local (compact-register) qubits it acts on, in the
-            superoperator's qubit order.
+        digest: 16-byte content digest of the circuit's physical
+            instructions, its name excluded: the device's memo key and
+            the content part of the dedup-store key (it covers placement
+            and instructions).
+        qubits: The physical qubits the circuit touches, sorted; compact
+            qubit ``i`` is ``qubits[i]``.
+        instructions: The compact instructions, barriers included; on a
+            device with idle noise, in moment order with an
+            ``idle(duration)`` marker on every wire a moment leaves idle
+            (and no barriers).
+        measured: The measured compact qubits in first-measurement
+            order: the output register.
+        duration_us: Critical-path duration of one shot.
+        channel_keys: The distinct per-gate channel keys a job builds.
+        blocks: The fusion plan, one entry per fused contraction, in
+            order; crosstalk spectator pairs appear as steps on their
+            ``(pulsed, spectator)`` qubits.
     """
 
-    superop: Superoperator
+    digest: bytes
     qubits: Tuple[int, ...]
+    instructions: Tuple[Instruction, ...]
+    measured: Tuple[int, ...]
+    duration_us: float
+    channel_keys: Tuple[Hashable, ...]
+    blocks: Tuple[Block, ...]
 
 
-@dataclass(frozen=True)
-class LoweredCircuit:
-    """A circuit lowered to fused superoperators.
+def circuit_digest(circuit: QuantumCircuit) -> bytes:
+    """Content digest of a circuit's instructions (its name excluded).
 
-    Attributes:
-        num_qubits: Compact register width.
-        operations: The fused contraction stream, in order.
-        raw_op_count: Contractions the unfused stream would have cost
-            (for fusion-efficiency reporting).
+    Every instruction counts — measures and barriers too, so the output
+    register is part of the identity — but not the label, so renamed
+    probe copies share one executable and one dedup-store entry.
+    Marshal format 2 writes no back-references, so equal content always
+    serializes to equal bytes; the digest is the first 16 bytes of their
+    SHA-256.
     """
+    content = tuple(
+        [(gate.name, gate.qubits, gate.params) for gate in circuit]
+    )
+    return hashlib.sha256(marshal.dumps(content, 2)).digest()[:16]
 
-    num_qubits: int
-    operations: Tuple[LoweredOp, ...]
-    raw_op_count: int
 
+def fusion_plan(
+    stream: Sequence[Tuple[int, Tuple[int, ...]]]
+) -> Tuple[Block, ...]:
+    """Greedy left-to-right layer fusion of ``(channel, qubits)`` ops.
 
-class CircuitCompiler:
-    """Lower circuits into layer-fused operator streams.
-
-    Args:
-        operation_compiler: The per-instruction hook the device already
-            uses for its fused per-gate fast path (see
-            :class:`~repro.sim.density_matrix.DensityMatrixSimulator`).
-            For an instruction it may return a sequence of
-            ``(operator, qubits)`` pairs or ``None`` to fall back.
-        noise_callback: Fallback noise hook for instructions the
-            operation compiler declines; channels it returns are
-            vectorized into superoperators.
+    A single-qubit block of one channel that meets a two-qubit op is
+    recorded as that channel embedded (``_START_EMBEDDED``), so a job
+    embeds each distinct (channel, position) pair once.
     """
-
-    def __init__(
-        self,
-        operation_compiler: Optional[Callable] = None,
-        noise_callback: Optional[Callable] = None,
-    ) -> None:
-        self.operation_compiler = operation_compiler
-        self.noise_callback = noise_callback
-
-    # ------------------------------------------------------------------
-    def lower(self, circuit: QuantumCircuit) -> LoweredCircuit:
-        """Flatten *circuit* into a fused operator stream."""
-        raw = self._raw_stream(circuit)
-        return LoweredCircuit(
-            num_qubits=circuit.num_qubits,
-            operations=tuple(_fused(raw)),
-            raw_op_count=len(raw),
-        )
-
-    # ------------------------------------------------------------------
-    def _raw_stream(self, circuit: QuantumCircuit) -> List[LoweredOp]:
-        """One LoweredOp per (operator, qubits) pair, pre-fusion."""
-        stream: List[LoweredOp] = []
-        for gate in circuit:
-            if not gate.is_unitary:
-                continue  # barriers/measures do not evolve the state
-            compiled = (
-                self.operation_compiler(gate)
-                if self.operation_compiler is not None
-                else None
-            )
-            if compiled is not None:
-                for operator, qubits in compiled:
-                    stream.append(
-                        LoweredOp(_as_superoperator(operator), tuple(qubits))
-                    )
+    blocks: List[list] = []
+    for channel, qubits in stream:
+        if blocks:
+            block = blocks[-1]
+            pending, steps = block
+            if qubits == pending:
+                steps += (_THEN, channel, -1)
                 continue
-            stream.append(
-                LoweredOp(
-                    Superoperator.from_unitary(gate.matrix(), gate.name),
-                    gate.qubits,
-                )
-            )
-            if self.noise_callback is not None:
-                for channel, qubits in self.noise_callback(gate):
-                    stream.append(
-                        LoweredOp(_as_superoperator(channel), tuple(qubits))
-                    )
-        return stream
-
-
-def _fused(stream: List[LoweredOp]) -> List[LoweredOp]:
-    """Greedy left-to-right layer fusion over the raw stream."""
-    fused: List[LoweredOp] = []
-    for op in stream:
-        if fused:
-            merged = _try_fuse(fused[-1], op)
-            if merged is not None:
-                fused[-1] = merged
+            if (
+                len(qubits) == 1
+                and len(pending) == 2
+                and qubits[0] in pending
+            ):
+                steps += (_THEN_EMBEDDED, channel, pending.index(qubits[0]))
                 continue
-        fused.append(op)
-    return fused
+            if (
+                len(pending) == 1
+                and len(qubits) == 2
+                and pending[0] in qubits
+            ):
+                position = qubits.index(pending[0])
+                if len(steps) == 3:
+                    steps[0], steps[2] = _START_EMBEDDED, position
+                    steps += (_THEN, channel, -1)
+                else:
+                    steps += (_EMBED_THEN, channel, position)
+                block[0] = qubits
+                continue
+        blocks.append([qubits, [_START, channel, -1]])
+    return tuple((qubits, tuple(steps)) for qubits, steps in blocks)
 
 
-def _as_superoperator(operator: object) -> Superoperator:
-    """Vectorize whatever the compiler/noise hooks hand back."""
-    if isinstance(operator, Superoperator):
-        return operator
-    if isinstance(operator, KrausChannel):
-        return Superoperator.from_kraus(operator)
-    return Superoperator.from_unitary(np.asarray(operator, dtype=complex))
+def fold(
+    blocks: Sequence[Block], matrices: Sequence[np.ndarray]
+) -> Iterator[Tuple[Tuple[int, ...], np.ndarray]]:
+    """Each block's fused superoperator matrix, with its qubits, in order.
 
-
-def _try_fuse(pending: LoweredOp, nxt: LoweredOp) -> Optional[LoweredOp]:
-    """Fuse *nxt* onto *pending* when their qubit supports allow it.
-
-    Rules (``pending`` is applied first):
-
-    * identical qubit tuples — compose directly;
-    * a single-qubit op adjacent to a two-qubit op whose pair contains
-      its qubit — embed the 1q map into the 2q space, then compose.
-
-    Anything else (disjoint or order-swapped supports) keeps its own
-    contraction: correctness over aggressiveness.
+    ``matrices[i]`` is channel ``i``'s superoperator matrix. Each
+    distinct (channel, position) embedding is computed once per call.
     """
-    if nxt.qubits == pending.qubits:
-        superop = pending.superop.then(nxt.superop)
-        qubits = pending.qubits
-    elif (
-        len(nxt.qubits) == 1
-        and len(pending.qubits) == 2
-        and nxt.qubits[0] in pending.qubits
-    ):
-        position = pending.qubits.index(nxt.qubits[0])
-        superop = pending.superop.then(nxt.superop.embed(position, 2))
-        qubits = pending.qubits
-    elif (
-        len(pending.qubits) == 1
-        and len(nxt.qubits) == 2
-        and pending.qubits[0] in nxt.qubits
-    ):
-        position = nxt.qubits.index(pending.qubits[0])
-        superop = pending.superop.embed(position, 2).then(nxt.superop)
-        qubits = nxt.qubits
-    else:
-        return None
-    return LoweredOp(superop, qubits)
+    embedded: Dict[Tuple[int, int], np.ndarray] = {}
+
+    def embed(channel: int, position: int) -> np.ndarray:
+        matrix = embedded.get((channel, position))
+        if matrix is None:
+            matrix = embedded[(channel, position)] = embedded_matrix(
+                matrices[channel], position, 2
+            )
+        return matrix
+
+    for qubits, steps in blocks:
+        acc = None
+        walk = iter(steps)
+        for kind, channel, position in zip(walk, walk, walk):
+            if kind == _THEN:
+                acc = matrices[channel] @ acc
+            elif kind == _THEN_EMBEDDED:
+                acc = embed(channel, position) @ acc
+            elif kind == _START:
+                acc = matrices[channel]
+            elif kind == _START_EMBEDDED:
+                acc = embed(channel, position)
+            else:
+                acc = matrices[channel] @ embedded_matrix(acc, position, 2)
+        yield qubits, acc

@@ -1,49 +1,50 @@
 """The exact-distribution pipeline and its cross-request memo.
 
 Every device job needs one exact noisy output distribution. A device
-with a channel cache computes it here, in one path:
+with a channel cache computes it here, from the circuit's prepared
+:class:`~repro.sim.circuit_compiler.Executable` (validated, compacted and
+fusion-planned once per circuit by
+:meth:`~repro.device.device.RigettiAspenDevice.prepare`), in one path:
 
-1. **Lower and fuse** — :class:`~repro.sim.circuit_compiler.CircuitCompiler`
-   flattens the circuit through the device's fused per-gate operation
-   compiler and collapses runs of operators into single superoperators,
-   cutting the ``O(4^n)`` contraction count before any state work.
-2. **Evolve** ``|0..0>`` through the fused stream.
-3. **Apply readout** — measured-qubit marginal, readout confusion and
+1. **Build** each distinct per-gate channel at the current parameter
+   values, through the device's channel cache.
+2. **Fold** them along the executable's fusion plan
+   (:func:`~repro.sim.circuit_compiler.fold`), cutting the ``O(4^n)``
+   contraction count before any state work.
+3. **Evolve** ``|0..0>`` through the fused contractions.
+4. **Apply readout** — measured-qubit marginal, readout confusion and
    the ``p > 1e-14`` filter.
 
 Jobs run one after another on one drifting device, and every job
-advances its clock, so nothing one job computes is valid for the next
-job on the same device. The oracle
+advances its clock, so no distribution one job computes is valid for
+the next job on the same device. The oracle
 :meth:`~repro.device.device.RigettiAspenDevice.noisy_distribution` does
 not advance the clock, so the exact sweeps of the paper experiments
 (``fig6``, ``fig12``, ``fig19``, ``ablation_budget``) evaluate many
-circuits at one parameter state. Those circuits share instruction
-prefixes and some repeat, yet the pipeline keeps no per-state memo for
-them either: each is lowered and evolved in full. The only memo is
-cross-request: with a
+circuits at one parameter state; they share the channels the channel
+cache holds for that state, but each distribution is folded and evolved
+in full. The only distribution memo is cross-request: with a
 :class:`~repro.service.dedup.ProbeDistributionStore` attached, each
-distribution is keyed by the device's full parameter fingerprint plus
-placement, circuit fingerprint and readout, and any device at the
-identical physics state is served the stored distribution instead of
-simulating it. ``dist_hits`` counts distributions served from the
-store, ``dist_misses`` distributions simulated.
-
-Layer fusion reassociates floating-point products (~1e-15 relative
-slack against the unfused per-gate path a device without this cache
-runs); the contract against that reference is pinned in
-``tests/test_sim_cache.py`` and ``tests/test_equivalence_matrix.py``.
+distribution is keyed by the device's full parameter fingerprint, the
+executable's content digest (placement and instructions) and the
+readout, and any device at the identical physics state is served the
+stored distribution instead of simulating it. ``dist_hits`` counts
+distributions served from the store, ``dist_misses`` distributions
+simulated.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..circuit.circuit import QuantumCircuit
-from .channels import ReadoutError
-from .circuit_compiler import CircuitCompiler, circuit_fingerprint
+from .channels import ReadoutError, Superoperator
+from .circuit_compiler import Executable, fold
 from .density_matrix import DensityMatrix, _apply_readout_confusion
 
 __all__ = ["SimulationCache"]
+
+#: Builds one per-gate channel from its key, at current values.
+ChannelSource = Callable[[Hashable], Superoperator]
 
 
 class SimulationCache:
@@ -77,29 +78,25 @@ class SimulationCache:
 
     def distribution(
         self,
-        circuit: QuantumCircuit,
+        executable: Executable,
         readout_errors: Optional[Sequence[Optional[ReadoutError]]],
-        operation_compiler: Optional[Callable] = None,
-        noise_callback: Optional[Callable] = None,
-        placement: Tuple = (),
+        channel: ChannelSource,
     ) -> Dict[str, float]:
         """Exact noisy distribution, from the store or simulated.
 
         Mirrors :meth:`DensityMatrixSimulator.distribution` semantics
         exactly — measured-qubit marginal, readout confusion, the
         ``p > 1e-14`` filter, big-endian keys — so the device can sample
-        shots from the result interchangeably.
-
-        ``placement`` is the physical-qubit context (the device passes
-        its compacted ``used`` tuple): two compact circuits with equal
-        local content but different physical qubits see different noise,
-        so placement is part of the store key.
+        shots from the result interchangeably. ``channel`` builds (or
+        fetches) the channel behind each of the executable's
+        ``channel_keys`` at the current parameter values; it is called
+        only when the distribution is simulated.
         """
         key = None
         if self._shared_store is not None:
             key = (
                 self._shared_key(),
-                (placement, circuit_fingerprint(circuit)),
+                executable.digest,
                 self._readout_key(readout_errors),
             )
             shared = self._shared_store.get(key)
@@ -107,13 +104,14 @@ class SimulationCache:
                 self.dist_hits += 1
                 return shared
         self.dist_misses += 1
-        lowered = CircuitCompiler(operation_compiler, noise_callback).lower(
-            circuit
-        )
-        state = DensityMatrix(lowered.num_qubits)
-        for op in lowered.operations:
-            state.apply_superoperator(op.superop, op.qubits)
-        result = self._finish(circuit, state, readout_errors)
+        matrices = [
+            channel(channel_key).matrix
+            for channel_key in executable.channel_keys
+        ]
+        state = DensityMatrix(len(executable.qubits))
+        for qubits, matrix in fold(executable.blocks, matrices):
+            state.apply_superoperator(Superoperator(matrix), qubits)
+        result = self._finish(executable.measured, state, readout_errors)
         if key is not None:
             self._shared_store.put(key, result)
             self.shared_publishes += 1
@@ -121,23 +119,18 @@ class SimulationCache:
 
     def distribution_batch(
         self,
-        circuits: Sequence[QuantumCircuit],
+        executables: Sequence[Executable],
         readout_errors: Optional[Sequence[Optional[ReadoutError]]],
-        operation_compiler: Optional[Callable] = None,
-        noise_callback: Optional[Callable] = None,
-        placement: Tuple = (),
+        channel: ChannelSource,
     ) -> List[Dict[str, float]]:
-        """:meth:`distribution` for several circuits on one placement.
+        """:meth:`distribution` for several executables on one placement.
 
         Kept as a named entry point because ``bench/tracing.py`` wraps
         it as part of the ``sim.distribution`` layer.
         """
         return [
-            self.distribution(
-                circuit, readout_errors, operation_compiler,
-                noise_callback, placement,
-            )
-            for circuit in circuits
+            self.distribution(executable, readout_errors, channel)
+            for executable in executables
         ]
 
     @staticmethod
@@ -151,14 +144,12 @@ class SimulationCache:
 
     @staticmethod
     def _finish(
-        circuit: QuantumCircuit,
+        measured: Tuple[int, ...],
         state: DensityMatrix,
         readout_errors: Optional[Sequence[Optional[ReadoutError]]],
     ) -> Dict[str, float]:
         """Measured-marginal + readout confusion + result-dict build."""
-        measured = circuit.measured_qubits() or tuple(
-            range(circuit.num_qubits)
-        )
+        measured = measured or tuple(range(state.num_qubits))
         probs = state.probabilities(measured)
         if readout_errors is not None:
             probs = _apply_readout_confusion(probs, measured, readout_errors)

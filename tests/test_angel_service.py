@@ -725,6 +725,7 @@ def test_clones_share_no_mutable_state():
         assert stats["dist_hits"] == stats["dist_misses"] == 0
         assert other.device.shared_executor is None
     assert first.device.topology is template.device.topology
+    assert first.device.executables is template.device.executables
 
 
 def test_unknown_device_fails_its_handle_and_stores_nothing():

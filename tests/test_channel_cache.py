@@ -187,3 +187,61 @@ class TestDriftInvalidation:
         device.advance_time(40 * 3600e6)
         counts_after = device.run(circuit, 2048, seed=77)
         assert counts_before != counts_after
+
+
+def _bell_01():
+    from repro.circuit.circuit import QuantumCircuit
+
+    circuit = QuantumCircuit(5, name="bell_01")
+    circuit.rz(np.pi / 2, 0)
+    circuit.rx(np.pi / 2, 0)
+    circuit.cz(0, 1)
+    circuit.measure(0)
+    circuit.measure(1)
+    return circuit
+
+
+def _edit_cz_depolarizing(device):
+    from repro.device.drift import DriftingValue
+
+    device.gate_params[((0, 1), "cz")].depolarizing = DriftingValue.fixed(0.2)
+
+
+class TestParameterEdits:
+    """An edit without a clock advance replaces the parameter values; the
+    channel cache (whose fused keys carry no values) must not serve
+    channels built from the old ones."""
+
+    @pytest.mark.parametrize("pipeline", ["fused", "reference"])
+    def test_edit_without_drift_rebuilds_channels(self, pipeline):
+        device = small_test_device(5, seed=9)
+        fresh = small_test_device(5, seed=9)
+        if pipeline == "reference":
+            device.sim_cache = fresh.sim_cache = None
+        before = device.noisy_distribution(_bell_01())
+        _edit_cz_depolarizing(device)
+        _edit_cz_depolarizing(fresh)
+        after = device.noisy_distribution(_bell_01())
+        assert after == fresh.noisy_distribution(_bell_01())
+        assert before["00"] == pytest.approx(0.4897, abs=1e-4)
+        assert after["00"] == pytest.approx(0.4499, abs=1e-4)
+
+    def test_store_attached_run_after_edit_publishes_fresh_physics(self):
+        from repro.service import ProbeDistributionStore
+
+        store = ProbeDistributionStore()
+        device = small_test_device(5, seed=9)
+        twin = small_test_device(5, seed=9)
+        fresh = small_test_device(5, seed=9)
+        assert store.attach(device) and store.attach(twin)
+        device.noisy_distribution(_bell_01())
+        for edited in (device, twin, fresh):
+            _edit_cz_depolarizing(edited)
+        expected = fresh.noisy_distribution(_bell_01())
+        assert device.run(_bell_01(), 2000, seed=4) == fresh.run(
+            _bell_01(), 2000, seed=4
+        )
+        # The twin sits where the device ran: it is served what the run
+        # published under the post-edit fingerprint.
+        assert twin.noisy_distribution(_bell_01()) == expected
+        assert twin.sim_cache.dist_hits == 1

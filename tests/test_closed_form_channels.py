@@ -58,6 +58,18 @@ def _seeds(base):
     return list(base) + _extra_seeds()
 
 
+def _fused_single(device, gate, phys):
+    """The channel a job builds for *gate* on physical qubit *phys*."""
+    return device._build_channel(("fused-1q", gate.name, gate.params, phys))
+
+
+def _fused_two(device, gate, phys_pair):
+    """The channel a job builds for *gate* on *phys_pair*, in order."""
+    return device._build_channel(
+        ("fused-2q", gate.name, gate.params, tuple(phys_pair))
+    )
+
+
 # ----------------------------------------------------------------------
 # The per-Kraus reference builds
 # ----------------------------------------------------------------------
@@ -184,14 +196,14 @@ class TestAspen11AgainstKraus:
             gate = _PULSE_GATES[gate_name]
             for phys_pair in (link, link[::-1]):
                 assert _max_delta(
-                    aspen._fused_two(gate, phys_pair),
+                    _fused_two(aspen, gate, phys_pair),
                     _reference_two(aspen, gate, phys_pair),
                 ) <= _TOL, (link, gate_name, phys_pair)
 
     def test_every_qubit_single_qubit_gates(self, aspen):
         for qubit in aspen.topology.qubits:
             for gate in _SINGLE_GATES:
-                fused = aspen._fused_single(gate, qubit)
+                fused = _fused_single(aspen, gate, qubit)
                 reference = _reference_single(aspen, gate, qubit)
                 if gate.name == "rz":
                     assert np.array_equal(fused.matrix, reference.matrix)
@@ -280,7 +292,7 @@ def test_edge_parameters_match_kraus(edit, gate_name):
     gate = _PULSE_GATES[gate_name]
     for phys_pair in (link, link[::-1]):
         assert _max_delta(
-            dev._fused_two(gate, phys_pair),
+            _fused_two(dev, gate, phys_pair),
             _reference_two(dev, gate, phys_pair),
         ) <= _TOL
     assert abs(
@@ -290,7 +302,7 @@ def test_edge_parameters_match_kraus(edit, gate_name):
     for qubit in link:
         for gate in _SINGLE_GATES:
             assert _max_delta(
-                dev._fused_single(gate, qubit),
+                _fused_single(dev, gate, qubit),
                 _reference_single(dev, gate, qubit),
             ) <= _TOL
         assert _max_delta(

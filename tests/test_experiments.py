@@ -100,6 +100,30 @@ class TestRegistry:
             "unknown experiment '2'",
         ]
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--opt-level", "x", "fig1c"], "--opt-level"),
+            (["--opt-level=1.5", "fig1c"], "--opt-level"),
+            (["--fault-seed", "x", "fig1c"], "--fault-seed"),
+            (["fig1c", "--fault-seed=", "--stats"], "--fault-seed"),
+        ],
+    )
+    def test_runner_rejects_non_integer_flags_before_building(
+        self, argv, flag, monkeypatch, capsys
+    ):
+        from repro.experiments import runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("context built for an invalid command")
+
+        monkeypatch.setattr(runner.ExperimentContext, "create", refuse)
+        monkeypatch.setitem(runner.EXPERIMENTS, "fig1c", refuse)
+        assert runner.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be an integer\n"
+
 
 class TestMotivation:
     def test_fig1c(self, context):

@@ -42,12 +42,13 @@ class TestIdleMarkers:
             idle_noise=True,
         )
         qc = QuantumCircuit(3).rx(math.pi, 0).rx(math.pi, 1).measure_all()
-        compact, _ = qc.compacted()
-        marked = device._with_idle_markers(compact)
-        idles = [g for g in marked if g.name == "idle"]
-        # Moment 0: qubit 2 idles; measure moment: all busy.
-        assert idles
-        assert all(g.params[0] > 0 for g in idles)
+        instructions = device.prepare(qc).instructions
+        idles = [i for i in instructions if i[0] == "idle"]
+        # Moment 0 (the RX pulses and qubit 2's measurement) is busy on
+        # every wire; qubit 2 then idles through moment 1's 1800 ns
+        # measurement of qubits 0 and 1.
+        assert idles == [("idle", (2,), (1800.0,))]
+        assert all(params[0] > 0 for _, _, params in idles)
 
     def test_idle_gate_is_identity(self):
         gate = Gate("idle", (0,), (120.0,))

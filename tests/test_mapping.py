@@ -97,6 +97,35 @@ class TestNoiseAdaptiveLayout:
         b = noise_adaptive_layout(ghz_n4(), device, calibration)
         assert a.physical == b.physical
 
+    def test_preset_devices_share_one_topology(self):
+        """Every ``aspen11()`` shares one topology (its BFS and path
+        memos fill once per process), and layouts on it match layouts
+        on devices built over a fresh, never-queried topology."""
+        from repro.device import aspen11
+
+        programs = [spec.build() for spec in benchmark_suite()]
+        shared = [aspen11(seed=seed) for seed in (4, 9)]
+        assert shared[0].topology is shared[1].topology
+        for seed, device in zip((4, 9), shared):
+            fresh_topology = aspen_topology(
+                rows=1, cols=5, name="aspen-11", dead_qubits=(14, 33)
+            )
+            assert fresh_topology == device.topology
+            assert fresh_topology is not device.topology
+            layouts = []
+            for candidate in (device, build_device(fresh_topology, seed=seed)):
+                service = CalibrationService(candidate, seed=1)
+                service.full_calibration()
+                layouts.append(
+                    [
+                        noise_adaptive_layout(
+                            program, candidate, service.data
+                        ).physical
+                        for program in programs
+                    ]
+                )
+            assert layouts[0] == layouts[1]
+
     def test_readout_bug_propagates(self, setup, monkeypatch):
         device, calibration = setup
 

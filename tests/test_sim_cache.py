@@ -13,8 +13,7 @@ from repro.exec import BatchExecutor, Job, LocalBackend
 from repro.programs.ghz import ghz
 from repro.programs.qaoa import qaoa_n5
 from repro.service import ProbeDistributionStore
-from repro.sim import CircuitCompiler
-from repro.sim.circuit_compiler import circuit_fingerprint
+from repro.sim import circuit_digest
 
 
 def _native(device, program, gate="cz"):
@@ -56,26 +55,22 @@ def _bell(a, b):
 class TestLayerFusion:
     def test_fusion_reduces_contraction_count(self):
         device = small_test_device(5, seed=9)
-        circuit = _native(device, ghz(5))
-        used = device._used_qubits(circuit)
-        compact, _ = device._compact_circuit(circuit, used)
-        compiler = CircuitCompiler(
-            device._operation_compiler_factory(used),
-            device._noise_callback_factory(used),
-        )
-        lowered = compiler.lower(compact)
-        assert lowered.raw_op_count > len(lowered.operations)
-        # Every fused op still acts on at most two qubits.
-        assert all(len(op.qubits) <= 2 for op in lowered.operations)
+        executable = device.prepare(_native(device, ghz(5)))
+        raw_ops = sum(len(steps) // 3 for _, steps in executable.blocks)
+        assert raw_ops > len(executable.blocks)
+        # Every fused block still acts on at most two qubits.
+        assert all(len(qubits) <= 2 for qubits, _ in executable.blocks)
 
     def test_fingerprint_ignores_name_keeps_content(self):
         device = small_test_device(5, seed=9)
         a = _native(device, ghz(5))
         b = _native(device, ghz(5))
         b.name = "renamed_probe_copy"
-        assert circuit_fingerprint(a) == circuit_fingerprint(b)
+        assert circuit_digest(a) == circuit_digest(b)
+        assert device.prepare(a).digest == device.prepare(b).digest
         c = _native(device, ghz(5), gate="xy")
-        assert circuit_fingerprint(a) != circuit_fingerprint(c)
+        assert circuit_digest(a) != circuit_digest(c)
+        assert device.prepare(a).digest != device.prepare(c).digest
 
 
 class TestBitIdenticalOnVsOff:
