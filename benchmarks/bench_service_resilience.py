@@ -4,8 +4,7 @@ Standalone script (no pytest-benchmark dependency) measuring (a) the
 zero-fault overhead of routing ANGEL's GHZ-5 probe workload through the
 emulated cloud service + resilient RemoteBackend instead of the direct
 LocalBackend, and (b) completion + degradation behaviour under each
-fault profile. Writes ``BENCH_service.json`` next to ``BENCH_exec.json``
-at the repo root.
+fault profile. Writes ``BENCH_service.json`` at the repo root.
 
 Usage::
 

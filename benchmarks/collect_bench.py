@@ -29,7 +29,6 @@ from pathlib import Path
 #: Per-benchmark headline: (dotted path into the report, direction,
 #: short label). Direction ``higher`` means bigger is better.
 HEADLINES = {
-    "exec_probe_throughput": ("speedup", "higher", "cache speedup (x)"),
     "obs_overhead": (
         "enabled_overhead", "lower", "obs overhead (fraction)"
     ),

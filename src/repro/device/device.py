@@ -41,17 +41,7 @@ from ..circuit.gates import BARRIER, MEASURE, Gate, gate_matrix
 from ..exceptions import DeviceError
 from ..sim.channel_cache import ChannelCache
 from ..sim.circuit_compiler import Executable, circuit_digest, fusion_plan
-from ..sim.channels import (
-    KrausChannel,
-    Superoperator,
-    tensor_maps,
-    thermal_relaxation_channel,
-    thermal_superoperator,
-    two_qubit_depolarizing_channel,
-    depolarizing_channel,
-    unitary_channel,
-)
-from ..sim.density_matrix import DensityMatrixSimulator
+from ..sim.channels import Superoperator, tensor_maps, thermal_superoperator
 from ..sim.sampler import Counts, sample_distribution
 from ..sim.sim_cache import SimulationCache
 from .drift import DriftState
@@ -120,6 +110,16 @@ class ExecutionRecord:
 class RigettiAspenDevice:
     """A simulated multi-native-gate superconducting device.
 
+    Every exact distribution takes one path: each gate's ideal unitary
+    and its whole noise tail are built as one superoperator, memoized in
+    :attr:`channel_cache`, then folded along the circuit's prepared
+    executable and evolved by :attr:`sim_cache`
+    (:class:`~repro.sim.sim_cache.SimulationCache`, which also consults
+    an attached cross-request dedup store). The channel cache holds the
+    channels of the current noise-parameter values only: it is cleared
+    whenever :meth:`advance_time` drifts them (tracked by
+    :attr:`drift_epoch`) or an edit replaces them, so it is exact.
+
     Args:
         topology: Active qubits and links.
         qubit_params: Physics per physical qubit (all active qubits
@@ -145,20 +145,6 @@ class RigettiAspenDevice:
             frequency-crowding crosstalk the paper cites as a motivation
             for richer native gate sets (Section II-B). Extension; 0
             disables it (default).
-        channel_cache: Memoize noise-channel construction and fuse each
-            gate's ideal unitary plus its whole noise tail into one
-            cached superoperator (applied as a single contraction). The
-            cache holds the channels of the current noise-parameter
-            values only: it is cleared whenever :meth:`advance_time`
-            drifts them (tracked by :attr:`drift_epoch`) or an edit
-            replaces them, so it is exact. On by default; disable to
-            run the reference per-Kraus-operator path. With the channel
-            cache the device also builds its
-            :class:`~repro.sim.sim_cache.SimulationCache` (layer fusion
-            along each executable's plan, and the optional cross-request
-            dedup store); setting :attr:`sim_cache` to ``None`` on a
-            built device runs fused per-gate operators without layer
-            fusion.
     """
 
     def __init__(
@@ -170,7 +156,6 @@ class RigettiAspenDevice:
         seed: int = 0,
         idle_noise: bool = False,
         crosstalk_zz: float = 0.0,
-        channel_cache: bool = True,
     ) -> None:
         missing = [q for q in topology.qubits if q not in qubit_params]
         if missing:
@@ -199,13 +184,9 @@ class RigettiAspenDevice:
         #: Counts how many times drift has moved the noise parameters;
         #: the channel cache is valid only within one epoch.
         self.drift_epoch = 0
-        self.channel_cache: Optional[ChannelCache] = None
-        if channel_cache:
-            self.channel_cache = ChannelCache()
-            self.channel_cache.values = self.drift.current
-        self.sim_cache: Optional[SimulationCache] = (
-            SimulationCache() if channel_cache else None
-        )
+        self.channel_cache = ChannelCache()
+        self.channel_cache.values = self.drift.current
+        self.sim_cache = SimulationCache()
         #: Each prepared circuit's :class:`Executable`, by content
         #: (structure only, so clones share it).
         self.executables = ExecutableMemo()
@@ -250,12 +231,10 @@ class RigettiAspenDevice:
         twin.drift = self.drift.clone()
         twin._bind_records(self.qubit_params, self.gate_params)
         twin.execution_log = []
-        if self.channel_cache is not None:
-            twin.channel_cache = ChannelCache()
-            twin.channel_cache.epoch = self.drift_epoch
-            twin.channel_cache.values = twin.drift.current
-        if self.sim_cache is not None:
-            twin.sim_cache = SimulationCache()
+        twin.channel_cache = ChannelCache()
+        twin.channel_cache.epoch = self.drift_epoch
+        twin.channel_cache.values = twin.drift.current
+        twin.sim_cache = SimulationCache()
         twin._drift_rng = copy.deepcopy(self._drift_rng)
         twin._sample_rng = copy.deepcopy(self._sample_rng)
         twin.shared_executor = None
@@ -317,10 +296,7 @@ class RigettiAspenDevice:
         self.clock_us += dt_us
         self.drift.advance(dt_us, self._drift_rng)
         self.drift_epoch += 1
-        if self.channel_cache is not None:
-            self.channel_cache.invalidate(
-                self.drift_epoch, self.drift.current
-            )
+        self.channel_cache.invalidate(self.drift_epoch, self.drift.current)
 
     # ------------------------------------------------------------------
     # Parameter-state export (the cross-request dedup key)
@@ -634,18 +610,6 @@ class RigettiAspenDevice:
             blocks=fusion_plan(stream),
         )
 
-    def _cached(self, key, factory):
-        """Memoize a reference-path channel if the cache is enabled.
-
-        These keys embed the drifting parameter *values* they were built
-        from, so a hit is bit-identical to a fresh construction by
-        design; the invalidation merely keeps the table from
-        accumulating dead entries.
-        """
-        if self.channel_cache is None:
-            return factory()
-        return self.channel_cache.get(key, factory)
-
     @staticmethod
     def _channel_key(
         name: str, params: Tuple[float, ...], phys: Tuple[int, ...]
@@ -661,10 +625,7 @@ class RigettiAspenDevice:
     def _channel(self, key: Hashable) -> Superoperator:
         """The fused per-gate channel behind an executable's channel key,
         at current values, through the channel cache."""
-        cache = self.channel_cache
-        if cache is None:
-            return self._build_channel(key)
-        return cache.get(key, lambda: self._build_channel(key))
+        return self.channel_cache.get(key, lambda: self._build_channel(key))
 
     def _build_channel(self, key: Hashable) -> Superoperator:
         """Build one fused per-gate channel: the gate's ideal unitary and
@@ -679,176 +640,26 @@ class RigettiAspenDevice:
         values = self.drift.current
         if kind == "fused-1q":
             _, name, params, phys = key
-            superop = Superoperator.from_unitary(
-                gate_matrix(name, *params), name
-            )
+            superop = Superoperator.from_unitary(gate_matrix(name, *params))
             if name == "rz":
                 return superop  # virtual frame update: noiseless
             return superop.then(self.noise_layout._rx_noise(phys, values))
         if kind == "fused-2q":
             _, name, params, phys_pair = key
-            return Superoperator.from_unitary(
-                gate_matrix(name, *params), name
-            ).then(self.noise_layout._pulse_noise(name, phys_pair, values))
+            return Superoperator.from_unitary(gate_matrix(name, *params)).then(
+                self.noise_layout._pulse_noise(name, phys_pair, values)
+            )
         if kind == "fused-idle":
             _, phys, params = key
             return self._fused_idle(phys, params[0] / _NS_PER_US)
         if kind == "xtalk-superop":
-            return Superoperator.from_unitary(
-                self._crosstalk_unitary(), "crosstalk_zz"
-            )
+            return Superoperator.from_unitary(self._crosstalk_unitary())
         raise DeviceError(f"unknown channel key {key!r}")
-
-    def _noise_callback_factory(self, used: List[int]):
-        """Noise hook for the density-matrix simulator, in local indices."""
-        phys_of = dict(enumerate(used))
-
-        def callback(gate: Gate) -> List[Tuple[KrausChannel, Tuple[int, ...]]]:
-            if gate.name == "rz":
-                return []  # virtual frame update: noiseless, zero time
-            if gate.name == "idle":
-                return self._idle_noise(gate, phys_of)
-            if gate.num_qubits == 1:
-                return self._single_qubit_noise(gate, phys_of)
-            if gate.num_qubits == 2:
-                return self._two_qubit_noise(gate, phys_of)
-            return []
-
-        return callback
-
-    def _operation_compiler_factory(self, used: List[int]):
-        """Fused fast path of the reference simulator: one cached
-        superoperator per gate instance, from the same channel keys and
-        builds an executable uses (each instruction's ideal unitary and
-        its full noise tail as one map). Returns ``None`` when the cache
-        is disabled, falling back to the per-Kraus reference path.
-        """
-        if self.channel_cache is None:
-            return None
-        phys_of = dict(enumerate(used))
-
-        def compiler(gate: Gate):
-            if gate.num_qubits > 2:
-                return None  # unknown arity: reference path decides
-            key = self._channel_key(
-                gate.name, gate.params, tuple(phys_of[q] for q in gate.qubits)
-            )
-            if key is None:
-                return ()
-            operations = [(self._channel(key), gate.qubits)]
-            if gate.num_qubits == 2 and self.crosstalk_zz:
-                crosstalk = self._channel(("xtalk-superop",))
-                operations.extend(
-                    (crosstalk, pair)
-                    for pair in self._crosstalk_pairs(gate.qubits, phys_of)
-                )
-            return tuple(operations)
-
-        return compiler
-
-    def _thermal_channel(self, phys: int, duration_us: float) -> KrausChannel:
-        """This qubit's relaxation over *duration_us*, at current values."""
-        t1, t2 = self.noise_layout._relaxation_times(phys, self.drift.current)
-        return self._cached(
-            ("thermal", duration_us, t1, t2),
-            lambda: thermal_relaxation_channel(duration_us, t1, t2),
-        )
 
     def _fused_idle(self, phys: int, duration_us: float) -> Superoperator:
         return self.noise_layout._fused_idle(
             phys, duration_us, self.drift.current
         )
-
-    def _idle_noise(
-        self, gate: Gate, phys_of: Dict[int, int]
-    ) -> List[Tuple[KrausChannel, Tuple[int, ...]]]:
-        phys = phys_of[gate.qubits[0]]
-        duration_us = gate.params[0] / _NS_PER_US
-        if duration_us <= 0:
-            return []
-        return [(self._thermal_channel(phys, duration_us), gate.qubits)]
-
-    def _single_qubit_noise(
-        self, gate: Gate, phys_of: Dict[int, int]
-    ) -> List[Tuple[KrausChannel, Tuple[int, ...]]]:
-        phys = phys_of[gate.qubits[0]]
-        params = self.qubit_params[phys]
-        ops: List[Tuple[KrausChannel, Tuple[int, ...]]] = []
-        over = params.rx_over_rotation.current
-        if abs(over) > 1e-12:
-            ops.append(
-                (
-                    self._cached(
-                        ("rx_coherent", over),
-                        lambda: unitary_channel(
-                            single_qubit_coherent_error(over), "rx_coherent"
-                        ),
-                    ),
-                    gate.qubits,
-                )
-            )
-        depol = params.rx_depolarizing.current
-        if depol > 0:
-            ops.append(
-                (
-                    self._cached(
-                        ("depol1", depol),
-                        lambda: depolarizing_channel(depol),
-                    ),
-                    gate.qubits,
-                )
-            )
-        ops.append(
-            (
-                self._thermal_channel(
-                    phys, params.rx_duration_ns / _NS_PER_US
-                ),
-                gate.qubits,
-            )
-        )
-        return ops
-
-    def _two_qubit_noise(
-        self, gate: Gate, phys_of: Dict[int, int]
-    ) -> List[Tuple[KrausChannel, Tuple[int, ...]]]:
-        phys_pair = (phys_of[gate.qubits[0]], phys_of[gate.qubits[1]])
-        link = make_link(*phys_pair)
-        params = self.gate_params[(link, gate.name)]
-        ops: List[Tuple[KrausChannel, Tuple[int, ...]]] = []
-        over = params.over_rotation.current
-        zz = params.zz_error.current
-        if abs(over) > 1e-12 or abs(zz) > 1e-12:
-            ops.append(
-                (
-                    self._cached(
-                        ("coherent2", gate.name, over, zz),
-                        lambda: unitary_channel(
-                            coherent_error_unitary(gate.name, over, zz),
-                            f"{gate.name}_coherent",
-                        ),
-                    ),
-                    gate.qubits,
-                )
-            )
-        depol = params.depolarizing.current
-        if depol > 0:
-            ops.append(
-                (
-                    self._cached(
-                        ("depol2", depol),
-                        lambda: two_qubit_depolarizing_channel(depol),
-                    ),
-                    gate.qubits,
-                )
-            )
-        duration_us = params.duration_ns / _NS_PER_US
-        for local_qubit, phys in zip(gate.qubits, phys_pair):
-            ops.append(
-                (self._thermal_channel(phys, duration_us), (local_qubit,))
-            )
-        if self.crosstalk_zz:
-            ops.extend(self._crosstalk_ops(gate, phys_of))
-        return ops
 
     def _crosstalk_unitary(self) -> np.ndarray:
         """``exp(-i zeta ZZ / 2)`` for the device's spectator coupling."""
@@ -877,25 +688,6 @@ class RigettiAspenDevice:
                 pairs.append((local_qubit, spectator))
         return pairs
 
-    def _crosstalk_ops(
-        self, gate: Gate, phys_of: Dict[int, int]
-    ) -> List[Tuple[KrausChannel, Tuple[int, ...]]]:
-        """Spectator ZZ crosstalk during an entangling pulse.
-
-        Every in-register topology neighbour of a pulsed qubit (that is
-        not itself part of the pulse) picks up ``exp(-i zeta ZZ / 2)``
-        with the pulsed qubit — the always-on coupling that frequency
-        crowding leaves behind.
-        """
-        channel = self._cached(
-            ("xtalk-kraus",),
-            lambda: unitary_channel(self._crosstalk_unitary(), "crosstalk_zz"),
-        )
-        return [
-            (channel, pair)
-            for pair in self._crosstalk_pairs(gate.qubits, phys_of)
-        ]
-
     def noisy_distribution(self, circuit: QuantumCircuit) -> Dict[str, float]:
         """Oracle: the exact noisy output distribution, right now.
 
@@ -908,36 +700,19 @@ class RigettiAspenDevice:
 
     def _exact_distribution(self, executable: Executable) -> Dict[str, float]:
         """Exact noisy distribution of an executable, at current
-        parameter values.
-
-        With :attr:`sim_cache` the executable's channels are built,
-        folded along its plan and evolved there (or the distribution is
-        served from an attached dedup store); without it the per-gate
-        :class:`DensityMatrixSimulator` runs the compact circuit as the
-        reference. Either way the channel cache is first cleared if the
-        parameter values changed since it was filled.
+        parameter values: its channels are built, folded along its plan
+        and evolved by :attr:`sim_cache` (or the distribution is served
+        from an attached dedup store), after the channel cache is
+        cleared if the parameter values changed since it was filled.
         """
         readout = [
             self.qubit_params[phys].readout_error()
             for phys in executable.qubits
         ]
         cache = self.channel_cache
-        if cache is not None and cache.values is not self.drift.current:
+        if cache.values is not self.drift.current:
             cache.invalidate(self.drift_epoch, self.drift.current)
-        if self.sim_cache is not None:
-            return self.sim_cache.distribution(
-                executable, readout, self._channel
-            )
-        used = list(executable.qubits)
-        compact = QuantumCircuit(
-            len(used),
-            [Gate(*instruction) for instruction in executable.instructions],
-        )
-        simulator = DensityMatrixSimulator(
-            self._noise_callback_factory(used),
-            operation_compiler=self._operation_compiler_factory(used),
-        )
-        return simulator.distribution(compact, readout_errors=readout)
+        return self.sim_cache.distribution(executable, readout, self._channel)
 
     # ------------------------------------------------------------------
     # Ground-truth fidelities (what an oracle — not the vendor — knows)
@@ -1067,7 +842,7 @@ def _noise_map(
     relaxation of every pulsed qubit. The simulator fuses
     ``N (U x conj(U))``; the ground-truth fidelities read ``Re Tr(N)``.
     """
-    noise = Superoperator.from_unitary(error, "coherent")
+    noise = Superoperator.from_unitary(error)
     if depolarizing > 0:
         noise = noise.depolarized(depolarizing)
     return noise.then(relaxation)

@@ -180,7 +180,6 @@ def build_device(
     profile: NoiseProfile = DEFAULT_PROFILE,
     idle_noise: bool = False,
     crosstalk_zz: float = 0.0,
-    channel_cache: bool = True,
 ) -> RigettiAspenDevice:
     """Sample a full device from *profile* on the given topology.
 
@@ -228,7 +227,6 @@ def build_device(
         seed=seed + 1,
         idle_noise=idle_noise,
         crosstalk_zz=crosstalk_zz,
-        channel_cache=channel_cache,
     )
 
 
@@ -296,7 +294,6 @@ def small_test_device(
     num_qubits: int = 5,
     seed: int = 7,
     profile: NoiseProfile = DEFAULT_PROFILE,
-    channel_cache: bool = True,
 ) -> RigettiAspenDevice:
     """A linear-chain device for unit tests and quick examples."""
     # Force all three gates available on every link so tests are stable.
@@ -310,5 +307,4 @@ def small_test_device(
         linear_topology(num_qubits, name=f"line-{num_qubits}"),
         seed=seed,
         profile=forced,
-        channel_cache=channel_cache,
     )

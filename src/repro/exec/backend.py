@@ -100,13 +100,7 @@ class LocalBackend:
         """(channel hits, channel misses, dist hits) — the per-job cache
         attribution sampled around a traced submission."""
         cache = self.device.channel_cache
-        hits = misses = dist_hits = 0
-        if cache is not None:
-            hits, misses = cache.hits, cache.misses
-        sim = self.device.sim_cache
-        if sim is not None:
-            dist_hits = sim.dist_hits
-        return (hits, misses, dist_hits)
+        return (cache.hits, cache.misses, self.device.sim_cache.dist_hits)
 
     def submit_batch(self, jobs: Sequence[Job]) -> List[JobResult]:
         return [self.submit(job) for job in jobs]
@@ -119,18 +113,6 @@ class LocalBackend:
         simulation-cache keys carry a ``dist_`` prefix so the executor
         can diff each cache independently.
         """
-        cache = self.device.channel_cache
-        if cache is None:
-            stats = {
-                "hits": 0,
-                "misses": 0,
-                "entries": 0,
-                "evictions": 0,
-                "invalidations": 0,
-            }
-        else:
-            stats = cache.stats()
-        sim = self.device.sim_cache
-        if sim is not None:
-            stats.update(sim.stats())
+        stats = self.device.channel_cache.stats()
+        stats.update(self.device.sim_cache.stats())
         return stats

@@ -7,9 +7,7 @@ relies on:
   replacement for a non-Clifford gate when building CopyCats;
 * global-phase-invariant unitary equivalence, used throughout the tests to
   verify that gate decompositions (e.g. CNOT via two XY pulses) are exact;
-* process/average gate fidelity, used by the simulated randomized
-  benchmarking calibration to report the state-averaged fidelity a vendor
-  would publish.
+* entanglement and average gate fidelity of one unitary against another.
 
 All functions operate on plain ``numpy`` arrays; no objects from the rest
 of the library leak in, so this module sits at the bottom of the
@@ -29,7 +27,6 @@ __all__ = [
     "phase_invariant_distance",
     "entanglement_fidelity",
     "average_gate_fidelity",
-    "channel_average_fidelity",
     "kron_n",
     "closest_unitary",
 ]
@@ -119,32 +116,6 @@ def average_gate_fidelity(u_target: np.ndarray, v_actual: np.ndarray) -> float:
     """
     d = np.asarray(u_target).shape[0]
     return float((d * entanglement_fidelity(u_target, v_actual) + 1) / (d + 1))
-
-
-def channel_average_fidelity(
-    u_target: np.ndarray, kraus_operators: list[np.ndarray]
-) -> float:
-    """Average gate fidelity of a noisy channel relative to a unitary target.
-
-    The channel is ``E(rho) = sum_i K_i rho K_i^dag`` where each ``K_i``
-    already includes the intended unitary (i.e. the K's describe the full
-    noisy implementation, not just the error). The entanglement fidelity is
-    ``F_e = sum_i |Tr(U^dag K_i)|^2 / d^2`` and the average fidelity follows
-    from the standard Horodecki–Nielsen formula.
-
-    This is what the simulated calibration service reports: the same
-    state-averaged number a randomized-benchmarking experiment converges
-    to, which deliberately hides the state-dependent structure of coherent
-    errors — the paper's central observation.
-    """
-    u_target = np.asarray(u_target)
-    d = u_target.shape[0]
-    fid_e = 0.0
-    u_dag = u_target.conj().T
-    for kraus in kraus_operators:
-        fid_e += abs(np.trace(u_dag @ np.asarray(kraus))) ** 2
-    fid_e /= d**2
-    return float((d * fid_e + 1) / (d + 1))
 
 
 def kron_n(*matrices: np.ndarray) -> np.ndarray:

@@ -259,11 +259,8 @@ class _Request:
             backend = self.executor.backend
             if hasattr(backend, "align_windows"):
                 backend.align_windows = spec.align_windows
-            self.deduped = (
+            if store is not None:
                 store.attach(self.context.device)
-                if store is not None
-                else False
-            )
             circuit = get_benchmark(spec.program).build()
             self.angel = Angel(
                 self.context.device,
@@ -326,8 +323,7 @@ class _Request:
 
     @property
     def dedup_hits(self) -> int:
-        cache = self.context.device.sim_cache
-        return cache.dist_hits if cache is not None else 0
+        return self.context.device.sim_cache.dist_hits
 
     @property
     def probes_run(self) -> int:

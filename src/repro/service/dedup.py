@@ -81,19 +81,13 @@ class ProbeDistributionStore:
             self._entries[key] = dict(distribution)
             self.publishes += 1
 
-    def attach(self, device: "RigettiAspenDevice") -> bool:
-        """Wire a device's simulation cache through this store.
-
-        Returns whether the device could participate: a device without
-        a simulation cache (built with ``channel_cache=False``, or with
-        ``sim_cache`` set to ``None``) runs the per-gate reference path,
-        which never consults the store.
-        """
-        cache = getattr(device, "sim_cache", None)
-        if cache is None:
-            return False
-        cache.attach_shared_store(self, device.parameter_fingerprint)
-        return True
+    def attach(self, device: "RigettiAspenDevice") -> None:
+        """Wire a device's simulation cache through this store: every
+        distribution the device needs is looked up here first, under its
+        parameter fingerprint, and published here once simulated."""
+        device.sim_cache.attach_shared_store(
+            self, device.parameter_fingerprint
+        )
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

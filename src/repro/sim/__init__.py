@@ -2,33 +2,22 @@
 
 * :class:`~repro.sim.statevector.StatevectorSimulator` — exact noise-free
   reference (the ``P`` of the Success-Rate metric).
-* :class:`~repro.sim.density_matrix.DensityMatrixSimulator` — open-system
-  simulator driving the simulated Rigetti device.
+* :class:`~repro.sim.sim_cache.SimulationCache` — the simulated Rigetti
+  device's one noisy simulator: per-gate channels built in closed form
+  (:mod:`~repro.sim.channels`, memoized by the
+  :class:`~repro.sim.channel_cache.ChannelCache`), folded along a
+  prepared :class:`~repro.sim.circuit_compiler.Executable` and evolved on
+  a :class:`~repro.sim.density_matrix.DensityMatrix`.
 * :class:`~repro.sim.stabilizer.StabilizerSimulator` — poly-time Clifford
   simulation (CHP tableau) for CopyCat ideal outputs.
-* :mod:`~repro.sim.channels` / :mod:`~repro.sim.noise_model` — Kraus noise
-  primitives and the per-gate noise lookup the device composes.
 * :mod:`~repro.sim.sampler` — counts/distribution utilities.
 """
 
 from .channel_cache import ChannelCache
 from .circuit_compiler import Executable, circuit_digest
 from .sim_cache import SimulationCache
-from .channels import (
-    KrausChannel,
-    ReadoutError,
-    Superoperator,
-    amplitude_damping_channel,
-    compose_channels,
-    depolarizing_channel,
-    identity_channel,
-    phase_damping_channel,
-    thermal_relaxation_channel,
-    two_qubit_depolarizing_channel,
-    unitary_channel,
-)
-from .density_matrix import DensityMatrix, DensityMatrixSimulator
-from .noise_model import GateNoiseSpec, NoiseModel
+from .channels import ReadoutError, Superoperator
+from .density_matrix import DensityMatrix
 from .sampler import (
     Counts,
     Distribution,
@@ -48,21 +37,9 @@ __all__ = [
     "Executable",
     "circuit_digest",
     "SimulationCache",
-    "KrausChannel",
     "ReadoutError",
     "Superoperator",
-    "identity_channel",
-    "unitary_channel",
-    "depolarizing_channel",
-    "two_qubit_depolarizing_channel",
-    "amplitude_damping_channel",
-    "phase_damping_channel",
-    "thermal_relaxation_channel",
-    "compose_channels",
     "DensityMatrix",
-    "DensityMatrixSimulator",
-    "GateNoiseSpec",
-    "NoiseModel",
     "StabilizerSimulator",
     "StabilizerTableau",
     "StatevectorSimulator",

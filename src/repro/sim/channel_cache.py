@@ -1,12 +1,12 @@
 """Memoization of noise-channel construction, invalidated by drift.
 
-Building a gate's noise tail — coherent-error unitaries, depolarizing
-Kraus sets, thermal-relaxation channels, and the fused per-gate
-superoperators derived from them — is pure in the device's *current*
-noise parameters: the same parameter values always produce the same
-operators. The device therefore memoizes those constructions here, keyed
-by gate and placement only, and ties the entries to the parameter list
-they were built from (:attr:`ChannelCache.values`, the device's
+Building a gate's fused superoperator — its ideal unitary followed by
+its coherent error, depolarizing and thermal relaxation, an idle wire's
+relaxation, or the spectator crosstalk coupling — is pure in the
+device's *current* noise parameters: the same parameter values always
+produce the same operator. The device therefore memoizes those
+constructions here, keyed by gate and placement only, and ties the
+entries to the parameter list they were built from (:attr:`ChannelCache.values`, the device's
 ``DriftState.current``): :meth:`~repro.device.device.RigettiAspenDevice.
 advance_time` clears the cache (each drift bumps the device's
 ``drift_epoch``), and so does the device before building channels
@@ -104,7 +104,3 @@ class ChannelCache:
             "invalidations": self.invalidations,
             "epoch": self.epoch,
         }
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -1,87 +1,31 @@
-"""Quantum channels, as Kraus operators and as superoperators.
+"""Quantum channels as superoperators, and readout confusion.
 
 These are the noise primitives the simulated device composes per gate:
-depolarizing (incoherent scrambling), amplitude damping (T1 energy
-relaxation), phase damping (pure T2 dephasing), coherent error (a unitary
-channel — the *state-dependent* component central to the paper's
-argument), and classical readout bit-flip confusion.
-
-A :class:`KrausChannel` lists operators with ``sum_i K_i^dag K_i = I``;
-the device's fused path builds the same maps as :class:`Superoperator`
-matrices in closed form (:func:`thermal_superoperator`, ``depolarized``).
+depolarizing (incoherent scrambling), T1/T2 thermal relaxation, coherent
+error (a unitary map — the *state-dependent* component central to the
+paper's argument), and classical readout bit-flip confusion. Each is a
+:class:`Superoperator` built in closed form (``from_unitary``,
+``depolarized``, :func:`thermal_superoperator`); the Kraus-operator
+constructions they replaced are the tests' oracle (``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import SimulationError
-from ..linalg import kron_n
 
 __all__ = [
-    "KrausChannel",
     "Superoperator",
-    "identity_channel",
-    "unitary_channel",
-    "depolarizing_channel",
-    "two_qubit_depolarizing_channel",
-    "amplitude_damping_channel",
-    "phase_damping_channel",
-    "thermal_relaxation_channel",
     "thermal_superoperator",
     "tensor_maps",
     "embedded_matrix",
-    "compose_channels",
     "ReadoutError",
 ]
-
-_PAULIS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """A completely-positive trace-preserving map in Kraus form.
-
-    Attributes:
-        operators: The Kraus operators, each ``d x d``.
-        label: Human-readable description used in noise-model reports.
-    """
-
-    operators: Tuple[np.ndarray, ...]
-    label: str = "channel"
-
-    def __post_init__(self) -> None:
-        if not self.operators:
-            raise SimulationError("channel needs at least one Kraus operator")
-        dim = self.operators[0].shape[0]
-        for op in self.operators:
-            if op.shape != (dim, dim):
-                raise SimulationError("Kraus operators must share a shape")
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return int(math.log2(self.dim))
-
-    def is_trace_preserving(self, atol: float = 1e-8) -> bool:
-        total = sum(op.conj().T @ op for op in self.operators)
-        return bool(np.allclose(total, np.eye(self.dim), atol=atol))
-
-    def apply_to(self, rho: np.ndarray) -> np.ndarray:
-        """Apply the channel to a density matrix of matching dimension."""
-        return sum(op @ rho @ op.conj().T for op in self.operators)
 
 
 @dataclass(frozen=True)
@@ -93,17 +37,15 @@ class Superoperator:
     ``d^2 x d^2`` matrix ``S = sum_i K_i (x) conj(K_i)``. Applying ``S``
     costs a single tensor contraction regardless of how many Kraus
     operators the channel has — this is the representation the device's
-    channel cache stores for its fused per-gate fast path. Sequential
+    channel cache stores for its fused per-gate channels. Sequential
     channels compose by matrix product, so a gate's ideal unitary and
     its whole noise tail collapse into one operator.
 
     Attributes:
         matrix: The ``4^k x 4^k`` superoperator for a *k*-qubit map.
-        label: Human-readable provenance for reports.
     """
 
     matrix: np.ndarray
-    label: str = "superop"
 
     @property
     def dim(self) -> int:
@@ -115,21 +57,12 @@ class Superoperator:
         return int(math.log2(self.dim))
 
     @classmethod
-    def from_kraus(cls, channel: KrausChannel) -> "Superoperator":
-        matrix = sum(
-            np.kron(op, op.conj()) for op in channel.operators
-        )
-        return cls(np.asarray(matrix, dtype=complex), channel.label)
-
-    @classmethod
-    def from_unitary(
-        cls, unitary: np.ndarray, label: str = "unitary"
-    ) -> "Superoperator":
+    def from_unitary(cls, unitary: np.ndarray) -> "Superoperator":
         unitary = np.asarray(unitary, dtype=complex)
         dim = unitary.shape[0]
         # np.kron(U, conj(U)) as one broadcast product: same values.
         matrix = unitary[:, None, :, None] * unitary.conj()[None, :, None, :]
-        return cls(matrix.reshape(dim * dim, dim * dim), label)
+        return cls(matrix.reshape(dim * dim, dim * dim))
 
     def then(self, later: "Superoperator") -> "Superoperator":
         """The map applying this superoperator first, then *later*."""
@@ -137,18 +70,7 @@ class Superoperator:
             raise SimulationError(
                 "cannot compose superoperators of different dimensions"
             )
-        return Superoperator(
-            later.matrix @ self.matrix, f"{later.label}∘{self.label}"
-        )
-
-    def embed(self, position: int, num_qubits: int) -> "Superoperator":
-        """Embed a 1-qubit map into a *num_qubits* register at *position*."""
-        if self.num_qubits != 1:
-            raise SimulationError("embed expects a single-qubit map")
-        return Superoperator(
-            embedded_matrix(self.matrix, position, num_qubits),
-            f"{self.label}@q{position}",
-        )
+        return Superoperator(later.matrix @ self.matrix)
 
     def depolarized(self, probability: float) -> "Superoperator":
         """This trace-preserving map ``S``, then depolarizing noise *p*.
@@ -163,14 +85,11 @@ class Superoperator:
         identity = np.eye(dim).ravel()
         return Superoperator(
             (1.0 - white) * self.matrix
-            + white * np.outer(identity / dim, identity),
-            f"depolarizing(p={probability:.4g})∘{self.label}",
+            + white * np.outer(identity / dim, identity)
         )
 
 
-def tensor_maps(
-    maps: Sequence[Superoperator], label: str = "tensor"
-) -> Superoperator:
+def tensor_maps(maps: Sequence[Superoperator]) -> Superoperator:
     """The register superoperator of single-qubit maps, ``maps[q]`` on q.
 
     Rows index ``(ket_out, bra_out)`` and columns ``(ket_in, bra_in)``,
@@ -178,7 +97,7 @@ def tensor_maps(
     at their register positions, and one broadcast product tensors them.
     """
     return Superoperator(
-        _tensor_matrices([superop.matrix for superop in maps]), label
+        _tensor_matrices([superop.matrix for superop in maps])
     )
 
 
@@ -197,8 +116,7 @@ def embedded_matrix(
     matrix: np.ndarray, position: int, num_qubits: int
 ) -> np.ndarray:
     """A single-qubit superoperator *matrix* embedded at *position* of a
-    *num_qubits* register: the matrix of
-    ``Superoperator(matrix).embed(position, num_qubits)``, bit for bit."""
+    *num_qubits* register (identity maps on the other qubits)."""
     matrices = [_IDENTITY] * num_qubits
     matrices[position] = matrix
     return _tensor_matrices(matrices)
@@ -207,96 +125,22 @@ def embedded_matrix(
 _IDENTITY = np.eye(4, dtype=complex)
 
 
-def identity_channel(num_qubits: int = 1) -> KrausChannel:
-    """The do-nothing channel on *num_qubits* qubits."""
-    return KrausChannel((np.eye(2**num_qubits, dtype=complex),), "identity")
-
-
-def unitary_channel(unitary: np.ndarray, label: str = "unitary") -> KrausChannel:
-    """A purely coherent channel — the state-dependent error carrier."""
-    return KrausChannel((np.asarray(unitary, dtype=complex),), label)
-
-
-def depolarizing_channel(probability: float) -> KrausChannel:
-    """Single-qubit depolarizing channel with error probability *p*.
-
-    With probability *p* the state is replaced by one of X, Y, Z applied
-    uniformly (the standard Pauli-twirl convention): Kraus weights
-    ``sqrt(1 - p)`` on I and ``sqrt(p/3)`` on each Pauli.
-    """
-    _check_probability(probability)
-    ops = [math.sqrt(1.0 - probability) * _PAULIS["I"]]
-    ops.extend(
-        math.sqrt(probability / 3.0) * _PAULIS[p] for p in ("X", "Y", "Z")
-    )
-    return KrausChannel(tuple(ops), f"depolarizing(p={probability:.4g})")
-
-
-def two_qubit_depolarizing_channel(probability: float) -> KrausChannel:
-    """Two-qubit depolarizing channel over the 15 non-identity Paulis."""
-    _check_probability(probability)
-    ops: List[np.ndarray] = [
-        math.sqrt(1.0 - probability) * np.eye(4, dtype=complex)
-    ]
-    weight = math.sqrt(probability / 15.0)
-    for name_a in "IXYZ":
-        for name_b in "IXYZ":
-            if name_a == name_b == "I":
-                continue
-            ops.append(weight * kron_n(_PAULIS[name_a], _PAULIS[name_b]))
-    return KrausChannel(tuple(ops), f"depolarizing2(p={probability:.4g})")
-
-
-def amplitude_damping_channel(gamma: float) -> KrausChannel:
-    """T1 relaxation: |1> decays to |0> with probability *gamma*."""
-    _check_probability(gamma)
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
-    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel((k0, k1), f"amplitude_damping(g={gamma:.4g})")
-
-
-def phase_damping_channel(lam: float) -> KrausChannel:
-    """Pure dephasing: off-diagonals shrink by ``sqrt(1 - lambda)``."""
-    _check_probability(lam)
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - lam)]], dtype=complex)
-    k1 = np.array([[0.0, 0.0], [0.0, math.sqrt(lam)]], dtype=complex)
-    return KrausChannel((k0, k1), f"phase_damping(l={lam:.4g})")
-
-
-def thermal_relaxation_channel(
-    duration: float, t1: float, t2: float
-) -> KrausChannel:
-    """Combined T1/T2 decay over a pulse of the given *duration*.
-
-    Implemented as amplitude damping with ``gamma = 1 - exp(-t/T1)``
-    composed with pure dephasing chosen so the total off-diagonal decay
-    matches ``exp(-t/T2)`` (requires the physical constraint
-    ``T2 <= 2 T1``).
-    """
-    gamma, lam = _thermal_rates(duration, t1, t2)
-    channel = compose_channels(
-        amplitude_damping_channel(gamma), phase_damping_channel(lam)
-    )
-    return KrausChannel(
-        channel.operators,
-        f"thermal(t={duration:.3g},T1={t1:.3g},T2={t2:.3g})",
-    )
-
-
 def thermal_superoperator(
     duration: float, t1: float, t2: float
 ) -> Superoperator:
-    """:func:`thermal_relaxation_channel` as a superoperator, in closed form.
+    """Combined T1/T2 decay over *duration*, in closed form.
 
-    Populations relax toward ``|0>`` by ``gamma`` and coherences shrink by
-    ``c = sqrt(1 - gamma) sqrt(1 - lambda)``, with the same ``gamma`` and
-    ``lambda`` (and the same checks) as the Kraus construction.
+    Amplitude damping with ``gamma = 1 - exp(-t/T1)`` then pure
+    dephasing ``lambda`` chosen so the total off-diagonal decay matches
+    ``exp(-t/T2)`` (requires the physical constraint ``T2 <= 2 T1``):
+    populations relax toward ``|0>`` by ``gamma`` and coherences shrink
+    by ``c = sqrt(1 - gamma) sqrt(1 - lambda)``.
     """
     gamma, lam = _thermal_rates(duration, t1, t2)
     coherence = math.sqrt(1.0 - gamma) * math.sqrt(1.0 - lam)
     matrix = np.diag([1.0, coherence, coherence, 1.0 - gamma]).astype(complex)
     matrix[0, 3] = gamma
-    return Superoperator(matrix, "thermal")
+    return Superoperator(matrix)
 
 
 def _thermal_rates(duration: float, t1: float, t2: float):
@@ -314,16 +158,6 @@ def _thermal_rates(duration: float, t1: float, t2: float):
     residual = total_coherence / math.sqrt(1.0 - gamma) if gamma < 1 else 0.0
     residual = min(1.0, max(0.0, residual))
     return gamma, 1.0 - residual**2
-
-
-def compose_channels(first: KrausChannel, second: KrausChannel) -> KrausChannel:
-    """The channel applying *first* then *second* (both same dimension)."""
-    if first.dim != second.dim:
-        raise SimulationError("cannot compose channels of different dims")
-    ops = tuple(
-        b @ a for a in first.operators for b in second.operators
-    )
-    return KrausChannel(ops, f"{second.label}∘{first.label}")
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ pending block is applied first):
 Anything else (disjoint or order-swapped supports) starts a new block.
 :func:`fold` evaluates each block with the same matrix products in the
 same association (``later @ earlier``) as composing one superoperator per
-step would, so the fused maps are bit-identical to that composition;
-against the unfused per-gate path a device without a simulation cache
-runs, fusion reassociates floating-point products (~1e-15 relative
-slack, pinned in ``tests/test_sim_cache.py``).
+step would, so the fused maps are bit-identical to that composition
+(pinned against the per-gate oracle in
+``tests/test_prepared_executable.py``); against the Kraus oracle, which
+applies each operator separately, fusion reassociates floating-point
+products (~1e-15 relative slack, pinned in ``tests/test_sim_cache.py``).
 """
 
 from __future__ import annotations

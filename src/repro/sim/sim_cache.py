@@ -1,7 +1,7 @@
 """The exact-distribution pipeline and its cross-request memo.
 
-Every device job needs one exact noisy output distribution. A device
-with a channel cache computes it here, from the circuit's prepared
+Every device job needs one exact noisy output distribution, and this is
+the one simulator that computes it, from the circuit's prepared
 :class:`~repro.sim.circuit_compiler.Executable` (validated, compacted and
 fusion-planned once per circuit by
 :meth:`~repro.device.device.RigettiAspenDevice.prepare`), in one path:
@@ -84,13 +84,11 @@ class SimulationCache:
     ) -> Dict[str, float]:
         """Exact noisy distribution, from the store or simulated.
 
-        Mirrors :meth:`DensityMatrixSimulator.distribution` semantics
-        exactly — measured-qubit marginal, readout confusion, the
-        ``p > 1e-14`` filter, big-endian keys — so the device can sample
-        shots from the result interchangeably. ``channel`` builds (or
-        fetches) the channel behind each of the executable's
-        ``channel_keys`` at the current parameter values; it is called
-        only when the distribution is simulated.
+        The result is the measured-qubit marginal after readout
+        confusion, big-endian keys, outcomes of ``p <= 1e-14`` dropped.
+        ``channel`` builds (or fetches) the channel behind each of the
+        executable's ``channel_keys`` at the current parameter values;
+        it is called only when the distribution is simulated.
         """
         key = None
         if self._shared_store is not None:

@@ -36,7 +36,7 @@ from repro.device.drift import DriftingValue
 from repro.experiments import ExperimentContext
 from repro.experiments.drift_study import fig8_stale_calibration
 from repro.service import RequestSpec, run_standalone
-from tests.test_differential import _seeds
+from tests.oracle import differential_seeds
 
 _HOUR_US = 3_600e6
 
@@ -133,7 +133,7 @@ _DEVICE_SEEDS = {"aspen-11": 11, "aspen-m-1": 1}
 
 @pytest.mark.parametrize("hours", [0.0, 4.0, 30.0])
 @pytest.mark.parametrize("device_name", sorted(_DEVICE_SEEDS))
-@pytest.mark.parametrize("seed", _seeds([0]))
+@pytest.mark.parametrize("seed", differential_seeds([0]))
 def test_records_match_the_eager_sweep(eager, device_name, hours, seed):
     recipe = dict(
         device_name=device_name,

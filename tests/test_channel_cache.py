@@ -5,7 +5,10 @@ import pytest
 
 from repro.device import small_test_device
 from repro.sim import ChannelCache
-from repro.sim.channels import thermal_relaxation_channel
+from tests.oracle import use_kraus_oracle
+
+#: An idle wire's relaxation over 100 ns, on the device's first qubit.
+_IDLE_KEY = ("fused-idle", 0, (100.0,))
 
 
 def _ghz_native(device):
@@ -100,23 +103,19 @@ class TestBitIdenticalChannels:
     def test_cached_thermal_channel_bit_identical(self):
         """A cache hit returns exactly what a fresh build would produce."""
         device = small_test_device(3, seed=5)
-        qubit = device.topology.qubits[0]
-        cached = device._thermal_channel(qubit, 0.1)
-        again = device._thermal_channel(qubit, 0.1)
+        cached = device._channel(_IDLE_KEY)
+        again = device._channel(_IDLE_KEY)
         assert again is cached  # hit: the very same object
-        params = device.qubit_params[qubit]
-        t1 = params.t1_us.current
-        t2 = min(params.t2_us.current, 2 * t1)
-        fresh = thermal_relaxation_channel(0.1, t1, t2)
-        assert len(cached.operators) == len(fresh.operators)
-        for cached_op, fresh_op in zip(cached.operators, fresh.operators):
-            # Bit-identical, not merely close: the key embeds the exact
-            # parameter values the channel was built from.
-            assert np.array_equal(cached_op, fresh_op)
+        assert len(device.channel_cache) == 1
+        fresh = device._build_channel(_IDLE_KEY)
+        assert fresh is not cached
+        # Bit-identical, not merely close: the cache holds the channels
+        # of the current parameter values only.
+        assert np.array_equal(cached.matrix, fresh.matrix)
 
     def test_cached_distribution_matches_uncached(self):
-        cached_dev = small_test_device(4, seed=9, channel_cache=True)
-        plain_dev = small_test_device(4, seed=9, channel_cache=False)
+        cached_dev = small_test_device(4, seed=9)
+        plain_dev = use_kraus_oracle(small_test_device(4, seed=9))
         circuit = _ghz_native(cached_dev)
         dist_cached = cached_dev.noisy_distribution(circuit)
         dist_plain = plain_dev.noisy_distribution(circuit)
@@ -138,7 +137,7 @@ class TestBitIdenticalChannels:
 class TestDriftInvalidation:
     def test_advance_time_bumps_epoch_and_invalidates(self):
         device = small_test_device(3, seed=5)
-        device._thermal_channel(device.topology.qubits[0], 0.1)
+        device._channel(_IDLE_KEY)
         assert len(device.channel_cache) == 1
         epoch_before = device.drift_epoch
         device.advance_time(1e6)
@@ -148,7 +147,7 @@ class TestDriftInvalidation:
 
     def test_zero_advance_keeps_cache(self):
         device = small_test_device(3, seed=5)
-        device._thermal_channel(device.topology.qubits[0], 0.1)
+        device._channel(_IDLE_KEY)
         device.advance_time(0.0)
         assert len(device.channel_cache) == 1
 
@@ -157,11 +156,11 @@ class TestDriftInvalidation:
 
         If invalidation failed, the post-drift distribution would equal
         the pre-drift one (stale fused channels); instead it must match
-        an identically-drifted uncached device and differ from the
-        pre-drift result.
+        an identically-drifted device on the Kraus oracle and differ from
+        the pre-drift result.
         """
-        cached_dev = small_test_device(4, seed=9, channel_cache=True)
-        plain_dev = small_test_device(4, seed=9, channel_cache=False)
+        cached_dev = small_test_device(4, seed=9)
+        plain_dev = use_kraus_oracle(small_test_device(4, seed=9))
         circuit = _ghz_native(cached_dev)
 
         before = cached_dev.noisy_distribution(circuit)
@@ -217,7 +216,8 @@ class TestParameterEdits:
         device = small_test_device(5, seed=9)
         fresh = small_test_device(5, seed=9)
         if pipeline == "reference":
-            device.sim_cache = fresh.sim_cache = None
+            use_kraus_oracle(device)
+            use_kraus_oracle(fresh)
         before = device.noisy_distribution(_bell_01())
         _edit_cz_depolarizing(device)
         _edit_cz_depolarizing(fresh)
@@ -233,7 +233,8 @@ class TestParameterEdits:
         device = small_test_device(5, seed=9)
         twin = small_test_device(5, seed=9)
         fresh = small_test_device(5, seed=9)
-        assert store.attach(device) and store.attach(twin)
+        store.attach(device)
+        store.attach(twin)
         device.noisy_distribution(_bell_01())
         for edited in (device, twin, fresh):
             _edit_cz_depolarizing(edited)

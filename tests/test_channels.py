@@ -1,4 +1,4 @@
-"""Tests for Kraus channels and readout errors."""
+"""Tests for the oracle's Kraus channels and for readout errors."""
 
 import math
 
@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
-from repro.sim.channels import (
+from repro.sim.channels import ReadoutError
+from tests.oracle import (
     KrausChannel,
-    ReadoutError,
     amplitude_damping_channel,
     compose_channels,
     depolarizing_channel,

@@ -3,7 +3,8 @@
 The device builds each gate's fused superoperator, and its ground-truth
 fidelities, from one closed-form noise map per pulse. The compositions
 below are the ``from_kraus``/``then``/``embed`` builds those closed forms
-replaced; they are the oracle. Every aspen-11 link-gate pair (both qubit
+replaced, from the Kraus channels of ``tests/oracle.py``; they are the
+oracle. Every aspen-11 link-gate pair (both qubit
 orders) and every qubit's ``rx``/``rz``/idle map is checked at 0, 4 and
 30 h of drift, plus edge parameters on a small device.
 
@@ -12,7 +13,6 @@ The nightly differential job widens the sweep through
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -26,12 +26,14 @@ from repro.device.noise_parameters import (
 )
 from repro.exceptions import SimulationError
 from repro.experiments import ExperimentContext
-from repro.linalg import channel_average_fidelity
-from repro.sim.channels import (
-    Superoperator,
+from repro.sim.channels import Superoperator, thermal_superoperator
+from tests.oracle import (
+    channel_average_fidelity,
     depolarizing_channel,
+    differential_seeds,
+    embed,
+    from_kraus,
     thermal_relaxation_channel,
-    thermal_superoperator,
     two_qubit_depolarizing_channel,
 )
 
@@ -47,15 +49,6 @@ _SINGLE_GATES = (
     Gate("rz", (0,), (-2.3,)),
 )
 _IDLE_US = (0.06, 0.2)
-
-
-def _extra_seeds():
-    raw = os.environ.get("REPRO_DIFFERENTIAL_SEEDS", "")
-    return [int(token) for token in raw.split(",") if token.strip()]
-
-
-def _seeds(base):
-    return list(base) + _extra_seeds()
 
 
 def _fused_single(device, gate, phys):
@@ -104,7 +97,7 @@ def _thermal_kraus(dev, phys, duration_us):
 
 
 def _reference_idle(dev, phys, duration_us):
-    return Superoperator.from_kraus(_thermal_kraus(dev, phys, duration_us))
+    return from_kraus(_thermal_kraus(dev, phys, duration_us))
 
 
 def _reference_single(dev, gate, phys):
@@ -120,7 +113,7 @@ def _reference_single(dev, gate, phys):
     depol = params.rx_depolarizing.current
     if depol > 0:
         superop = superop.then(
-            Superoperator.from_kraus(depolarizing_channel(depol))
+            from_kraus(depolarizing_channel(depol))
         )
     return superop.then(
         _reference_idle(dev, phys, params.rx_duration_ns / 1000.0)
@@ -140,7 +133,7 @@ def _reference_two(dev, gate, phys_pair):
     depol = params.depolarizing.current
     if depol > 0:
         superop = superop.then(
-            Superoperator.from_kraus(two_qubit_depolarizing_channel(depol))
+            from_kraus(two_qubit_depolarizing_channel(depol))
         )
     duration_us = params.duration_ns / 1000.0
     for position, phys in enumerate(phys_pair):
@@ -176,7 +169,9 @@ def _max_delta(left, right):
 # ----------------------------------------------------------------------
 @pytest.fixture(
     scope="module",
-    params=[(seed, hours) for seed in _seeds([23]) for hours in _HOURS],
+    params=[
+        (seed, hours) for seed in differential_seeds([23]) for hours in _HOURS
+    ],
     ids=lambda p: f"seed{p[0]}-{p[1]:g}h",
 )
 def aspen(request):
@@ -315,8 +310,7 @@ def test_edge_parameters_match_kraus(edit, gate_name):
 
 def test_zero_duration_idle_compiles_to_nothing():
     dev = small_test_device(3, seed=4)
-    compiler = dev._operation_compiler_factory([0, 1, 2])
-    assert compiler(Gate("idle", (1,), (0.0,))) == ()
+    assert dev._channel_key("idle", (0.0,), (1,)) is None
     assert _max_delta(
         thermal_superoperator(0.0, 10.0, 15.0), Superoperator(np.eye(4))
     ) == 0.0
@@ -331,7 +325,7 @@ def _random_unitary(rng, dim):
     return unitary
 
 
-@pytest.mark.parametrize("seed", _seeds(range(5)))
+@pytest.mark.parametrize("seed", differential_seeds(range(5)))
 def test_from_unitary_bit_identical_to_kron(seed):
     rng = np.random.default_rng(seed)
     for dim in (2, 4, 8):
@@ -342,24 +336,24 @@ def test_from_unitary_bit_identical_to_kron(seed):
         )
 
 
-@pytest.mark.parametrize("seed", _seeds(range(5)))
+@pytest.mark.parametrize("seed", differential_seeds(range(5)))
 def test_embed_bit_identical(seed):
     rng = np.random.default_rng(seed)
     maps = [
         _reference_unitary(_random_unitary(rng, 2)),
         thermal_superoperator(rng.uniform(0.0, 1.0), 20.0, 30.0),
-        Superoperator.from_kraus(depolarizing_channel(rng.uniform())),
+        from_kraus(depolarizing_channel(rng.uniform())),
     ]
     for superop in maps:
         for num_qubits in (1, 2, 3):
             for position in range(num_qubits):
                 assert np.array_equal(
-                    superop.embed(position, num_qubits).matrix,
+                    embed(superop, position, num_qubits).matrix,
                     _reference_embed(superop, position, num_qubits).matrix,
                 )
 
 
-@pytest.mark.parametrize("seed", _seeds(range(5)))
+@pytest.mark.parametrize("seed", differential_seeds(range(5)))
 def test_depolarized_matches_kraus_composition(seed):
     rng = np.random.default_rng(100 + seed)
     probability = rng.uniform()
@@ -370,7 +364,7 @@ def test_depolarized_matches_kraus_composition(seed):
         before = _reference_unitary(_random_unitary(rng, dim))
         assert _max_delta(
             before.depolarized(probability),
-            before.then(Superoperator.from_kraus(channel)),
+            before.then(from_kraus(channel)),
         ) <= _TOL
 
 
@@ -388,7 +382,7 @@ def test_depolarized_matches_kraus_composition(seed):
 def test_thermal_superoperator_matches_kraus(duration, t1, t2):
     assert _max_delta(
         thermal_superoperator(duration, t1, t2),
-        Superoperator.from_kraus(thermal_relaxation_channel(duration, t1, t2)),
+        from_kraus(thermal_relaxation_channel(duration, t1, t2)),
     ) <= _TOL
 
 

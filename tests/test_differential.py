@@ -3,7 +3,7 @@
 Three independent simulation backends cover overlapping circuit classes:
 
 * Clifford circuits — :class:`StabilizerSimulator` (CHP tableau) vs the
-  noiseless :class:`DensityMatrixSimulator`;
+  noiseless :class:`DensityMatrixSimulator` of ``tests/oracle.py``;
 * Clifford CopyCats of random programs — the exact probe circuits ANGEL
   runs, same pair of backends;
 * arbitrary noiseless circuits — :class:`StatevectorSimulator` vs
@@ -16,8 +16,6 @@ widens the sweep through ``REPRO_DIFFERENTIAL_SEEDS`` (a comma-separated
 list of extra seeds applied to every class).
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -26,20 +24,11 @@ from repro.circuit.random_circuits import (
     random_clifford_circuit,
 )
 from repro.core.copycat import build_copycat
-from repro.sim.density_matrix import DensityMatrixSimulator
 from repro.sim.stabilizer import StabilizerSimulator
 from repro.sim.statevector import StatevectorSimulator
+from tests.oracle import DensityMatrixSimulator, differential_seeds
 
 _ATOL = 1e-9
-
-
-def _extra_seeds():
-    raw = os.environ.get("REPRO_DIFFERENTIAL_SEEDS", "")
-    return [int(token) for token in raw.split(",") if token.strip()]
-
-
-def _seeds(base):
-    return list(base) + _extra_seeds()
 
 
 def _assert_distributions_match(left, right, atol=_ATOL):
@@ -54,7 +43,7 @@ def _assert_distributions_match(left, right, atol=_ATOL):
     assert sum(right.values()) == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("seed", _seeds(range(15)))
+@pytest.mark.parametrize("seed", differential_seeds(range(15)))
 def test_clifford_stabilizer_vs_density_matrix(seed):
     """Random Clifford circuits: tableau == noiseless density matrix."""
     rng = np.random.default_rng(1000 + seed)
@@ -66,7 +55,7 @@ def test_clifford_stabilizer_vs_density_matrix(seed):
     _assert_distributions_match(stab, dense)
 
 
-@pytest.mark.parametrize("seed", _seeds(range(10)))
+@pytest.mark.parametrize("seed", differential_seeds(range(10)))
 def test_clifford_copycat_stabilizer_vs_density_matrix(seed):
     """CopyCats with a zero non-Clifford budget are pure Clifford; the
     exact probe circuits ANGEL runs must agree across backends."""
@@ -86,7 +75,7 @@ def test_clifford_copycat_stabilizer_vs_density_matrix(seed):
     assert sum(ideal.values()) == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("seed", _seeds(range(25)))
+@pytest.mark.parametrize("seed", differential_seeds(range(25)))
 def test_noiseless_statevector_vs_density_matrix(seed):
     """Arbitrary circuits, no noise: |psi><psi| probabilities == |psi|^2."""
     rng = np.random.default_rng(3000 + seed)
@@ -100,7 +89,7 @@ def test_noiseless_statevector_vs_density_matrix(seed):
 
 def test_sweep_covers_at_least_fifty_cases():
     """The default parametrization is a ~50-case property sweep."""
-    total = len(_seeds(range(15))) + len(_seeds(range(10))) + len(
-        _seeds(range(25))
+    total = sum(
+        len(differential_seeds(range(count))) for count in (15, 10, 25)
     )
     assert total >= 50

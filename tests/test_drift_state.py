@@ -44,7 +44,7 @@ from repro.device.noise_parameters import (
 )
 from repro.device.topology import linear_topology
 from repro.exceptions import DeviceError
-from tests.test_differential import _seeds
+from tests.oracle import differential_seeds
 
 _HOUR_US = 3_600e6
 
@@ -240,7 +240,7 @@ def _run_pair(name: str, seed: int, steps: int) -> None:
     )
 
 
-@pytest.mark.parametrize("seed", _seeds(range(3)))
+@pytest.mark.parametrize("seed", differential_seeds(range(3)))
 @pytest.mark.parametrize("name", sorted(_DEVICES))
 def test_array_advance_matches_per_object_reference(name, seed):
     _run_pair(name, seed, steps=60)

@@ -6,7 +6,8 @@ produces are **bit-identical** across
 
   {fused pipeline on, off} x {local backend, zero-fault remote}.
 
-"Off" sets ``device.sim_cache = None``: the per-gate reference path.
+"Off" samples the Kraus oracle of ``tests/oracle.py`` in place of the
+fused pipeline.
 
 All four combinations run the same seeded GHZ/QAOA probe batches on the
 same chip-day and must produce byte-for-byte equal counts, including
@@ -30,15 +31,14 @@ from repro.service import (
     RemoteBackend,
     fault_profile,
 )
+from tests.oracle import use_kraus_oracle
 
 _HOUR_US = 3_600e6
 
 
 def _device(fused: bool):
     device = aspen11(seed=17)
-    if not fused:
-        device.sim_cache = None
-    return device
+    return device if fused else use_kraus_oracle(device)
 
 
 def _probe_jobs(device):

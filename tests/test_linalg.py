@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.circuit.gates import gate_matrix, rx_matrix, rz_matrix, u3_matrix
 from repro.linalg import (
     average_gate_fidelity,
-    channel_average_fidelity,
     closest_unitary,
     entanglement_fidelity,
     is_unitary,
@@ -19,6 +18,7 @@ from repro.linalg import (
     phase_invariant_distance,
     unitaries_equal_up_to_phase,
 )
+from tests.oracle import channel_average_fidelity
 
 
 class TestIsUnitary:

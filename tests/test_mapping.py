@@ -1,7 +1,6 @@
 """Tests for qubit mapping strategies."""
 
 import itertools
-import os
 
 import networkx as nx
 import numpy as np
@@ -21,12 +20,7 @@ from repro.device.topology import aspen_topology, linear_topology
 from repro.exceptions import CompilationError
 from repro.experiments.context import ExperimentContext
 from repro.programs import benchmark_suite, ghz_n4
-
-
-def _seeds(base):
-    """*base* plus the extra seeds of the nightly differential sweep."""
-    raw = os.environ.get("REPRO_DIFFERENTIAL_SEEDS", "")
-    return list(base) + [int(token) for token in raw.split(",") if token.strip()]
+from tests.oracle import differential_seeds
 
 
 class TestLayout:
@@ -252,7 +246,7 @@ class TestLayoutMatchesExhaustiveReference:
         assert layout.physical == _reference_layout(circuit, device, calibration)
         assert layout.physical == self.TABLE_I_LAYOUTS[spec.name]
 
-    @pytest.mark.parametrize("seed", _seeds(range(12)))
+    @pytest.mark.parametrize("seed", differential_seeds(range(12)))
     def test_random_on_aspen11(self, aspen11_context, seed):
         device = aspen11_context.device
         calibration = aspen11_context.calibration
@@ -260,7 +254,7 @@ class TestLayoutMatchesExhaustiveReference:
         layout = noise_adaptive_layout(circuit, device, calibration)
         assert layout.physical == _reference_layout(circuit, device, calibration)
 
-    @pytest.mark.parametrize("seed", _seeds(range(12)))
+    @pytest.mark.parametrize("seed", differential_seeds(range(12)))
     def test_random_on_line(self, line6_calibrated, seed):
         device, calibration = line6_calibrated
         circuit = _random_program(seed)

@@ -10,7 +10,6 @@ cleanup's distribution-exactness, and the transpile/context integration
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -34,15 +33,7 @@ from repro.device.presets import small_test_device
 from repro.exceptions import CompilationError
 from repro.obs import MetricsRegistry, Tracer, observed
 from repro.sim.statevector import StatevectorSimulator
-
-
-def _extra_seeds():
-    raw = os.environ.get("REPRO_DIFFERENTIAL_SEEDS", "")
-    return [int(token) for token in raw.split(",") if token.strip()]
-
-
-def _seeds(base):
-    return list(base) + _extra_seeds()
+from tests.oracle import differential_seeds
 
 
 def _assert_same_unitary(original, optimized, atol=1e-7):
@@ -73,7 +64,7 @@ _PASSES = [
 
 
 @pytest.mark.parametrize("opt_pass", _PASSES, ids=lambda p: p.name)
-@pytest.mark.parametrize("seed", _seeds(range(50)))
+@pytest.mark.parametrize("seed", differential_seeds(range(50)))
 def test_each_pass_preserves_unitary(opt_pass, seed):
     """Property sweep: every pass alone, 50 seeded random circuits."""
     circuit = _random_case(seed)
@@ -83,7 +74,7 @@ def test_each_pass_preserves_unitary(opt_pass, seed):
 
 
 @pytest.mark.parametrize("level", [1, 2])
-@pytest.mark.parametrize("seed", _seeds(range(50)))
+@pytest.mark.parametrize("seed", differential_seeds(range(50)))
 def test_pipeline_preserves_unitary(level, seed):
     """Full fixpoint pipelines at levels 1 and 2."""
     circuit = _random_case(seed)
@@ -287,7 +278,7 @@ def test_cleanup_drops_rz_before_measure_and_on_virgin_wires():
         )
 
 
-@pytest.mark.parametrize("seed", _seeds(range(10)))
+@pytest.mark.parametrize("seed", differential_seeds(range(10)))
 def test_cleanup_preserves_nativized_distribution(seed):
     """Level-2 native cleanup is distribution-exact on probe shapes."""
     rng = np.random.default_rng(8000 + seed)

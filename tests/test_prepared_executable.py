@@ -1,17 +1,15 @@
-"""Prepared executables against the lowering they replaced, and the memo.
+"""Prepared executables against the oracles, and the memo.
 
-The reference below is the distribution pipeline the device ran before
-it prepared circuits: relabel the circuit onto a compact register of new
-``Gate`` objects, insert idle markers per moment on an idle-noise device,
-lower the compact circuit into one fused channel per gate (built here
-from the device's noise layout, without its channel cache), fuse the
-stream greedily by composing one ``Superoperator`` per step, evolve
-``|0..0>`` and apply readout. It is kept here as the
-oracle: ``noisy_distribution`` must return a dict *equal* to it — bit
-for bit, not within a tolerance — for every Table I program nativized
-with each native gate, on aspen-11 at 0, 4 and 30 h of drift, with the
-default physics, with idle noise and with spectator crosstalk. Extra
-device seeds come from ``REPRO_DIFFERENTIAL_SEEDS``.
+``noisy_distribution`` must return a dict *equal* to the per-gate
+oracle's (``tests/oracle.py``: compact circuit, idle markers, one fused
+channel per gate built without the channel cache, greedy fusion by
+composing one ``Superoperator`` per step) — bit for bit, not within a
+tolerance — for every Table I program nativized with each native gate,
+on aspen-11 at 0, 4 and 30 h of drift, with the default physics, with
+idle noise and with spectator crosstalk. It must also agree with the
+Kraus oracle, which applies every gate and every Kraus operator of its
+noise separately, within 1e-12 (a subset: ``cz`` only, one age per
+physics). Extra device seeds come from ``REPRO_DIFFERENTIAL_SEEDS``.
 
 The second half pins the memo: content-equal circuits share one
 executable whatever their names, invalid circuits raise on every call
@@ -22,15 +20,12 @@ threads racing to prepare the same circuits get equal executables.
 import math
 import sys
 import threading
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 import pytest
 
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.dag import circuit_moments
-from repro.circuit.gates import Gate
 from repro.compiler import transpile
 from repro.compiler.nativization import nativize
 from repro.core.sequence import NativeGateSequence
@@ -39,173 +34,15 @@ from repro.device.device import ExecutableMemo
 from repro.device.presets import aspen11
 from repro.exceptions import DeviceError
 from repro.programs import benchmark_suite
-from repro.sim.channels import Superoperator
-from repro.sim.density_matrix import DensityMatrix, _apply_readout_confusion
 from repro.sim.sampler import sample_distribution
-from tests.test_differential import _seeds
+from tests.oracle import (
+    differential_seeds,
+    kraus_distribution,
+    per_gate_distribution,
+)
 
 _HOUR_US = 3_600e6
 _GATES = ("xy", "cz", "cphase")
-
-
-# ----------------------------------------------------------------------
-# The reference: compact circuit, idle markers, lower and fuse, evolve
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _LoweredOp:
-    superop: Superoperator
-    qubits: Tuple[int, ...]
-
-
-def _compact_circuit(circuit: QuantumCircuit, used: List[int]):
-    """Relabel physical qubits onto a dense 0..k-1 register."""
-    local_of = {phys: local for local, phys in enumerate(used)}
-    compact = QuantumCircuit(len(used), name=circuit.name)
-    for gate in circuit:
-        if gate.is_barrier:
-            compact.barrier()
-        else:
-            compact.append(
-                Gate(
-                    gate.name,
-                    tuple(local_of[q] for q in gate.qubits),
-                    gate.params,
-                )
-            )
-    return compact
-
-
-def _with_idle_markers(device, compact: QuantumCircuit) -> QuantumCircuit:
-    """Insert ``idle`` gates per moment on untouched wires."""
-    marked = QuantumCircuit(compact.num_qubits, name=compact.name)
-    for moment in circuit_moments(compact):
-        duration = max(
-            (device._gate_duration_ns(g) for g in moment.gates),
-            default=0.0,
-        )
-        busy = set(moment.qubits())
-        for _, gate in moment.items:
-            marked.append(gate)
-        if duration <= 0:
-            continue
-        for qubit in range(compact.num_qubits):
-            if qubit not in busy:
-                marked.append(Gate("idle", (qubit,), (duration,)))
-    return marked
-
-
-def _operation_compiler(device, used: List[int]):
-    """Each compact gate's fused channels, built from scratch at the
-    device's current values as the device built them before executables
-    (no channel cache): ``N (U x conj(U))`` per gate, the relaxation
-    alone per idle marker, and the spectator couplings after each
-    entangling pulse."""
-    phys_of = dict(enumerate(used))
-    values = device.drift.current
-    layout = device.noise_layout
-
-    def compiler(gate: Gate):
-        if gate.name == "idle":
-            duration_us = gate.params[0] / 1000.0
-            if duration_us <= 0:
-                return ()
-            idle = layout._fused_idle(
-                phys_of[gate.qubits[0]], duration_us, values
-            )
-            return ((idle, gate.qubits),)
-        superop = Superoperator.from_unitary(gate.matrix(), gate.name)
-        if gate.num_qubits == 1:
-            if gate.name != "rz":
-                phys = phys_of[gate.qubits[0]]
-                superop = superop.then(layout._rx_noise(phys, values))
-            return ((superop, gate.qubits),)
-        pair = (phys_of[gate.qubits[0]], phys_of[gate.qubits[1]])
-        noise = layout._pulse_noise(gate.name, pair, values)
-        operations = [(superop.then(noise), gate.qubits)]
-        if device.crosstalk_zz:
-            crosstalk = Superoperator.from_unitary(
-                device._crosstalk_unitary(), "crosstalk_zz"
-            )
-            operations.extend(
-                (crosstalk, spectator_pair)
-                for spectator_pair in device._crosstalk_pairs(
-                    gate.qubits, phys_of
-                )
-            )
-        return tuple(operations)
-
-    return compiler
-
-
-def _lower(compiler, circuit: QuantumCircuit) -> List[_LoweredOp]:
-    """The raw per-gate stream, layer-fused."""
-    stream = [
-        _LoweredOp(superop, tuple(qubits))
-        for gate in circuit
-        if gate.is_unitary
-        for superop, qubits in compiler(gate)
-    ]
-    return _fused(stream)
-
-
-def _fused(stream: List[_LoweredOp]) -> List[_LoweredOp]:
-    fused: List[_LoweredOp] = []
-    for op in stream:
-        if fused:
-            merged = _try_fuse(fused[-1], op)
-            if merged is not None:
-                fused[-1] = merged
-                continue
-        fused.append(op)
-    return fused
-
-
-def _try_fuse(pending: _LoweredOp, nxt: _LoweredOp) -> Optional[_LoweredOp]:
-    if nxt.qubits == pending.qubits:
-        superop = pending.superop.then(nxt.superop)
-        qubits = pending.qubits
-    elif (
-        len(nxt.qubits) == 1
-        and len(pending.qubits) == 2
-        and nxt.qubits[0] in pending.qubits
-    ):
-        position = pending.qubits.index(nxt.qubits[0])
-        superop = pending.superop.then(nxt.superop.embed(position, 2))
-        qubits = pending.qubits
-    elif (
-        len(pending.qubits) == 1
-        and len(nxt.qubits) == 2
-        and pending.qubits[0] in nxt.qubits
-    ):
-        position = nxt.qubits.index(pending.qubits[0])
-        superop = pending.superop.embed(position, 2).then(nxt.superop)
-        qubits = nxt.qubits
-    else:
-        return None
-    return _LoweredOp(superop, qubits)
-
-
-def _reference_distribution(device, circuit: QuantumCircuit):
-    device._validate(circuit)
-    used = device._used_qubits(circuit)
-    compact = _compact_circuit(circuit, used)
-    if device.idle_noise:
-        compact = _with_idle_markers(device, compact)
-    readout = [device.qubit_params[phys].readout_error() for phys in used]
-    lowered = _lower(_operation_compiler(device, used), compact)
-    state = DensityMatrix(compact.num_qubits)
-    for op in lowered:
-        state.apply_superoperator(op.superop, op.qubits)
-    measured = compact.measured_qubits()
-    probs = _apply_readout_confusion(
-        state.probabilities(measured), measured, readout
-    )
-    width = len(measured)
-    return {
-        format(i, f"0{width}b"): float(p)
-        for i, p in enumerate(probs)
-        if p > 1e-14
-    }
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +80,7 @@ _PHYSICS = {
 
 @pytest.mark.parametrize("hours", [0.0, 4.0, 30.0])
 @pytest.mark.parametrize("physics", sorted(_PHYSICS))
-@pytest.mark.parametrize("seed", _seeds([11]))
+@pytest.mark.parametrize("seed", differential_seeds([11]))
 def test_distributions_equal_the_reference(seed, physics, hours):
     device = aspen11(seed=seed, **_PHYSICS[physics])
     device.advance_time(hours * _HOUR_US)
@@ -251,12 +88,30 @@ def test_distributions_equal_the_reference(seed, physics, hours):
     for gate in _GATES:
         for circuit in _nativized(device, gate):
             prepared = device.noisy_distribution(circuit)
-            assert prepared == _reference_distribution(twin, circuit)
+            assert prepared == per_gate_distribution(twin, circuit)
             executable = device.prepare(circuit)
             assert executable.duration_us == device.circuit_duration_us(
                 circuit
             )
             assert list(executable.qubits) == device._used_qubits(circuit)
+
+
+@pytest.mark.parametrize(
+    "physics, hours",
+    [("default", 0.0), ("idle_noise", 30.0), ("crosstalk", 4.0)],
+)
+@pytest.mark.parametrize("seed", differential_seeds([11]))
+def test_distributions_match_the_kraus_oracle(seed, physics, hours):
+    """Every gate's unitary and each Kraus operator of its noise applied
+    one at a time give the same distribution to 1e-12."""
+    device = aspen11(seed=seed, **_PHYSICS[physics])
+    device.advance_time(hours * _HOUR_US)
+    for circuit in _nativized(device, "cz"):
+        prepared = device.noisy_distribution(circuit)
+        reference = kraus_distribution(device, circuit)
+        assert set(prepared) == set(reference)
+        for key, probability in reference.items():
+            assert prepared[key] == pytest.approx(probability, abs=1e-12)
 
 
 def test_run_counts_and_log_equal_the_reference_twin():
@@ -267,7 +122,7 @@ def test_run_counts_and_log_equal_the_reference_twin():
     twin = device.clone()
     for circuit in _nativized(device, "cz"):
         counts = device.run(circuit, 500, seed=3)
-        reference = _reference_distribution(twin, circuit)
+        reference = per_gate_distribution(twin, circuit)
         assert counts == sample_distribution(
             reference, 500, np.random.default_rng(3)
         )
@@ -355,7 +210,7 @@ def test_bound_evicts_and_an_evicted_circuit_prepares_equal():
     assert again is not first
     assert again == first
     assert device.executables.stats()["misses"] == 4
-    assert device.noisy_distribution(circuits[0]) == _reference_distribution(
+    assert device.noisy_distribution(circuits[0]) == per_gate_distribution(
         device.clone(), circuits[0]
     )
 

@@ -1,5 +1,5 @@
-"""Distribution pipeline: fused against the per-gate reference, and
-the shared dedup store (the only distribution memo) under drift."""
+"""Distribution pipeline: fused against the Kraus oracle, and the shared
+dedup store (the only distribution memo) under drift."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,14 @@ import pytest
 from repro.circuit.circuit import QuantumCircuit
 from repro.compiler import transpile
 from repro.compiler.nativization import nativize
-from repro.core.sequence import NativeGateSequence
+from repro.core.sequence import NativeGateSequence, enumerate_sequences
 from repro.device import small_test_device
 from repro.exec import BatchExecutor, Job, LocalBackend
 from repro.programs.ghz import ghz
 from repro.programs.qaoa import qaoa_n5
 from repro.service import ProbeDistributionStore
 from repro.sim import circuit_digest
+from tests.oracle import use_kraus_oracle
 
 
 def _native(device, program, gate="cz"):
@@ -25,11 +26,10 @@ def _native(device, program, gate="cz"):
 
 
 def _pair(program, seed=9):
-    """Identically-seeded devices with the fused pipeline on and off
-    (off runs the per-gate reference path)."""
+    """Identically-seeded devices, the second sampling the Kraus oracle
+    in place of the fused pipeline."""
     dev_on = small_test_device(5, seed=seed)
-    dev_off = small_test_device(5, seed=seed)
-    dev_off.sim_cache = None
+    dev_off = use_kraus_oracle(small_test_device(5, seed=seed))
     return dev_on, dev_off, _native(dev_on, program)
 
 
@@ -38,7 +38,7 @@ def _sharing_store(count):
     store = ProbeDistributionStore()
     devices = [small_test_device(5, seed=9) for _ in range(count)]
     for device in devices:
-        assert store.attach(device)
+        store.attach(device)
     return devices
 
 
@@ -112,6 +112,37 @@ class TestBitIdenticalOnVsOff:
             circuit_off, 1000, seed=3
         )
 
+    def test_probe_batch_counts_identical_on_the_kraus_oracle(self):
+        """Eight seeded GHZ-5 probes, each under its own native-gate
+        sequence, through the executor: the same counts and clock."""
+        runs = []
+        for device in (
+            small_test_device(6, seed=23),
+            use_kraus_oracle(small_test_device(6, seed=23)),
+        ):
+            compiled = transpile(ghz(5), device)
+            sequences = list(
+                enumerate_sequences(
+                    compiled.sites, compiled.gate_options(), "link"
+                )
+            )
+            rng = np.random.default_rng(5)
+            jobs = [
+                Job(
+                    compiled.nativized(
+                        sequences[number % len(sequences)],
+                        name_suffix=f"_m{number}",
+                    ),
+                    256,
+                    seed=int(rng.integers(2**31)),
+                    tag="probe",
+                )
+                for number in range(8)
+            ]
+            results = BatchExecutor(LocalBackend(device)).submit_batch(jobs)
+            runs.append(([r.counts for r in results], device.clock_us))
+        assert runs[0] == runs[1]
+
 
 class TestDriftInvalidation:
     def test_no_stale_distribution_after_mid_batch_drift(self):
@@ -120,13 +151,13 @@ class TestDriftInvalidation:
 
         A publisher fills the store along its trajectory; a twin that
         drifted 12 h further must miss every lookup and match the
-        per-gate reference device that drifted identically.
+        Kraus-oracle device that drifted identically.
         """
         dev_on, dev_off, circuit = _pair(ghz(5))
         publisher = small_test_device(5, seed=9)
         store = ProbeDistributionStore()
         for device in (publisher, dev_on):
-            assert store.attach(device)
+            store.attach(device)
         jobs = [Job(circuit, 500, seed=s, tag="probe") for s in (1, 2, 3)]
         first = LocalBackend(publisher).submit_batch(jobs)
         assert publisher.sim_cache.dist_misses == 3
@@ -170,19 +201,6 @@ class TestExecutorStatsPlumbing:
         assert snapshot["sim_dist_misses"] == stats.sim_dist_misses
         assert "probe dedup: 3 cross-request hits" in stats.to_text()
 
-    def test_no_sim_cache_backend_reports_zero(self):
-        device = small_test_device(5, seed=9)
-        device.sim_cache = None
-        backend = LocalBackend(device)
-        stats = backend.cache_stats()
-        assert "dist_hits" not in stats  # pipeline absent, not zeroed
-        executor = BatchExecutor(backend)
-        circuit = _native(device, ghz(5))
-        executor.submit(Job(circuit, 100, seed=1))
-        assert executor.stats.sim_dist_hits == 0
-        assert executor.stats.sim_dist_misses == 0
-        assert "sim cache:" not in executor.stats.to_text()
-
 
 class TestDistributionCacheSkipsSimulation:
     def test_identical_probes_skip_recompute(self):
@@ -209,8 +227,7 @@ class TestDistributionCacheSkipsSimulation:
         dist_01 = first.noisy_distribution(_bell(0, 1))
         dist_34 = second.noisy_distribution(_bell(3, 4))
         assert second.sim_cache.dist_hits == 0  # distinct placements
-        plain = small_test_device(5, seed=9)
-        plain.sim_cache = None
+        plain = use_kraus_oracle(small_test_device(5, seed=9))
         ref_34 = plain.noisy_distribution(_bell(3, 4))
         for key in ref_34:
             assert dist_34[key] == pytest.approx(ref_34[key], abs=1e-12)
