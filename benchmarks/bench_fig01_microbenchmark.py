@@ -1,6 +1,6 @@
 """Fig. 1(c): RX(pi)+CNOT micro-benchmark, SR per native gate."""
 
-from repro.experiments import run_experiment
+from repro.experiments import ledgers_to_text, run_experiment
 
 from conftest import emit, run_once
 
@@ -17,4 +17,4 @@ def bench_fig1c(benchmark, context):
     stats = context.executor.stats
     assert stats.jobs > 0 and stats.shots > 0
     print("--- execution-service stats ---")
-    print(stats.to_text())
+    print(ledgers_to_text(context.ledgers()))

@@ -4,7 +4,7 @@ Paper shape: the runtime-best combination far exceeds the
 noise-adaptive one (3x on Aspen-11); we assert a material gap.
 """
 
-from repro.experiments import run_experiment
+from repro.experiments import ledgers_to_text, run_experiment
 
 from conftest import emit, run_once
 
@@ -24,4 +24,4 @@ def bench_fig3(benchmark, context):
     assert stats.jobs_by_tag.get("measure", 0) >= 81
     assert stats.shots >= 81 * 512
     print("--- execution-service stats ---")
-    print(stats.to_text())
+    print(ledgers_to_text(context.ledgers()))

@@ -67,7 +67,8 @@ def run(probe_shots: int):
             backend="remote", fault_profile=name, fault_seed=7
         )
         angel, compiled, result, elapsed = _angel_run(ctx, probe_shots)
-        stats = ctx.executor.stats.snapshot()
+        ledgers = ctx.ledgers()
+        remote = ledgers["remote"]
         report["profiles"][name] = {
             "wall_time_s": elapsed,
             "overhead_vs_local": elapsed / local_s if local_s else None,
@@ -75,10 +76,10 @@ def run(probe_shots: int):
             "probe_budget": angel.expected_probe_count(compiled),
             "probes_failed": result.trace.num_failed,
             "degraded_links": len(result.degraded_links),
-            "retries": stats["retries"],
-            "job_failures": stats["job_failures"],
-            "breaker_trips": stats["breaker_trips"],
-            "fallbacks": stats["fallbacks"],
+            "retries": remote["retries"],
+            "job_failures": remote["failures"],
+            "breaker_trips": remote["breaker_trips"],
+            "fallbacks": ledgers["exec"]["fallbacks"],
             "sequence": list(result.sequence.gates),
             "clock_us": ctx.device.clock_us,
         }

@@ -17,7 +17,7 @@ Run:  python examples/quickstart.py
 from repro.compiler import transpile
 from repro.core import Angel, AngelConfig
 from repro.exec import Job
-from repro.experiments import ExperimentContext
+from repro.experiments import ExperimentContext, ledgers_to_text
 from repro.metrics import success_rate_from_counts
 from repro.programs import ghz_n4
 
@@ -67,7 +67,7 @@ def main() -> None:
     print(f"ANGEL SR:                     {angel_sr:.3f} "
           f"({angel_sr / baseline_sr:.2f}x)")
     print("\nexecution-service ledger:")
-    print(executor.stats.to_text())
+    print(ledgers_to_text(context.ledgers()))
 
 
 if __name__ == "__main__":

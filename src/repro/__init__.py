@@ -24,7 +24,7 @@ HPCA 2023), including every substrate the paper depends on:
 Quickstart::
 
     from repro import Angel, AngelConfig, Job, transpile, ghz
-    from repro.experiments import ExperimentContext
+    from repro.experiments import ExperimentContext, ledgers_to_text
 
     ctx = ExperimentContext.create()          # aged Aspen-11
     compiled = transpile(ghz(4), ctx.device, ctx.calibration)
@@ -32,7 +32,7 @@ Quickstart::
     result = angel.select(compiled)           # 1 + 2L CopyCat probes
     program = angel.nativize(compiled, result)
     counts = ctx.executor.submit(Job(program, shots=4096)).counts
-    print(ctx.executor.stats.to_text())       # probe vs final cost
+    print(ledgers_to_text(ctx.ledgers()))     # probe vs final cost
 
 See README.md for the architecture overview, DESIGN.md for the
 paper-to-module map, and EXPERIMENTS.md for paper-vs-measured results.

@@ -8,7 +8,8 @@ Commands:
   success rate.
 * ``serve`` — replay a synthetic multi-tenant workload through the
   :class:`~repro.service.AngelService` compile service (fair
-  scheduling, probe coalescing, cross-tenant dedup).
+  scheduling across tenants, each request on its own device and
+  executor, cross-tenant probe dedup).
 * ``experiments`` — regenerate paper artifacts (delegates to
   :mod:`repro.experiments.runner`).
 * ``device`` — print a device's topology and calibrated fidelity map.
@@ -30,8 +31,10 @@ from .core import Angel, AngelConfig, NativeGateSequence
 from .device.native_gates import NATIVE_TWO_QUBIT_GATES
 from .exceptions import ReproError
 from .exec import Job
-from .experiments import ExperimentContext, run_experiment
+from .experiments import ExperimentContext, ledgers_to_text, run_experiment
 from .metrics import success_rate_from_counts
+from .obs import JsonlSpanSink, MetricsRegistry, Tracer
+from .obs import runtime as obs
 from .programs import benchmark_suite, get_benchmark
 from .service import FAULT_PROFILES
 
@@ -128,8 +131,8 @@ def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="print the metrics registry (executor/cache/service "
-        "counters) after the run",
+        help="print the metrics registry (executor, cache, remote and "
+        "service counters) after the run",
     )
 
 
@@ -293,7 +296,7 @@ def _run_compile(
     print(f"success rate over {args.shots} shots: {sr:.4f}")
     if args.stats:
         print("--- execution-service stats ---")
-        print(executor.stats.to_text())
+        print(ledgers_to_text(context.ledgers()))
     if args.emit_qasm:
         print()
         print(to_qasm(native))
@@ -360,10 +363,26 @@ def _command_serve(args: argparse.Namespace) -> int:
         dedup=not args.no_dedup,
         tenants=tuple(TenantConfig(name) for name in sorted(workload)),
     )
+    # Each request's context adds its ledgers to the active registry
+    # when it closes, so the registry sums every request's counts.
+    tracer = registry = previous = None
+    if args.trace is not None or args.metrics:
+        registry = MetricsRegistry()
+        if args.trace is not None:
+            tracer = Tracer(
+                sink=JsonlSpanSink(args.trace),
+                keep_spans=False,
+                registry=registry,
+            )
+        previous = obs.install(tracer, registry)
     try:
         outcomes = replay_workload(workload, service=service)
     finally:
         service.close()
+        if tracer is not None:
+            tracer.close()
+        if previous is not None:
+            obs.uninstall(previous)
     total = failed = probes = dedup_hits = 0
     print(
         f"{'tenant':12s} {'ok':>4s} {'fail':>5s} {'probes':>7s} "
@@ -397,6 +416,11 @@ def _command_serve(args: argparse.Namespace) -> int:
             f"{stats['publishes']} publishes, {stats['evictions']} "
             f"evictions ({stats['entries']} entries)"
         )
+    if args.metrics:
+        print("--- metrics ---")
+        print(registry.to_text())
+    if args.trace is not None:
+        print(f"trace written to {args.trace}")
     return 0
 
 

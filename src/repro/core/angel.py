@@ -414,7 +414,6 @@ class AngelProbePlan:
             registry.counter("angel.selections").add(1)
             registry.counter("angel.probes").add(self.probes_run)
             registry.counter("angel.updates").add(result.trace.num_updates)
-            registry.counter("angel.degraded_links").add(len(degraded))
 
 
 class _CopycatNativizer:

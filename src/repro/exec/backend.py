@@ -15,7 +15,7 @@ the device directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, Sequence, TYPE_CHECKING
+from typing import List, Protocol, Sequence, TYPE_CHECKING
 
 from ..obs import runtime as obs
 from .job import Job, JobResult
@@ -67,7 +67,7 @@ class LocalBackend:
             else obs.NULL_SPAN
         )
         with span:
-            before = self._trace_cache_counters() if tracer else None
+            before = self._cache_counts() if tracer else None
             counts = self.device.run(
                 job.circuit,
                 job.shots,
@@ -77,7 +77,7 @@ class LocalBackend:
             )
             record = self.device.execution_log[-1]
             if tracer:
-                after = self._trace_cache_counters()
+                after = self._cache_counts()
                 span.set(
                     duration_us=record.duration_us,
                     started_at_us=record.started_at_us,
@@ -96,7 +96,7 @@ class LocalBackend:
             qubits=record.qubits,
         )
 
-    def _trace_cache_counters(self):
+    def _cache_counts(self):
         """(channel hits, channel misses, dist hits) — the per-job cache
         attribution sampled around a traced submission."""
         cache = self.device.channel_cache
@@ -104,15 +104,3 @@ class LocalBackend:
 
     def submit_batch(self, jobs: Sequence[Job]) -> List[JobResult]:
         return [self.submit(job) for job in jobs]
-
-    # ------------------------------------------------------------------
-    def cache_stats(self) -> Dict[str, int]:
-        """Channel-cache and simulation-cache counters, merged.
-
-        Channel-cache keys are unprefixed (``hits``/``misses``/...);
-        simulation-cache keys carry a ``dist_`` prefix so the executor
-        can diff each cache independently.
-        """
-        stats = self.device.channel_cache.stats()
-        stats.update(self.device.sim_cache.stats())
-        return stats

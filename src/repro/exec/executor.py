@@ -31,11 +31,14 @@ __all__ = ["ExecutorStats", "BatchExecutor", "get_executor"]
 
 @dataclass
 class ExecutorStats:
-    """Cumulative accounting for one executor.
+    """Cumulative accounting for one executor: the counts it sees itself.
 
     ``device_time_us`` is *simulated* device occupancy (the clock the
     drift model sees); ``wall_time_s`` is real host time spent inside
-    ``submit``/``submit_batch`` calls.
+    ``submit``/``submit_batch`` calls. Cache, retry and fault counts
+    stay with the device, the remote backend and the cloud service that
+    see them; :meth:`~repro.experiments.context.ExperimentContext.
+    ledgers` reads them all together.
     """
 
     jobs: int = 0
@@ -43,27 +46,9 @@ class ExecutorStats:
     shots: int = 0
     device_time_us: float = 0.0
     wall_time_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Exact distributions served from a shared
-    #: :class:`~repro.service.dedup.ProbeDistributionStore` (computed by
-    #: another request at the identical physics state) and simulated.
-    sim_dist_hits: int = 0
-    sim_dist_misses: int = 0
-    #: Simulated distributions published to the shared store.
-    sim_shared_publishes: int = 0
-    #: Transient-fault resubmissions performed by a resilient backend.
-    retries: int = 0
-    #: Jobs that failed permanently (retry budget/deadline/breaker).
-    job_failures: int = 0
-    #: Circuit-breaker trips observed at the backend.
-    breaker_trips: int = 0
     #: Search-level degradations: links whose probe jobs failed and fell
     #: back to the calibration-fidelity choice (recorded by ANGEL).
     fallbacks: int = 0
-    #: Probe batches that were merged into a larger submission via
-    #: ``submit_grouped`` (counts source groups, not merged batches).
-    coalesced_groups: int = 0
     jobs_by_tag: Dict[str, int] = field(default_factory=dict)
     shots_by_tag: Dict[str, int] = field(default_factory=dict)
     wall_time_by_tag_s: Dict[str, float] = field(default_factory=dict)
@@ -101,62 +86,11 @@ class ExecutorStats:
             "shots": self.shots,
             "device_time_us": self.device_time_us,
             "wall_time_s": self.wall_time_s,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "sim_dist_hits": self.sim_dist_hits,
-            "sim_dist_misses": self.sim_dist_misses,
-            "sim_shared_publishes": self.sim_shared_publishes,
-            "retries": self.retries,
-            "job_failures": self.job_failures,
-            "breaker_trips": self.breaker_trips,
             "fallbacks": self.fallbacks,
-            "coalesced_groups": self.coalesced_groups,
             "jobs_by_tag": dict(self.jobs_by_tag),
             "shots_by_tag": dict(self.shots_by_tag),
             "wall_time_by_tag_s": dict(self.wall_time_by_tag_s),
         }
-
-    def to_text(self) -> str:
-        lines = [
-            f"jobs: {self.jobs} ({self.batches} batches), "
-            f"shots: {self.shots}",
-            f"device time: {self.device_time_us / 1e6:.3f} s simulated, "
-            f"host time: {self.wall_time_s:.3f} s",
-            f"channel cache: {self.cache_hits} hits / "
-            f"{self.cache_misses} misses",
-        ]
-        if self.sim_dist_hits or self.sim_dist_misses:
-            lines.append(
-                f"sim cache: {self.sim_dist_misses} distributions simulated"
-            )
-        if self.sim_dist_hits or self.sim_shared_publishes:
-            lines.append(
-                f"probe dedup: {self.sim_dist_hits} cross-request hits, "
-                f"{self.sim_shared_publishes} published"
-            )
-        if self.coalesced_groups:
-            lines.append(
-                f"coalescing: {self.coalesced_groups} probe batches merged"
-            )
-        if (
-            self.retries
-            or self.job_failures
-            or self.breaker_trips
-            or self.fallbacks
-        ):
-            lines.append(
-                f"reliability: {self.retries} retries, "
-                f"{self.job_failures} job failures, "
-                f"{self.breaker_trips} breaker trips, "
-                f"{self.fallbacks} degraded links"
-            )
-        for tag in sorted(self.jobs_by_tag):
-            lines.append(
-                f"  {tag}: {self.jobs_by_tag[tag]} jobs, "
-                f"{self.shots_by_tag.get(tag, 0)} shots, "
-                f"{self.wall_time_by_tag_s.get(tag, 0.0):.3f} s host"
-            )
-        return "\n".join(lines)
 
 
 class BatchExecutor:
@@ -171,18 +105,6 @@ class BatchExecutor:
     def _next_id(self, tag: str) -> str:
         self._counter += 1
         return f"{tag or 'job'}-{self._counter:05d}"
-
-    def _cache_counters(self) -> Dict[str, int]:
-        probe = getattr(self.backend, "cache_stats", None)
-        if probe is None:
-            return {"hits": 0, "misses": 0}
-        return probe()
-
-    def _reliability_counters(self) -> Dict[str, int]:
-        probe = getattr(self.backend, "reliability_stats", None)
-        if probe is None:
-            return {}
-        return probe()
 
     def submit(self, job: Job) -> JobResult:
         """Run one job immediately; returns its result."""
@@ -226,16 +148,12 @@ class BatchExecutor:
             else obs.NULL_SPAN
         )
         with span:
-            before = self._cache_counters()
-            reliability_before = self._reliability_counters()
             start = time.perf_counter()
             submit = (
                 tolerant if tolerant is not None else self.backend.submit_batch
             )
             results = submit(jobs)
             elapsed = time.perf_counter() - start
-            after = self._cache_counters()
-            reliability_after = self._reliability_counters()
             completed = [result for result in results if result is not None]
             if tracer:
                 span.set(
@@ -243,37 +161,9 @@ class BatchExecutor:
                     device_time_job_us=sum(
                         r.duration_us for r in completed
                     ),
-                    cache_hits_delta=after["hits"] - before["hits"],
-                    cache_misses_delta=after["misses"] - before["misses"],
                     failed=len(results) - len(completed),
                 )
         self.stats.record(completed, elapsed, batch=len(jobs) > 1)
-        self.stats.cache_hits += after["hits"] - before["hits"]
-        self.stats.cache_misses += after["misses"] - before["misses"]
-        self.stats.sim_dist_hits += after.get("dist_hits", 0) - before.get(
-            "dist_hits", 0
-        )
-        self.stats.sim_dist_misses += after.get(
-            "dist_misses", 0
-        ) - before.get("dist_misses", 0)
-        self.stats.sim_shared_publishes += after.get(
-            "dist_shared_publishes", 0
-        ) - before.get("dist_shared_publishes", 0)
-        self.stats.retries += reliability_after.get(
-            "retries", 0
-        ) - reliability_before.get("retries", 0)
-        self.stats.job_failures += reliability_after.get(
-            "failures", 0
-        ) - reliability_before.get("failures", 0)
-        self.stats.breaker_trips += reliability_after.get(
-            "breaker_trips", 0
-        ) - reliability_before.get("breaker_trips", 0)
-        registry = obs.active_registry()
-        if registry is not None:
-            # Absorb the cumulative ledgers after every batch so the
-            # registry is live, not just an end-of-run export.
-            registry.ingest_executor(self.stats)
-            registry.ingest_cache(after)
         return list(results)
 
     def submit_grouped(
@@ -281,24 +171,20 @@ class BatchExecutor:
         groups: Sequence[Sequence[Job]],
         allow_failures: bool = False,
     ) -> List[List[Optional[JobResult]]]:
-        """Merge several job groups into one batch; demux per group.
+        """Run several job groups as one batch; demux results per group.
 
-        This is the coalescing seam the multi-tenant service uses: probe
-        batches that would otherwise be separate submissions are merged
-        into a single backend batch (one span, one service-window
-        admission), then results are sliced back to the source groups in
-        submission order. Jobs still execute in the flattened order, so
-        for a sequential backend the device-state trajectory is
-        bit-identical to submitting the groups one after another.
+        The groups' jobs execute in the flattened order (one span, one
+        backend batch) and their results are sliced back to the source
+        groups, so on a sequential backend the device-state trajectory
+        is bit-identical to submitting the groups one after another.
+        The compile service passes each request's one probe batch
+        through here as a single group.
         """
         groups = [list(group) for group in groups]
         flat = [job for group in groups for job in group]
         if not flat:
             return [[] for _ in groups]
         results = self.submit_batch(flat, allow_failures=allow_failures)
-        self.stats.coalesced_groups += sum(
-            1 for group in groups if group
-        )
         demuxed: List[List[Optional[JobResult]]] = []
         offset = 0
         for group in groups:

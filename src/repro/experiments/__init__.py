@@ -19,7 +19,7 @@ from .characterization import (
     fig7_calibration_cycles,
     micro_benchmark_circuit,
 )
-from .context import ExperimentContext
+from .context import ExperimentContext, ledgers_to_text
 from .copycat_quality import fig12_replacement_choice, fig19_copycat_correlation
 from .device_report import fig17_device_map
 from .extensions import extension_cdr_composition, extension_multi_pass
@@ -45,6 +45,7 @@ from .runner import EXPERIMENTS, run_experiment
 
 __all__ = [
     "ExperimentContext",
+    "ledgers_to_text",
     "ExperimentResult",
     "format_table",
     "ascii_bars",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ..service import (
     fault_profile as resolve_fault_profile,
 )
 
-__all__ = ["ExperimentContext"]
+__all__ = ["ExperimentContext", "ledgers_to_text"]
 
 _HOUR_US = 3_600e6
 
@@ -131,8 +131,9 @@ class ExperimentContext:
                 :class:`~repro.obs.Tracer` bound to the device clock for
                 the lifetime of the context (until :meth:`close`).
             metrics: Install a process-wide
-                :class:`~repro.obs.MetricsRegistry` absorbing executor,
-                cache, and service counters (implied by ``trace``).
+                :class:`~repro.obs.MetricsRegistry` for the lifetime of
+                the context; :meth:`close` adds the context's
+                :meth:`ledgers` to it (implied by ``trace``).
         """
         build = {"aspen-11": aspen11, "aspen-m-1": aspen_m1}.get(device_name)
         if build is None:
@@ -267,13 +268,33 @@ class ExperimentContext:
             )
         return self._remote_executor
 
+    def ledgers(self) -> Dict[str, Dict[str, Any]]:
+        """Every count this context's components keep, read from them.
+
+        ``exec`` is the executor's
+        :class:`~repro.exec.executor.ExecutorStats`; ``cache`` the
+        device's channel cache and simulation cache (the simulation
+        cache's keys ``dist_``-prefixed); on the remote backend,
+        ``remote`` holds the client's retry counters and ``service``
+        the cloud service's :class:`~repro.service.cloud.ServiceStats`.
+        """
+        executor = self.executor
+        cache = self.device.channel_cache.stats()
+        cache.update(self.device.sim_cache.stats())
+        ledgers = {"exec": executor.stats.snapshot(), "cache": cache}
+        backend = executor.backend
+        if isinstance(backend, RemoteBackend):
+            ledgers["remote"] = backend.reliability_stats()
+            ledgers["service"] = backend.service.stats.snapshot()
+        return ledgers
+
     def close(self) -> None:
         """Finalize observability.
 
-        When the context was created with ``trace``/``metrics``, the
-        final executor/cache/service ledgers are absorbed into the
-        registry, the trace sink is flushed and closed, and the
-        previously installed tracer/registry pair (usually none) is
+        The context's :meth:`ledgers` are added, once, to its own
+        registry (``metrics``/``trace``) or else to the registry active
+        when it closes; then the trace sink is flushed and closed, and
+        the previously installed tracer/registry pair (usually none) is
         restored.
 
         Idempotent: every CLI/runner path closes through ``try/finally``
@@ -283,8 +304,12 @@ class ExperimentContext:
         if self._closed:
             return
         self._closed = True
-        if self.metrics_registry is not None:
-            self._ingest_final_stats()
+        registry = self.metrics_registry
+        if registry is None:
+            registry = obs.active_registry()
+        if registry is not None:
+            for prefix, ledger in self.ledgers().items():
+                registry.ingest(prefix, ledger)
         if self.tracer is not None:
             self.tracer.close()
         if self._obs_previous is not None:
@@ -296,22 +321,6 @@ class ExperimentContext:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _ingest_final_stats(self) -> None:
-        """Absorb every live executor/backend ledger into the registry."""
-        registry = self.metrics_registry
-        executors = []
-        if self.backend_name == "local":
-            executors.append(get_executor(self.device))
-        if self._remote_executor is not None:
-            executors.append(self._remote_executor)
-        for executor in executors:
-            registry.ingest_executor(executor.stats)
-            registry.ingest_cache(executor.backend.cache_stats())
-            service = getattr(executor.backend, "service", None)
-            stats = getattr(service, "stats", None)
-            if stats is not None:
-                registry.ingest_service(stats)
 
     def measured_success_rate(self, circuit, ideal, shots: int) -> float:
         """Shot-based SR of a native circuit (what a user measures)."""
@@ -339,3 +348,47 @@ class ExperimentContext:
         if not links:
             raise ReproError("device has no link supporting all gates")
         return links[index % len(links)]
+
+
+def ledgers_to_text(ledgers: Mapping[str, Mapping[str, Any]]) -> str:
+    """Render :meth:`ExperimentContext.ledgers` as the ``--stats`` block.
+
+    Optional lines (simulated distributions, probe dedup, reliability)
+    appear only when one of their counts is nonzero.
+    """
+    executed = ledgers["exec"]
+    cache = ledgers["cache"]
+    remote = ledgers.get("remote", {})
+    lines = [
+        f"jobs: {executed['jobs']} ({executed['batches']} batches), "
+        f"shots: {executed['shots']}",
+        f"device time: {executed['device_time_us'] / 1e6:.3f} s simulated, "
+        f"host time: {executed['wall_time_s']:.3f} s",
+        f"channel cache: {cache['hits']} hits / {cache['misses']} misses",
+    ]
+    if cache["dist_hits"] or cache["dist_misses"]:
+        lines.append(
+            f"sim cache: {cache['dist_misses']} distributions simulated"
+        )
+    if cache["dist_hits"] or cache["dist_shared_publishes"]:
+        lines.append(
+            f"probe dedup: {cache['dist_hits']} cross-request hits, "
+            f"{cache['dist_shared_publishes']} published"
+        )
+    retries = remote.get("retries", 0)
+    failures = remote.get("failures", 0)
+    breaker_trips = remote.get("breaker_trips", 0)
+    fallbacks = executed["fallbacks"]
+    if retries or failures or breaker_trips or fallbacks:
+        lines.append(
+            f"reliability: {retries} retries, {failures} job failures, "
+            f"{breaker_trips} breaker trips, {fallbacks} degraded links"
+        )
+    jobs_by_tag = executed["jobs_by_tag"]
+    for tag in sorted(jobs_by_tag):
+        lines.append(
+            f"  {tag}: {jobs_by_tag[tag]} jobs, "
+            f"{executed['shots_by_tag'].get(tag, 0)} shots, "
+            f"{executed['wall_time_by_tag_s'].get(tag, 0.0):.3f} s host"
+        )
+    return "\n".join(lines)

@@ -160,14 +160,17 @@ def fig18_multi_seed(
     all_angel: List[float] = []
     all_best: List[float] = []
     for seed in seeds:
-        ctx = ExperimentContext.create(seed=seed, drift_hours=drift_hours)
-        result = fig18_main_evaluation(
-            context=ctx,
-            benchmarks=benchmarks,
-            final_shots=final_shots,
-            probe_shots=probe_shots,
-            runtime_best_shots=runtime_best_shots,
-        )
+        # Closing each chip day adds its ledgers to an installed registry.
+        with ExperimentContext.create(
+            seed=seed, drift_hours=drift_hours
+        ) as ctx:
+            result = fig18_main_evaluation(
+                context=ctx,
+                benchmarks=benchmarks,
+                final_shots=final_shots,
+                probe_shots=probe_shots,
+                runtime_best_shots=runtime_best_shots,
+            )
         angel_ratios = [row[3] for row in result.rows]
         best_ratios = [row[5] for row in result.rows]
         all_angel.extend(angel_ratios)

@@ -23,7 +23,7 @@ from .characterization import (
     fig6_all_links,
     fig7_calibration_cycles,
 )
-from .context import ExperimentContext
+from .context import ExperimentContext, ledgers_to_text
 from .copycat_quality import fig12_replacement_choice, fig19_copycat_correlation
 from .device_report import fig17_device_map
 from .extensions import extension_cdr_composition, extension_multi_pass
@@ -185,7 +185,7 @@ def main(argv: Optional[list] = None) -> int:
             print(result.to_text())
             if context is not None and show_stats:
                 print("--- execution-service stats ---")
-                print(context.executor.stats.to_text())
+                print(ledgers_to_text(context.ledgers()))
         finally:
             if context is not None:
                 context.close()

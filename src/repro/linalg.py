@@ -7,7 +7,7 @@ relies on:
   replacement for a non-Clifford gate when building CopyCats;
 * global-phase-invariant unitary equivalence, used throughout the tests to
   verify that gate decompositions (e.g. CNOT via two XY pulses) are exact;
-* entanglement and average gate fidelity of one unitary against another.
+* big-endian Kronecker products of per-qubit operators.
 
 All functions operate on plain ``numpy`` arrays; no objects from the rest
 of the library leak in, so this module sits at the bottom of the
@@ -25,10 +25,7 @@ __all__ = [
     "phase_aligned",
     "unitaries_equal_up_to_phase",
     "phase_invariant_distance",
-    "entanglement_fidelity",
-    "average_gate_fidelity",
     "kron_n",
-    "closest_unitary",
 ]
 
 _ATOL = 1e-9
@@ -95,29 +92,6 @@ def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
     return operator_norm_distance(u, phase_aligned(u, v))
 
 
-def entanglement_fidelity(u_target: np.ndarray, v_actual: np.ndarray) -> float:
-    """Entanglement (process) fidelity between two unitaries.
-
-    ``F_e = |Tr(U^dag V)|^2 / d^2`` where *d* is the Hilbert-space
-    dimension. Equals 1 iff the unitaries agree up to global phase.
-    """
-    u_target = np.asarray(u_target)
-    v_actual = np.asarray(v_actual)
-    d = u_target.shape[0]
-    overlap = np.trace(u_target.conj().T @ v_actual)
-    return float(abs(overlap) ** 2 / d**2)
-
-
-def average_gate_fidelity(u_target: np.ndarray, v_actual: np.ndarray) -> float:
-    """Average gate fidelity of unitary *V* relative to target *U*.
-
-    ``F_avg = (d * F_e + 1) / (d + 1)`` — the quantity randomized
-    benchmarking estimates, averaged uniformly over input pure states.
-    """
-    d = np.asarray(u_target).shape[0]
-    return float((d * entanglement_fidelity(u_target, v_actual) + 1) / (d + 1))
-
-
 def kron_n(*matrices: np.ndarray) -> np.ndarray:
     """Kronecker product of the given matrices, left factor most significant.
 
@@ -129,13 +103,3 @@ def kron_n(*matrices: np.ndarray) -> np.ndarray:
     for matrix in matrices[1:]:
         result = np.kron(result, np.asarray(matrix))
     return result
-
-
-def closest_unitary(matrix: np.ndarray) -> np.ndarray:
-    """Project *matrix* onto the unitary group (polar decomposition).
-
-    Used to re-unitarize products of floating-point rotations before
-    comparing them against exact gate matrices in tests.
-    """
-    u_left, _, v_right = np.linalg.svd(np.asarray(matrix))
-    return u_left @ v_right

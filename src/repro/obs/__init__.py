@@ -7,9 +7,12 @@ package is the unified lens over all of them:
 * :class:`Tracer` produces nested spans (search pass -> link ->
   candidate probe -> backend job) carrying wall time, simulated device
   time, shots, and cache-hit deltas;
-* :class:`MetricsRegistry` holds named counters/gauges/histograms and
-  absorbs the layer ledgers (``ExecutorStats``, ``cache_stats()``,
-  ``ServiceStats``) under stable prefixes;
+* :class:`MetricsRegistry` holds named counters/gauges/histograms; each
+  count stays with the component that sees it (``ExecutorStats``, the
+  device caches' ``stats()``, the remote backend's counters,
+  ``ServiceStats``), and a closing
+  :class:`~repro.experiments.context.ExperimentContext` adds those
+  ledgers once, under stable prefixes;
 * :mod:`~repro.obs.export` streams spans as JSON lines and renders
   human-readable trace trees;
 * :mod:`~repro.obs.runtime` is the switchboard: nothing is traced until

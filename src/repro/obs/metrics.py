@@ -1,22 +1,22 @@
 """A process-wide registry of named counters, gauges, and histograms.
 
-The execution stack already keeps several ad-hoc ledgers — the
-executor's :class:`~repro.exec.executor.ExecutorStats`, the backends'
-``cache_stats()`` merges, the cloud service's
-:class:`~repro.service.cloud.ServiceStats` fault counters. Each is the
-right *source of truth* for its layer (they are diffed and pinned by
-tests), but there was no single place to read them together.
-:class:`MetricsRegistry` is that place: layers :meth:`ingest` their
-ledgers under a stable prefix (``exec.*``, ``cache.*``, ``service.*``),
-live instrumentation bumps counters directly, and the tracer feeds
+Each count is kept once, by the component whose code sees the event:
+the executor's :class:`~repro.exec.executor.ExecutorStats`, the
+device's channel and simulation caches, the remote backend's client
+counters and the cloud service's
+:class:`~repro.service.cloud.ServiceStats`. :class:`MetricsRegistry`
+is where they are read together: a closing
+:class:`~repro.experiments.context.ExperimentContext` adds its ledgers
+once, through :meth:`MetricsRegistry.ingest`, under stable prefixes
+(``exec.*``, ``cache.*``, ``remote.*``, ``service.*``); live
+instrumentation bumps the counters no ledger holds (``angel.*``,
+``opt.*``, ``service.tenant.*``) directly, and the tracer feeds
 per-span wall-time histograms — one ``snapshot()``/``to_text()`` shows
 where time and shots went.
 
 Semantics:
 
-* :class:`Counter` — monotonic; ``add`` refuses negative increments and
-  ``advance_to`` (used when absorbing an absolute cumulative ledger
-  value) never moves backwards, so repeated ingestion is idempotent.
+* :class:`Counter` — monotonic; ``add`` refuses negative increments.
 * :class:`Gauge` — last-write-wins level (queue depth, resident bytes).
 * :class:`Histogram` — count/sum/min/max plus fixed decade buckets;
   enough to see the shape of span durations without reservoir sampling.
@@ -55,13 +55,6 @@ class Counter:
             )
         with self._lock:
             self.value += amount
-
-    def advance_to(self, value: float) -> None:
-        """Absorb an absolute cumulative ledger value: move forward to
-        ``value`` if it is ahead, stay put otherwise (idempotent)."""
-        with self._lock:
-            if value > self.value:
-                self.value = value
 
 
 class Gauge:
@@ -160,8 +153,7 @@ class Histogram:
 
 
 #: Ledger keys that are levels, not cumulative totals — ingested as
-#: gauges so an evicted cache never trips the counter monotonicity
-#: contract.
+#: gauges, since a sum of several caches' sizes or epochs means nothing.
 _GAUGE_KEYS = frozenset({"entries", "epoch"})
 
 
@@ -212,12 +204,11 @@ class MetricsRegistry:
     # Ledger absorption
     # ------------------------------------------------------------------
     def ingest(self, prefix: str, ledger: Mapping[str, Any]) -> None:
-        """Absorb a cumulative stats mapping under ``prefix``.
+        """Add a cumulative stats mapping under ``prefix``.
 
-        Scalar values become counters advanced to the ledger's absolute
-        value (never backwards — re-ingesting an older snapshot is a
-        no-op), except keys in the known gauge set, which become gauges.
-        Nested mappings (per-tag breakdowns) flatten into
+        Scalar values are added to counters, so ingesting the ledgers of
+        several components sums them; keys in the known gauge set become
+        gauges instead. Nested mappings (per-tag breakdowns) flatten into
         ``prefix.key.subkey``. Non-numeric values are skipped.
         """
         for key, value in ledger.items():
@@ -231,19 +222,7 @@ class MetricsRegistry:
             elif key in _GAUGE_KEYS:
                 self.gauge(name).set(float(value))
             else:
-                self.counter(name).advance_to(float(value))
-
-    def ingest_executor(self, stats) -> None:
-        """Absorb an :class:`~repro.exec.executor.ExecutorStats` ledger."""
-        self.ingest("exec", stats.snapshot())
-
-    def ingest_cache(self, cache_stats: Mapping[str, int]) -> None:
-        """Absorb a backend ``cache_stats()`` merge."""
-        self.ingest("cache", cache_stats)
-
-    def ingest_service(self, stats) -> None:
-        """Absorb a :class:`~repro.service.cloud.ServiceStats` ledger."""
-        self.ingest("service", stats.snapshot())
+                self.counter(name).add(float(value))
 
     # ------------------------------------------------------------------
     # Export

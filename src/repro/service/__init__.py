@@ -14,9 +14,10 @@ On top of that sits the multi-tenant compile tier:
 :class:`AngelService` accepts concurrent :class:`RequestSpec` compile
 requests under token-bucket admission (:class:`TenantConfig`), deficit
 round-robin fair scheduling (:class:`~repro.service.scheduler.
-DeficitRoundRobin`), probe-batch coalescing, and cross-tenant probe
-deduplication (:class:`ProbeDistributionStore`) — while keeping every
-request bit-identical to a standalone run (:func:`run_standalone`).
+DeficitRoundRobin`) of each request's probe batches on the request's
+own device and executor, and cross-tenant probe deduplication
+(:class:`ProbeDistributionStore`) — while keeping every request
+bit-identical to a standalone run (:func:`run_standalone`).
 
 See ``docs/architecture.md`` ("Service layer & failure semantics" and
 "Multi-tenant compile service") for how failures propagate up to

@@ -3,8 +3,7 @@
 :class:`AngelService` accepts many concurrent compile requests — each a
 frozen :class:`RequestSpec` naming a benchmark, a device configuration,
 and a backend — and runs them through the existing ``Backend`` seam
-with fair scheduling, probe-batch coalescing, and cross-tenant probe
-deduplication:
+with fair scheduling and cross-tenant probe deduplication:
 
 * **Isolation** — every request gets its *own* device, calibration,
   and executor stack, so requests never share mutable physics. The
@@ -22,10 +21,11 @@ deduplication:
   probe batch, or the final shot execution) per grant, under deficit
   round-robin across tenants (:mod:`repro.service.scheduler`) with
   token-bucket admission (:mod:`repro.service.tenant`).
-* **Coalescing** — each scheduler round's units execute together in one
-  ``svc.coalesce`` window on a thread pool; a request's probe batch
-  goes through ``BatchExecutor.submit_grouped``, the executor-level
-  merge/demux seam, and remote requests can window-align their batches
+* **Rounds** — each scheduler round's units execute in one
+  ``svc.coalesce`` window on a thread pool. Nothing is merged across
+  requests: each unit passes its request's one probe batch to the
+  request's own executor (``BatchExecutor.submit_grouped`` with a single
+  group), and remote requests can window-align their batches
   (:meth:`~repro.service.cloud.CloudQPUService.align_window`).
 * **Dedup** — all request devices attach to one
   :class:`~repro.service.dedup.ProbeDistributionStore`, so identical
@@ -37,7 +37,10 @@ deduplication:
 The request lifecycle emits a ``svc.request`` summary span (queue wait,
 latency, probes, dedup hits), a ``context.clone`` span per chip-day memo
 hit, and ``service.tenant.<name>.*`` registry counters when
-observability is installed.
+observability is installed; a finished request's context adds its
+ledgers (``exec.*``, ``cache.*``, and ``remote.*``/``service.*`` when
+remote) to the installed registry as it closes, so the registry sums
+every request.
 
 An unexpected exception in the scheduler thread fails every queued and
 in-flight handle with a :class:`~repro.exceptions.ServiceError` chained
@@ -297,9 +300,9 @@ class _Request:
     def step(self) -> None:
         """Run the next unit: one probe batch, or the final execution.
 
-        Probe batches go through the executor's grouped (coalescing)
-        path with per-job failure tolerance — failed probes degrade
-        links exactly as in :meth:`Angel.select`. The final job is
+        A probe batch goes to this request's executor as one group,
+        with per-job failure tolerance — failed probes degrade links
+        exactly as in :meth:`Angel.select`. The final job is
         all-or-nothing: a permanent failure raises and fails the
         request.
         """
@@ -469,7 +472,7 @@ class AngelService:
         num_workers: Pool threads executing scheduled units — the
             service's concurrency.
         round_budget_jobs: Per-round job cap for the DRR scheduler
-            (window-shaped coalescing); ``None`` leaves rounds
+            (window-shaped rounds); ``None`` leaves rounds
             unbounded.
         dedup: Share probe distributions across requests through a
             :class:`ProbeDistributionStore`.

@@ -130,12 +130,9 @@ class CloudQPUService:
         return f"cloud[{self.device.name}]"
 
     def _observe_fault(self, kind: str, **attributes) -> None:
-        """One injected fault: a span event on whoever is measuring us
-        plus a ``service.<kind>`` counter when a registry is live."""
+        """One injected fault: a span event on whoever is measuring us.
+        The count itself lives in :attr:`stats`."""
         obs.event(f"service.{kind}", **attributes)
-        registry = obs.active_registry()
-        if registry is not None:
-            registry.counter(f"service.{kind}").add(1)
 
     # ------------------------------------------------------------------
     # Time
@@ -365,11 +362,6 @@ class CloudQPUService:
                 outcome.results.append(None)
                 outcome.errors.append(exc)
         return outcome
-
-    # ------------------------------------------------------------------
-    def cache_stats(self) -> Dict[str, int]:
-        """Device channel-cache counters (for executor instrumentation)."""
-        return self._local.cache_stats()
 
 
 def _dropped_error(job: Job, drop_from: int) -> ResultLostError:

@@ -124,7 +124,8 @@ class RemoteBackend:
         self.policy = policy or RetryPolicy()
         self.align_windows = align_windows
         self._jitter_rng = np.random.default_rng(seed)
-        # Client-side reliability counters (diffed into ExecutorStats).
+        # Client-side reliability counters: kept here only, read
+        # out under ``remote`` (ExperimentContext.ledgers).
         self.retries = 0
         self.failures = 0
         self.breaker_trips = 0
@@ -350,14 +351,8 @@ class RemoteBackend:
         return slots
 
     # ------------------------------------------------------------------
-    # Instrumentation passthrough
-    # ------------------------------------------------------------------
-    def cache_stats(self) -> Dict[str, int]:
-        """Device channel-cache counters, through the service."""
-        return self.service.cache_stats()
-
     def reliability_stats(self) -> Dict[str, int]:
-        """Client-side counters the executor diffs into ExecutorStats."""
+        """The client-side counters (the ``remote`` ledger)."""
         return {
             "retries": self.retries,
             "failures": self.failures,

@@ -3,7 +3,7 @@
 The compile service turns every in-flight request into a chain of small
 schedulable units — one probe batch (or the final shot-execution job)
 each. The scheduler's job is to pick, each *round*, which tenants' next
-units run in the coalesced execution window, such that a tenant
+units run in the round's execution window, such that a tenant
 flooding the queue cannot starve a light one.
 
 The policy is classic deficit round-robin (DRR), with probe *jobs* as
@@ -18,8 +18,8 @@ their bulk in skipped rounds.
 Two extra rules keep the scheduler live:
 
 * **Round budget** — an optional global cap (in jobs) per round, sized
-  to the cloud service's calibration-window quota, so one coalesced
-  round never needs more than a window. The cap soft-fails: an
+  to the cloud service's calibration-window quota, so one round never
+  needs more than a window. The cap soft-fails: an
   oversized unit is still scheduled when it is the round's first pick,
   because a unit larger than the whole budget could otherwise never
   run.

@@ -60,7 +60,7 @@ class TenantConfig:
         quantum: Deficit-round-robin quantum in probe *jobs* per round.
             A tenant accrues this much deficit each scheduling round it
             has work queued; larger quanta mean a larger share of each
-            coalesced window.
+            scheduling round.
     """
 
     name: str

@@ -15,9 +15,11 @@ replaces it too — so a cached entry can never outlive the parameter
 values it was built from.
 
 The cache is deliberately generic — ``get(key, factory)`` — so it lives
-below both the device layer (which knows the physics constructors) and
-the execution layer (which reports its hit rates through
-``ExecutorStats``) without importing either.
+below the device layer (which knows the physics constructors) without
+importing it. Its counters are kept here only: ``--stats`` and the
+metrics registry read them under ``cache`` through
+:meth:`~repro.experiments.context.ExperimentContext.ledgers`, whether
+the channel was built for an executor job or an exact sweep.
 """
 
 from __future__ import annotations

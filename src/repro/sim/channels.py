@@ -191,12 +191,6 @@ class ReadoutError:
             ]
         )
 
-    def flip(self, bit: int, rng: np.random.Generator) -> int:
-        """Sample the observed value for an actual *bit*."""
-        if bit:
-            return 0 if rng.random() < self.p0_given_1 else 1
-        return 1 if rng.random() < self.p1_given_0 else 0
-
 
 def _check_probability(value: float) -> None:
     if not 0.0 <= value <= 1.0:

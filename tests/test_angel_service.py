@@ -30,7 +30,7 @@ from repro.device.native_gates import cnot_decomposition, hadamard_native
 from repro.device.presets import aspen11
 from repro.exceptions import ReproError, ServiceError
 from repro.exec import BatchExecutor, Job, LocalBackend
-from repro.experiments import ExperimentContext
+from repro.experiments import ExperimentContext, ledgers_to_text
 from repro.programs import get_benchmark
 from repro.service import (
     AdmissionError,
@@ -403,7 +403,7 @@ def test_duplicate_tenant_registration_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Exec-layer coalescing seam: merged groups == separate batches
+# Exec-layer grouped submission: one batch == separate batches
 # ---------------------------------------------------------------------------
 def _grouped_jobs(device):
     """Two groups of seeded GHZ-4 jobs against ``device``."""
@@ -439,8 +439,8 @@ def test_submit_grouped_matches_separate_batches():
         assert len(merged_group) == len(separate_group)
         for merged, single in zip(merged_group, separate_group):
             assert merged.counts == single.counts
-    assert grouped_executor.stats.coalesced_groups == 2
-    assert sequential.stats.coalesced_groups == 0
+    assert grouped_executor.stats.jobs == sequential.stats.jobs == 3
+    assert grouped_executor.stats.batches == 1
 
 
 def test_submit_grouped_empty_and_ragged_groups():
@@ -527,9 +527,9 @@ def test_execute_batch_align_window_flag():
 
 
 # ---------------------------------------------------------------------------
-# Satellite: executor stats surface dedup/coalescing
+# The stats read-out surfaces dedup
 # ---------------------------------------------------------------------------
-def test_executor_stats_surface_shared_and_coalesced():
+def test_stats_readout_surfaces_shared_distributions():
     store = ProbeDistributionStore()
     spec = _SPECS["ghz"]
     run_standalone(spec, store)  # publish this spec's distributions
@@ -550,13 +550,11 @@ def test_executor_stats_surface_shared_and_coalesced():
             executor=context.executor,
         )
         angel.compile_and_select(get_benchmark(spec.program).build())
-        stats = context.executor.stats
-        assert stats.sim_dist_hits > 0
-        snapshot = stats.snapshot()
-        assert snapshot["sim_dist_hits"] == stats.sim_dist_hits
-        assert "sim_shared_publishes" in snapshot
-        assert "coalesced_groups" in snapshot
-        text = stats.to_text()
+        cache = context.ledgers()["cache"]
+        assert cache["dist_hits"] > 0
+        assert cache["dist_hits"] == context.device.sim_cache.dist_hits
+        assert "dist_shared_publishes" in cache
+        text = ledgers_to_text(context.ledgers())
         assert "probe dedup" in text
         assert "cross-request" in text
     finally:
@@ -643,6 +641,27 @@ def test_service_emits_spans_and_tenant_counters():
     assert counters["service.tenant.alice.completed"] == 1
     assert counters["service.tenant.bob.completed"] == 1
     assert counters["service.tenant.bob.dedup_hits"] > 0
+
+
+def test_registry_sums_every_request_ledger():
+    """Each request's context adds its ledgers to the active registry
+    when it closes, so the registry holds the sum over requests: every
+    probe plus one final job per request, and every dedup hit."""
+    from repro.obs import MetricsRegistry, observed
+
+    workload = {
+        tenant: [_SPECS["ghz"], _SPECS["bv"]]
+        for tenant in ("alice", "bob", "carol")
+    }
+    registry = MetricsRegistry()
+    with observed(None, registry):
+        outcomes = replay_workload(workload)
+    done = [outcome for slots in outcomes.values() for outcome in slots]
+    assert len(done) == 6
+    counters = registry.snapshot()["counters"]
+    assert counters["exec.jobs"] == sum(o.probes_run + 1 for o in done)
+    assert counters["exec.jobs_by_tag.final"] == 6
+    assert counters["cache.dist_hits"] == sum(o.dedup_hits for o in done)
 
 
 # ---------------------------------------------------------------------------

@@ -144,12 +144,6 @@ class TestReadoutError:
         confusion = error.confusion_matrix()
         assert np.allclose(confusion.sum(axis=0), 1.0)
 
-    def test_flip_statistics(self):
-        error = ReadoutError(p0_given_1=0.5, p1_given_0=0.0)
-        rng = np.random.default_rng(0)
-        flips = sum(error.flip(1, rng) == 0 for _ in range(4000))
-        assert 1800 < flips < 2200
-
     def test_invalid_probability_rejected(self):
         with pytest.raises(SimulationError):
             ReadoutError(1.2, 0.0)

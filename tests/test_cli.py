@@ -152,6 +152,45 @@ class TestCommands:
         assert "total: 1 requests (0 failed)" in out
         assert "dedup store" not in out
 
+    def test_serve_trace_and_metrics(self, tmp_path, capsys):
+        """``serve --trace --metrics`` writes one ``svc.request`` span
+        per request and prints a registry summed over every request."""
+        from repro.obs import active_registry, active_tracer, read_trace
+
+        path = tmp_path / "serve.jsonl"
+        code = main(
+            [
+                "serve",
+                "--tenants", "2",
+                "--requests", "2",
+                "--programs", "GHZ_n4,BV_n4",
+                "--shots", "64",
+                "--probe-shots", "16",
+                "--trace", str(path),
+                "--metrics",
+            ]
+        )
+        assert code == 0
+        assert active_tracer() is None and active_registry() is None
+        out = capsys.readouterr().out
+        assert f"trace written to {path}" in out
+        (total,) = [
+            line for line in out.splitlines() if line.startswith("total:")
+        ]
+        probes = int(total.split(", ")[1].split()[0])  # "N probes"
+        metrics = out.split("--- metrics ---\n", 1)[1]
+        counters = dict(
+            line.split()[:2] for line in metrics.splitlines() if line.strip()
+        )
+        assert int(counters["exec.jobs"]) == probes + 4
+        assert int(counters["exec.jobs_by_tag.final"]) == 4
+        requests = [
+            span for span in read_trace(str(path))
+            if span["name"] == "svc.request"
+        ]
+        assert len(requests) == 4
+        assert sum(span["attributes"]["probes"] for span in requests) == probes
+
     @pytest.mark.parametrize(
         "flag", ["--window-jobs", "--shots", "--probe-shots"]
     )

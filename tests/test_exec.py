@@ -108,10 +108,9 @@ class TestBatchExecutor:
         assert stats.jobs_by_tag == {"probe": 1, "final": 2}
         assert stats.shots_by_tag == {"probe": 64, "final": 64}
         assert stats.device_time_us > 0
-        assert stats.cache_hits + stats.cache_misses > 0
         snapshot = stats.snapshot()
         assert snapshot["jobs"] == 3
-        assert "probe" in stats.to_text()
+        assert snapshot["jobs_by_tag"] == {"probe": 1, "final": 2}
 
     def test_get_executor_is_per_device_singleton(self):
         device_a, _ = _env()

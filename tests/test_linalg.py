@@ -2,14 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.circuit.gates import gate_matrix, rx_matrix, rz_matrix, u3_matrix
+from repro.circuit.gates import gate_matrix, rx_matrix
 from repro.linalg import (
-    average_gate_fidelity,
-    closest_unitary,
-    entanglement_fidelity,
     is_unitary,
     kron_n,
     operator_norm,
@@ -85,16 +80,6 @@ class TestPhaseAlignment:
 
 
 class TestFidelities:
-    def test_entanglement_fidelity_of_self(self):
-        assert entanglement_fidelity(gate_matrix("h"), gate_matrix("h")) == pytest.approx(1.0)
-
-    def test_average_fidelity_of_self(self):
-        assert average_gate_fidelity(gate_matrix("cz"), gate_matrix("cz")) == pytest.approx(1.0)
-
-    def test_average_fidelity_of_orthogonal(self):
-        # X vs I: F_e = 0, F_avg = 1/(d+1) = 1/3.
-        assert average_gate_fidelity(np.eye(2), gate_matrix("x")) == pytest.approx(1 / 3)
-
     def test_channel_fidelity_identity_kraus(self):
         fid = channel_average_fidelity(np.eye(2), [np.eye(2)])
         assert fid == pytest.approx(1.0)
@@ -112,15 +97,6 @@ class TestFidelities:
         fid = channel_average_fidelity(np.eye(2), kraus)
         assert fid == pytest.approx(1 - 2 * p / 3, rel=1e-9)
 
-    @given(theta=st.floats(-np.pi, np.pi))
-    @settings(max_examples=30, deadline=None)
-    def test_coherent_error_average_fidelity(self, theta):
-        # RZ(theta) relative to I: F_avg = (2 + cos theta... ) known closed
-        # form: F_e = cos^2(theta/2); F_avg = (2 cos^2(theta/2) + 1)/3.
-        fid = average_gate_fidelity(np.eye(2), rz_matrix(theta))
-        expected = (2 * np.cos(theta / 2) ** 2 + 1) / 3
-        assert fid == pytest.approx(expected, abs=1e-9)
-
 
 class TestKronAndProjection:
     def test_kron_n_ordering(self):
@@ -137,8 +113,3 @@ class TestKronAndProjection:
         state = np.zeros(8)
         state[0] = 1.0
         assert (full @ state)[0b001] == pytest.approx(1.0)
-
-    def test_closest_unitary_restores_unitarity(self):
-        noisy = u3_matrix(0.3, 0.4, 0.5) + 1e-3 * np.ones((2, 2))
-        projected = closest_unitary(noisy)
-        assert is_unitary(projected, atol=1e-9)

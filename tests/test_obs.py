@@ -2,10 +2,11 @@
 
 The contract: a single instrumented probe sweep emits one coherent span
 tree (``angel.select`` > ``search`` > ``search.pass`` > ``search.link``
-> ``exec.batch`` > ``backend.job``) covering every probe job, the
-registry absorbs the executor/cache ledgers without ever running a
-counter backwards, and — crucially — installing *no* tracer leaves the
-execution stack bit-identical to the uninstrumented seed behaviour.
+> ``exec.batch`` > ``backend.job``) covering every probe job, a
+closing context adds each count to the registry once, under the one
+name its owner gives it, and — crucially — installing *no* tracer
+leaves the execution stack bit-identical to the uninstrumented seed
+behaviour.
 """
 
 import io
@@ -14,10 +15,10 @@ import json
 import pytest
 
 from repro.compiler import transpile
-from repro.core import Angel, AngelConfig
+from repro.core import Angel, AngelConfig, NativeGateSequence
 from repro.device import small_test_device
 from repro.exec import BatchExecutor, Job, LocalBackend
-from repro.experiments import ExperimentContext
+from repro.experiments import ExperimentContext, ledgers_to_text
 from repro.obs import (
     JsonlSpanSink,
     MetricsRegistry,
@@ -193,11 +194,10 @@ class TestMetricsRegistry:
     def test_counter_never_goes_backwards(self):
         registry = MetricsRegistry()
         counter = registry.counter("exec.jobs")
-        counter.advance_to(10)
-        counter.advance_to(7)  # stale snapshot: no-op
-        assert counter.value == 10
+        counter.add(10)
         with pytest.raises(ValueError):
             counter.add(-1)
+        assert counter.value == 10
 
     def test_ingest_flattens_and_classifies(self):
         registry = MetricsRegistry()
@@ -218,14 +218,16 @@ class TestMetricsRegistry:
         assert "exec.name" not in snap["counters"]
         assert "exec.flag" not in snap["counters"]
 
-    def test_reingesting_same_ledger_is_idempotent(self):
+    def test_ingest_adds_each_ledger(self):
+        """Two components' ledgers under one prefix sum; a level key
+        keeps the last reading."""
         registry = MetricsRegistry()
-        ledger = {"jobs": 9, "shots": 9216}
-        registry.ingest("exec", ledger)
-        registry.ingest("exec", ledger)
+        registry.ingest("exec", {"jobs": 9, "shots": 9216, "epoch": 3})
+        registry.ingest("exec", {"jobs": 6, "shots": 1024, "epoch": 1})
         snap = registry.snapshot()
-        assert snap["counters"]["exec.jobs"] == 9
-        assert snap["counters"]["exec.shots"] == 9216
+        assert snap["counters"]["exec.jobs"] == 15
+        assert snap["counters"]["exec.shots"] == 10240
+        assert snap["gauges"]["exec.epoch"] == 1
 
     def test_histogram_statistics(self):
         registry = MetricsRegistry()
@@ -344,14 +346,30 @@ class TestIntegration:
         assert probes_a == probes_b
 
     def test_registry_absorbs_executor_ledger(self):
+        """A context adds its executor's ledger to the registry once,
+        when it closes; the ``angel.*`` counters are live."""
         registry = MetricsRegistry()
-        result = _run_select(registry=registry)
+        with observed(None, registry):
+            context = ExperimentContext.create(drift_hours=0.0)
+            angel = Angel(
+                context.device,
+                context.calibration,
+                AngelConfig(probe_shots=64, seed=5),
+                executor=context.executor,
+            )
+            _, result = angel.compile_and_select(ghz(3))
+            assert "exec.jobs" not in registry.snapshot()["counters"]
+            context.close()
+            context.close()  # idempotent: nothing is added twice
         snap = registry.snapshot()["counters"]
         assert snap["exec.jobs"] == result.copycats_executed
         assert snap["angel.probes"] == result.copycats_executed
         assert snap["angel.selections"] == 1
 
-    def test_executor_batch_span_carries_cache_deltas(self):
+    def test_cache_deltas_live_on_job_spans(self):
+        """The batch span carries the executor's totals; each job span
+        carries its own job's cache deltas, which sum to the device's
+        counters."""
         device = small_test_device(seed=3)
         executor = BatchExecutor(LocalBackend(device))
         tracer = Tracer()
@@ -365,6 +383,8 @@ class TestIntegration:
             sequence.as_site_map(),
             device.native_gates,
         )
+        cache = device.channel_cache
+        before = (cache.hits, cache.misses)
         with observed(tracer):
             executor.submit_batch(
                 [Job(circuit, 64, seed=1), Job(circuit, 64, seed=2)]
@@ -374,8 +394,17 @@ class TestIntegration:
         attrs = batch[0].attributes
         assert attrs["jobs"] == 2
         assert attrs["shots"] == 128
-        assert "cache_hits_delta" in attrs
         assert "device_time_job_us" in attrs
+        assert not any(key.startswith("cache_") for key in attrs)
+        jobs = [s for s in tracer.spans if s.name == "backend.job"]
+        assert [job.parent_id for job in jobs] == [batch[0].span_id] * 2
+        hits = sum(job.attributes["cache_hits_delta"] for job in jobs)
+        misses = sum(job.attributes["cache_misses_delta"] for job in jobs)
+        assert (hits, misses) == (
+            cache.hits - before[0],
+            cache.misses - before[1],
+        )
+        assert misses > 0
 
     def test_transpile_emits_one_span_enclosing_opt_run(self):
         device = small_test_device(seed=3)
@@ -488,3 +517,87 @@ class TestContextPlumbing:
             assert span["attributes"]["shots"] == 128
             assert span["wall_time_s"] >= 0.0
             assert "cache_hits_delta" in span["attributes"]
+
+
+# ----------------------------------------------------------------------
+# One read-out of a context's owners
+# ----------------------------------------------------------------------
+class TestLedgerReadout:
+    def test_exact_sweep_counts_in_the_cache_ledger(self):
+        """``noisy_distribution`` bypasses the executor; its channel
+        builds and simulated distributions still reach ``--stats``."""
+        context = ExperimentContext.create(drift_hours=0.0)
+        try:
+            compiled = context.transpile(ghz(3))
+            for gate in ("cz", "xy", "cphase"):
+                sequence = NativeGateSequence.uniform(compiled.sites, gate)
+                context.device.noisy_distribution(
+                    compiled.nativized(sequence, name_suffix=f"_{gate}")
+                )
+            ledgers = context.ledgers()
+        finally:
+            context.close()
+        channel = context.device.channel_cache
+        simulation = context.device.sim_cache
+        cache = ledgers["cache"]
+        assert (cache["hits"], cache["misses"]) == (
+            channel.hits,
+            channel.misses,
+        )
+        assert (cache["dist_hits"], cache["dist_misses"]) == (
+            simulation.dist_hits,
+            simulation.dist_misses,
+        )
+        assert cache["hits"] > 0 and cache["dist_misses"] == 3
+        assert ledgers["exec"]["jobs"] == 0
+        text = ledgers_to_text(ledgers)
+        assert (
+            f"channel cache: {channel.hits} hits / {channel.misses} misses"
+            in text
+        )
+        assert "sim cache: 3 distributions simulated" in text
+
+    def test_each_count_has_one_name(self):
+        """A closed remote context leaves each count in the registry
+        once, under its owner's prefix, equal to the owner's value."""
+        context = ExperimentContext.create(
+            backend="remote", fault_profile="flaky", metrics=True
+        )
+        try:
+            angel = Angel(
+                context.device,
+                context.calibration,
+                AngelConfig(probe_shots=64, seed=11),
+                executor=context.executor,
+            )
+            angel.compile_and_select(ghz(4))
+        finally:
+            context.close()
+        counters = context.metrics_registry.snapshot()["counters"]
+        duplicates = [
+            name
+            for name in counters
+            if name.startswith(("exec.cache_", "exec.sim_"))
+            or name
+            in {
+                "exec.retries",
+                "exec.job_failures",
+                "exec.breaker_trips",
+                "exec.coalesced_groups",
+                "service.rejected",
+                "service.timeout",
+                "service.result_lost",
+                "service.recalibration",
+                "service.batch_suffix_drop",
+                "angel.degraded_links",
+            }
+        ]
+        assert duplicates == []
+        backend = context.executor.backend
+        assert backend.retries > 0
+        assert counters["remote.retries"] == backend.retries
+        assert counters["service.rejections"] == (
+            backend.service.stats.rejections
+        )
+        assert counters["cache.misses"] == context.device.channel_cache.misses
+        assert counters["exec.jobs"] == context.executor.stats.jobs

@@ -224,9 +224,6 @@ class _FlakyNTimes:
                 outcome.errors.append(exc)
         return outcome
 
-    def cache_stats(self):
-        return self._inner.cache_stats()
-
 
 class TestRemoteBackendRetries:
     def test_retry_succeeds_after_transient_faults(self):
@@ -448,34 +445,35 @@ class TestZeroFaultBitEquality:
             r.started_at_us for r in results_local
         ]
         assert device_a.clock_us == device_b.clock_us
-        assert remote.stats.retries == 0
-        assert remote.stats.job_failures == 0
+        assert remote.backend.retries == 0
+        assert remote.backend.failures == 0
 
 
 class TestExecutorIntegration:
-    def test_executor_accounts_retries_and_failures(self):
+    def test_backend_accounts_retries_and_failures(self):
+        """The remote backend counts retries and failures once; the
+        executor above it counts only completed jobs."""
         device = _device()
         profile = FaultProfile(name="flaky-heavy", p_reject=0.5)
-        executor = BatchExecutor(
-            RemoteBackend(
-                CloudQPUService(device, profile, seed=2),
-                RetryPolicy(
-                    max_attempts=2,
-                    base_backoff_us=10.0,
-                    breaker_threshold=1_000,
-                ),
-            )
+        backend = RemoteBackend(
+            CloudQPUService(device, profile, seed=2),
+            RetryPolicy(
+                max_attempts=2,
+                base_backoff_us=10.0,
+                breaker_threshold=1_000,
+            ),
         )
+        executor = BatchExecutor(backend)
         results = executor.submit_batch(
             _jobs(device, range(12), shots=20), allow_failures=True
         )
         failed = sum(1 for r in results if r is None)
-        assert executor.stats.retries > 0
-        assert executor.stats.job_failures == failed
+        assert failed > 0
+        assert backend.retries > 0
+        assert backend.failures == failed
         assert executor.stats.jobs == 12 - failed  # only completed counted
-        snapshot = executor.stats.snapshot()
-        assert snapshot["retries"] == executor.stats.retries
-        assert "reliability" in executor.stats.to_text()
+        assert backend.reliability_stats()["retries"] == backend.retries
+        assert "retries" not in executor.stats.snapshot()
 
     def test_allow_failures_without_tolerant_backend_is_plain(self):
         device = _device()

@@ -10,6 +10,7 @@ from repro.compiler.nativization import nativize
 from repro.core.sequence import NativeGateSequence, enumerate_sequences
 from repro.device import small_test_device
 from repro.exec import BatchExecutor, Job, LocalBackend
+from repro.experiments import ExperimentContext, ledgers_to_text
 from repro.programs.ghz import ghz
 from repro.programs.qaoa import qaoa_n5
 from repro.service import ProbeDistributionStore
@@ -178,28 +179,32 @@ class TestDriftInvalidation:
 
 class TestExecutorStatsPlumbing:
     def test_sim_counters_flow_into_executor_stats(self):
-        """Store hits and simulated distributions reach the executor
-        ledger: a twin replaying the publisher's batch on the same
-        trajectory is served every distribution from the store."""
-        publisher, twin = _sharing_store(2)
-        circuit = _native(publisher, ghz(5))
+        """Store hits and simulated distributions reach the
+        execution-service stats (``--stats``), read from each device's
+        simulation cache: a twin context replaying the publisher's batch
+        on the same trajectory is served every distribution from the
+        store."""
+        publisher = ExperimentContext.create(drift_hours=0.0)
+        twin = publisher.clone()
+        store = ProbeDistributionStore()
+        for context in (publisher, twin):
+            store.attach(context.device)
+        circuit = _native(publisher.device, ghz(5))
         jobs = [Job(circuit, 200, seed=s, tag="probe") for s in (1, 2, 3)]
-        published = BatchExecutor(LocalBackend(publisher))
-        replayed = BatchExecutor(LocalBackend(twin))
-        first = published.submit_batch(jobs)
-        second = replayed.submit_batch(jobs)
+        first = publisher.executor.submit_batch(jobs)
+        second = twin.executor.submit_batch(jobs)
         assert [r.counts for r in second] == [r.counts for r in first]
-        stats = published.stats
-        assert (stats.sim_dist_hits, stats.sim_dist_misses) == (0, 3)
-        assert stats.sim_shared_publishes == 3
-        assert "sim cache: 3 distributions simulated" in stats.to_text()
-        stats = replayed.stats
-        assert (stats.sim_dist_hits, stats.sim_dist_misses) == (3, 0)
-        assert stats.sim_shared_publishes == 0
-        snapshot = stats.snapshot()
-        assert snapshot["sim_dist_hits"] == stats.sim_dist_hits
-        assert snapshot["sim_dist_misses"] == stats.sim_dist_misses
-        assert "probe dedup: 3 cross-request hits" in stats.to_text()
+        cache = publisher.ledgers()["cache"]
+        assert (cache["dist_hits"], cache["dist_misses"]) == (0, 3)
+        assert cache["dist_shared_publishes"] == 3
+        text = ledgers_to_text(publisher.ledgers())
+        assert "sim cache: 3 distributions simulated" in text
+        cache = twin.ledgers()["cache"]
+        assert (cache["dist_hits"], cache["dist_misses"]) == (3, 0)
+        assert cache["dist_shared_publishes"] == 0
+        assert cache["dist_hits"] == twin.device.sim_cache.dist_hits
+        text = ledgers_to_text(twin.ledgers())
+        assert "probe dedup: 3 cross-request hits" in text
 
 
 class TestDistributionCacheSkipsSimulation:

@@ -1,15 +1,15 @@
 """Regression guards on the stats ledgers: monotonicity and rendering.
 
-``ExecutorStats`` and ``Backend.cache_stats()`` are cumulative ledgers —
-the executor diffs them before/after each batch and the metrics registry
-absorbs them with never-backwards semantics, so a counter that ever
-decreases across batches corrupts both. Gauges (cache
-``entries``/``epoch``) are exempt: they report current state, not
-accumulation.
+``ExecutorStats`` and the device caches' ``stats()`` are cumulative
+ledgers — a closing context adds them to the metrics registry, whose
+counters only move forward, so a counter that ever decreases across
+batches corrupts the sum. Gauges (cache ``entries``/``epoch``) are
+exempt: they report current state, not accumulation.
 
-The formatting guard pins ``to_text`` against field loss or duplication:
-with pairwise-distinct sentinel values, every rendered field's value
-must appear in the text exactly once.
+The formatting guard pins :func:`~repro.experiments.ledgers_to_text`
+against field loss or duplication: with pairwise-distinct sentinel
+values, every rendered field's value must appear in the text exactly
+once.
 """
 
 import re
@@ -22,6 +22,7 @@ from repro.core.sequence import NativeGateSequence
 from repro.device import small_test_device
 from repro.exec import BatchExecutor, Job, LocalBackend
 from repro.exec.executor import ExecutorStats
+from repro.experiments import ledgers_to_text
 from repro.programs.ghz import ghz
 
 _HOUR_US = 3_600e6
@@ -85,16 +86,17 @@ class TestMonotonicity:
 
     def test_cache_stats_never_decrease_across_batches(self):
         device = small_test_device(seed=5)
-        backend = LocalBackend(device)
-        executor = BatchExecutor(backend)
+        executor = BatchExecutor(LocalBackend(device))
         snapshots = []
         for round_number in range(4):
             executor.submit_batch(_native_jobs(device, 100 * round_number))
             if round_number == 1:
                 device.advance_time(2.0 * _HOUR_US)
-            snapshots.append(_flatten(backend.cache_stats()))
+            cache = device.channel_cache.stats()
+            cache.update(device.sim_cache.stats())
+            snapshots.append(_flatten(cache))
         for before, after in zip(snapshots, snapshots[1:]):
-            _assert_monotonic(before, after, _CACHE_GAUGES, "cache_stats")
+            _assert_monotonic(before, after, _CACHE_GAUGES, "cache stats")
 
     def test_batches_make_progress(self):
         """The monotonic sweep above is not vacuous: the counting
@@ -177,42 +179,48 @@ class TestRequestHandleTimestamps:
 
 class TestToTextRendering:
     def test_every_field_renders_exactly_once(self):
-        """With pairwise-distinct sentinels, each field's rendered value
-        appears in ``to_text`` output exactly once."""
-        stats = ExecutorStats(
-            jobs=101,
-            batches=103,
-            shots=107,
-            device_time_us=109_000_000.0,  # renders as 109.000
-            wall_time_s=113.25,  # renders as 113.250
-            cache_hits=127,
-            cache_misses=131,
-            sim_dist_hits=137,
-            sim_dist_misses=139,
-            sim_shared_publishes=157,
-            retries=163,
-            job_failures=167,
-            breaker_trips=173,
-            fallbacks=179,
-            jobs_by_tag={"probe": 199},
-            shots_by_tag={"probe": 211},
-            wall_time_by_tag_s={"probe": 223.125},
-        )
-        text = stats.to_text()
+        """With pairwise-distinct sentinels, each rendered field's value
+        appears in the ``--stats`` text exactly once."""
+        ledgers = {
+            "exec": ExecutorStats(
+                jobs=101,
+                batches=103,
+                shots=107,
+                device_time_us=109_000_000.0,  # renders as 109.000
+                wall_time_s=113.25,  # renders as 113.250
+                fallbacks=179,
+                jobs_by_tag={"probe": 199},
+                shots_by_tag={"probe": 211},
+                wall_time_by_tag_s={"probe": 223.125},
+            ).snapshot(),
+            "cache": {
+                "hits": 127,
+                "misses": 131,
+                "dist_hits": 137,
+                "dist_misses": 139,
+                "dist_shared_publishes": 157,
+            },
+            "remote": {
+                "retries": 163,
+                "failures": 167,
+                "breaker_trips": 173,
+            },
+        }
+        text = ledgers_to_text(ledgers)
         expected = {
             "jobs": "101",
             "batches": "103",
             "shots": "107",
             "device_time_us": "109.000",
             "wall_time_s": "113.250",
-            "cache_hits": "127",
-            "cache_misses": "131",
-            "sim_dist_hits": "137",
-            "sim_dist_misses": "139",
-            "sim_shared_publishes": "157",
-            "retries": "163",
-            "job_failures": "167",
-            "breaker_trips": "173",
+            "cache.hits": "127",
+            "cache.misses": "131",
+            "cache.dist_hits": "137",
+            "cache.dist_misses": "139",
+            "cache.dist_shared_publishes": "157",
+            "remote.retries": "163",
+            "remote.failures": "167",
+            "remote.breaker_trips": "173",
             "fallbacks": "179",
             "jobs_by_tag.probe": "199",
             "shots_by_tag.probe": "211",
@@ -230,8 +238,20 @@ class TestToTextRendering:
     def test_quiet_sections_are_suppressed(self):
         """All-zero optional sections (sim cache / reliability) stay
         out of the rendering; the core lines remain."""
-        text = ExecutorStats(jobs=2, batches=1, shots=64).to_text()
+        text = ledgers_to_text(
+            {
+                "exec": ExecutorStats(jobs=2, batches=1, shots=64).snapshot(),
+                "cache": {
+                    "hits": 0,
+                    "misses": 0,
+                    "dist_hits": 0,
+                    "dist_misses": 0,
+                    "dist_shared_publishes": 0,
+                },
+            }
+        )
         assert "jobs: 2" in text
+        assert "channel cache: 0 hits / 0 misses" in text
         assert "sim cache" not in text
         assert "reliability" not in text
 
