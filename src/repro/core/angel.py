@@ -39,7 +39,14 @@ from .policies import noise_adaptive_sequence, random_sequence
 from .search import ProbeBatch, SearchTrace, localized_search_plan
 from .sequence import NativeGateSequence
 
-__all__ = ["AngelConfig", "AngelResult", "Angel", "AngelProbePlan"]
+__all__ = [
+    "AngelConfig",
+    "AngelResult",
+    "Angel",
+    "AngelProbePlan",
+    "CopycatKit",
+    "copycat_kit",
+]
 
 
 @dataclass(frozen=True)
@@ -95,6 +102,10 @@ class AngelResult:
             flaky remote backend) and therefore kept the
             calibration-fidelity gate choice; empty on a healthy
             backend.
+
+    ``copycat`` and ``copycat_ideal`` are read-only: the compile
+    service builds them once per program and chip day, so the outcomes
+    of every request for that program share the same objects.
     """
 
     sequence: NativeGateSequence
@@ -163,7 +174,7 @@ class Angel:
     def _select(
         self, compiled: CompiledProgram, select_span
     ) -> AngelResult:
-        plan = AngelProbePlan(self, compiled, observe=True)
+        plan = self.plan(compiled, observe=True)
         while not plan.done:
             # allow_failures: a probe job a resilient backend gave up on
             # comes back as None and degrades that link's comparison
@@ -178,7 +189,10 @@ class Angel:
         return plan.result()
 
     def plan(
-        self, compiled: CompiledProgram, observe: bool = False
+        self,
+        compiled: CompiledProgram,
+        observe: bool = False,
+        kit: Optional["CopycatKit"] = None,
     ) -> "AngelProbePlan":
         """The selection as a stream of schedulable probe batches.
 
@@ -192,9 +206,14 @@ class Angel:
 
         ``observe`` defaults to off: schedulers interleaving plans from
         many requests must not nest one request's search spans inside
-        another's batch spans.
+        another's batch spans. ``kit`` is the program's
+        :func:`copycat_kit` when the caller already holds one (the
+        compile service keeps one per program and chip day); otherwise
+        the plan builds its own.
         """
-        return AngelProbePlan(self, compiled, observe=observe)
+        if kit is None:
+            kit = copycat_kit(compiled, self.config)
+        return AngelProbePlan(self, compiled, kit, observe=observe)
 
     def compile_and_select(
         self, circuit: QuantumCircuit
@@ -254,36 +273,24 @@ class AngelProbePlan:
     :attr:`done`, then read :meth:`result`. The batch sequence, RNG
     draws, and continuous-update semantics are identical to
     :meth:`Angel.select`, which is itself implemented over this class.
+    ``kit`` is the program's :func:`copycat_kit`; the plan only reads it.
     """
 
     def __init__(
         self,
         angel: Angel,
         compiled: CompiledProgram,
+        kit: "CopycatKit",
         observe: bool = True,
     ) -> None:
-        if compiled.num_cnot_sites == 0:
-            raise SearchError(
-                "program has no CNOT sites; nothing to select"
-            )
         config = angel.config
         self.compiled = compiled
-        self.copycat = build_copycat(
-            compiled.scheduled,
-            max_non_clifford=config.max_non_clifford,
-            exclude_hadamard_like=config.exclude_hadamard_like,
-        )
-        self.copycat_ideal = self.copycat.ideal_distribution()
+        self.copycat = kit.copycat
+        self.copycat_ideal = kit.ideal
+        self._nativizer = kit.nativizer
         gate_options = compiled.gate_options()
         self.reference = angel._initial_reference(compiled, gate_options)
         link_order = angel._link_order(self.reference)
-        # The CopyCat circuit is fixed for the whole search; only the
-        # native gate at each CNOT site varies between candidates. The
-        # nativizer precomputes everything else (1q rewrites, barriers,
-        # measurements, pass-throughs) once instead of once per probe.
-        self._nativizer = _CopycatNativizer(
-            self.copycat, compiled.device.native_gates
-        )
         self._probe_shots = config.probe_shots
         self._rng = angel._rng
         self._plan = localized_search_plan(
@@ -414,6 +421,44 @@ class AngelProbePlan:
             registry.counter("angel.selections").add(1)
             registry.counter("angel.probes").add(self.probes_run)
             registry.counter("angel.updates").add(result.trace.num_updates)
+
+
+@dataclass(frozen=True)
+class CopycatKit:
+    """What probing a compiled program needs and no probe changes.
+
+    Step 1 of Fig. 11 for one program: its CopyCat, the CopyCat's ideal
+    distribution (the score every probe is measured against) and the
+    candidate-circuit factory. A pure function of the compiled program
+    and the config's CopyCat settings, built by :func:`copycat_kit`, and
+    read-only once built: the compile service shares one kit between
+    every request for a program on one chip day. The nativizer is
+    derived from the CopyCat, so it takes no part in equality.
+    """
+
+    copycat: CopyCat
+    ideal: Dict[str, float]
+    nativizer: "_CopycatNativizer" = field(compare=False)
+
+
+def copycat_kit(compiled: CompiledProgram, config: AngelConfig) -> CopycatKit:
+    """Build the :class:`CopycatKit` of a compiled program."""
+    if compiled.num_cnot_sites == 0:
+        raise SearchError("program has no CNOT sites; nothing to select")
+    copycat = build_copycat(
+        compiled.scheduled,
+        max_non_clifford=config.max_non_clifford,
+        exclude_hadamard_like=config.exclude_hadamard_like,
+    )
+    # The CopyCat circuit is fixed for the whole search; only the
+    # native gate at each CNOT site varies between candidates. The
+    # nativizer precomputes everything else (1q rewrites, barriers,
+    # measurements, pass-throughs) once instead of once per probe.
+    return CopycatKit(
+        copycat,
+        copycat.ideal_distribution(),
+        _CopycatNativizer(copycat, compiled.device.native_gates),
+    )
 
 
 class _CopycatNativizer:

@@ -25,7 +25,7 @@ from ..device.calibration import CalibrationData
 from ..device.device import RigettiAspenDevice
 from ..device.topology import Link
 from ..exceptions import SearchError
-from ..exec import Job, get_executor
+from ..exec import BatchExecutor, Job, get_executor
 from ..metrics import success_rate_from_counts
 from .sequence import NativeGateSequence, enumerate_sequences
 
@@ -118,20 +118,23 @@ def runtime_best(
     granularity: str = "site",
     ideal: Optional[Dict[str, float]] = None,
     seed: Optional[int] = None,
+    executor: Optional[BatchExecutor] = None,
 ) -> Tuple[SequenceEvaluation, List[SequenceEvaluation]]:
     """Exhaustively execute every sequence of the real program.
 
     This is the paper's "Runtime Best" policy: it requires knowing the
     program's correct output (we have it from the ideal simulator) and
     ``prod |options|`` device jobs, so it exists purely as an oracle to
-    measure how much of the attainable gap ANGEL closes.
+    measure how much of the attainable gap ANGEL closes. The jobs go
+    through ``executor``, by default the device's shared executor.
 
     Returns ``(best, all_evaluations)`` in enumeration order.
     """
     if ideal is None:
         ideal = compiled.ideal_distribution()
     options = compiled.gate_options()
-    executor = get_executor(compiled.device)
+    if executor is None:
+        executor = get_executor(compiled.device)
     evaluations: List[SequenceEvaluation] = []
     best: Optional[SequenceEvaluation] = None
     for number, sequence in enumerate(

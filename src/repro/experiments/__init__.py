@@ -41,7 +41,6 @@ from .motivation import (
     fig9_program_specific_optimum,
 )
 from .reporting import ExperimentResult, ascii_bars, format_table
-from .runner import EXPERIMENTS, run_experiment
 
 __all__ = [
     "ExperimentContext",
@@ -77,3 +76,14 @@ __all__ = [
     "extension_multi_pass",
     "fleet_transfer_study",
 ]
+
+
+def __getattr__(name: str):
+    # The registry loads on first use, not with the package: importing
+    # ``.runner`` here would run it twice under
+    # ``python -m repro.experiments.runner`` (and warn that it did).
+    if name in ("EXPERIMENTS", "run_experiment"):
+        from . import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -66,6 +66,7 @@ def fig18_main_evaluation(
                 probe_shots=probe_shots,
                 seed=int(context.rng.integers(2**31)),
             ),
+            executor=context.executor,
         )
         result = angel.select(compiled)
         baseline_sr = context.measured_success_rate(
@@ -85,6 +86,7 @@ def fig18_main_evaluation(
                 shots=runtime_best_shots,
                 granularity="link",
                 ideal=ideal,
+                executor=context.executor,
             )
             best_sr = context.measured_success_rate(
                 compiled.nativized(best.sequence, name_suffix="_rbest"),

@@ -12,11 +12,17 @@ with fair scheduling and cross-tenant probe deduplication:
   create` and stores the result as a template nothing ever runs on;
   every request then runs on a :meth:`~repro.experiments.context.
   ExperimentContext.clone` of it — the exact state ``create`` reaches,
-  at a fraction of the cost. The non-negotiable invariant, pinned by
-  ``tests/test_angel_service.py``: a request compiled through the
-  service is **bit-identical** to the same spec run through
-  :func:`run_standalone` (which always calls ``create``), for any
-  tenant mix, worker count, or fault profile.
+  at a fraction of the cost. Because every clone of a chip day is the
+  same, so is every compile on it: the first request for a program (at
+  its ``opt_level``) keeps its :class:`~repro.compiler.CompiledProgram`
+  and CopyCat kit on the chip-day entry, and later requests re-bind
+  that program to their own clone's device, skipping layout, routing,
+  scheduling and CopyCat construction. Those artifacts are shared
+  read-only and go when their chip day is evicted. The non-negotiable
+  invariant, pinned by ``tests/test_angel_service.py``: a request
+  compiled through the service is **bit-identical** to the same spec
+  run through :func:`run_standalone` (which always calls ``create``
+  and compiles), for any tenant mix, worker count, or fault profile.
 * **Fairness** — requests advance one *schedulable unit* (one CopyCat
   probe batch, or the final shot execution) per grant, under deficit
   round-robin across tenants (:mod:`repro.service.scheduler`) with
@@ -35,8 +41,10 @@ with fair scheduling and cross-tenant probe deduplication:
   ``dedup_hits`` ledgers.
 
 The request lifecycle emits a ``svc.request`` summary span (queue wait,
-latency, probes, dedup hits), a ``context.clone`` span per chip-day memo
-hit, and ``service.tenant.<name>.*`` registry counters when
+latency, probes, dedup hits, and ``compile_memo``: whether the request
+reused its chip day's compile, in which case it emits no ``compiler.*``
+spans), a ``context.clone`` span per chip-day memo hit, and
+``service.tenant.<name>.*`` registry counters when
 observability is installed; a finished request's context adds its
 ledgers (``exec.*``, ``cache.*``, and ``remote.*``/``service.*`` when
 remote) to the installed registry as it closes, so the registry sums
@@ -53,11 +61,21 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import (
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from ..compiler.passes import transpile
+from ..compiler.passes import CompiledProgram, transpile
 from ..core import Angel, AngelConfig, AngelResult
+from ..core.angel import CopycatKit, copycat_kit
 from ..exceptions import ServiceError
 from ..exec import Job
 from ..experiments.context import ExperimentContext
@@ -231,7 +249,8 @@ class _Request:
     the service and :func:`run_standalone` drive requests through this
     class, so the two paths cannot diverge; the only difference is that
     the service passes its ``chip_days`` memo, which hands out a clone
-    of the context ``create`` would build.
+    of the context ``create`` would build, and the compiled program and
+    CopyCat kit of an earlier request for the same program on it.
     """
 
     def __init__(
@@ -252,11 +271,10 @@ class _Request:
             "fault_profile": spec.fault_profile,
             "fault_seed": spec.fault_seed,
         }
-        self.context = (
-            chip_days.context(recipe)
-            if chip_days is not None
-            else ExperimentContext.create(**recipe)
-        )
+        if chip_days is None:
+            self.context, day = ExperimentContext.create(**recipe), None
+        else:
+            self.context, day = chip_days.checkout(recipe)
         try:
             self.executor = self.context.executor
             backend = self.executor.backend
@@ -264,7 +282,7 @@ class _Request:
                 backend.align_windows = spec.align_windows
             if store is not None:
                 store.attach(self.context.device)
-            circuit = get_benchmark(spec.program).build()
+            benchmark = get_benchmark(spec.program)
             self.angel = Angel(
                 self.context.device,
                 self.context.calibration,
@@ -275,13 +293,34 @@ class _Request:
                 ),
                 executor=self.executor,
             )
-            self.compiled = transpile(
-                circuit,
-                self.context.device,
-                self.context.calibration,
-                optimization_level=spec.opt_level,
-            )
-            self.plan = self.angel.plan(self.compiled, observe=True)
+            key = (benchmark.name, spec.opt_level)
+            artifact = None if day is None else chip_days.artifact(day, key)
+            #: Whether the compiled program and CopyCat came from the
+            #: chip day instead of being built for this request.
+            self.compile_memo = artifact is not None
+            if artifact is None:
+                self.compiled = transpile(
+                    benchmark.build(),
+                    self.context.device,
+                    self.context.calibration,
+                    optimization_level=spec.opt_level,
+                )
+                kit = copycat_kit(self.compiled, self.angel.config)
+            else:
+                self.compiled = replace(
+                    artifact.compiled, device=self.context.device
+                )
+                kit = artifact.kit
+            self.plan = self.angel.plan(self.compiled, observe=True, kit=kit)
+            if artifact is None and day is not None:
+                chip_days.keep(
+                    day,
+                    key,
+                    _CompileArtifact(
+                        replace(self.compiled, device=day.template.device),
+                        kit,
+                    ),
+                )
         except BaseException:
             self.context.close()
             raise
@@ -341,41 +380,70 @@ class _Request:
         self.context.close()
 
 
+class _CompileArtifact(NamedTuple):
+    """One program's compile on one chip day, shared read-only.
+
+    ``compiled`` is bound to the chip day's template device, which never
+    runs; a request re-binds it to its own clone's device.
+    """
+
+    compiled: CompiledProgram
+    kit: CopycatKit
+
+
+class _ChipDay:
+    """One memoized chip day: a post-``create`` template context, and
+    the compile artifacts of the programs requested on it, keyed by
+    (canonical benchmark name, ``opt_level``)."""
+
+    __slots__ = ("template", "artifacts")
+
+    def __init__(self, template: ExperimentContext) -> None:
+        self.template = template
+        self.artifacts: Dict[Tuple[str, int], _CompileArtifact] = {}
+
+
 class _ChipDayMemo:
-    """Bounded LRU of post-``create`` contexts, cloned per request.
+    """Bounded LRU of chip days, cloned per request.
 
     Keyed by every argument :class:`_Request` passes to
     :meth:`ExperimentContext.create`. A template is never run, advanced
     or closed — requests only ever get :meth:`ExperimentContext.clone`
-    of it, which is bit-identical to a fresh ``create``. A failed build
-    stores nothing. Thread-safe; two concurrent first misses on one
-    recipe may both build (the later store wins, and both are exact).
+    of it, which is bit-identical to a fresh ``create``. So a program's
+    layout, routing, schedule and CopyCat are a pure function of the
+    chip day, the program and ``opt_level``: the first request builds
+    them on its clone and keeps them on the entry, later ones reuse
+    them, and they go when the entry is evicted. A failed build stores
+    nothing. Thread-safe, with the lock held only around dict access:
+    two concurrent first misses on one chip day or one program may both
+    build it, the first store wins, and every copy is exact.
     """
 
     def __init__(self) -> None:
-        self._templates: "OrderedDict[tuple, ExperimentContext]" = (
-            OrderedDict()
-        )
+        self._days: "OrderedDict[tuple, _ChipDay]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._templates)
+            return len(self._days)
 
-    def context(self, recipe: Dict[str, object]) -> ExperimentContext:
+    def checkout(
+        self, recipe: Dict[str, object]
+    ) -> Tuple[ExperimentContext, _ChipDay]:
+        """A fresh clone of the recipe's chip day, and its entry."""
         key = tuple(sorted(recipe.items()))
         with self._lock:
-            template = self._templates.get(key)
-            if template is not None:
-                self._templates.move_to_end(key)
-        if template is None:
-            template = ExperimentContext.create(**recipe)
+            day = self._days.get(key)
+            if day is not None:
+                self._days.move_to_end(key)
+        if day is None:
+            built = _ChipDay(ExperimentContext.create(**recipe))
             with self._lock:
-                self._templates[key] = template
-                self._templates.move_to_end(key)
-                while len(self._templates) > _CHIP_DAY_MEMO_SIZE:
-                    self._templates.popitem(last=False)
-            return template.clone()
+                day = self._days.setdefault(key, built)
+                self._days.move_to_end(key)
+                while len(self._days) > _CHIP_DAY_MEMO_SIZE:
+                    self._days.popitem(last=False)
+            return day.template.clone(), day
         tracer = obs.active_tracer()
         span = (
             tracer.span(
@@ -387,7 +455,21 @@ class _ChipDayMemo:
             else obs.NULL_SPAN
         )
         with span:
-            return template.clone()
+            return day.template.clone(), day
+
+    def artifact(
+        self, day: _ChipDay, key: Tuple[str, int]
+    ) -> Optional[_CompileArtifact]:
+        """The stored compile of ``key`` on ``day``, or ``None``."""
+        with self._lock:
+            return day.artifacts.get(key)
+
+    def keep(
+        self, day: _ChipDay, key: Tuple[str, int], artifact: _CompileArtifact
+    ) -> None:
+        """Store ``artifact`` unless ``key`` already has one."""
+        with self._lock:
+            day.artifacts.setdefault(key, artifact)
 
 
 def run_standalone(
@@ -758,6 +840,10 @@ class AngelService:
                     device_time_us=device_time_us,
                     probes=probes,
                     dedup_hits=dedup_hits,
+                    compile_memo=(
+                        entry.request is not None
+                        and entry.request.compile_memo
+                    ),
                     failed=entry.error is not None,
                 )
         registry = obs.active_registry()

@@ -55,11 +55,18 @@ def sample_distribution(
     if norm <= 0:
         raise SimulationError("distribution has no probability mass")
     probs /= norm
-    counts: Counts = {}
-    for outcome in rng.choice(len(keys), size=shots, p=probs):
-        key = keys[int(outcome)]
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    draws = rng.choice(len(keys), size=shots, p=probs)
+    # Keys in order of first draw, as a per-shot tally would insert them.
+    drawn, first, tallies = np.unique(
+        draws, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return {
+        keys[index]: count
+        for index, count in zip(
+            drawn[order].tolist(), tallies[order].tolist()
+        )
+    }
 
 
 def merge_counts(*many: Mapping[str, int]) -> Counts:

@@ -20,8 +20,10 @@ compare it with:
 
 It also holds the Kraus channel constructors and their superoperator
 conversions (:func:`from_kraus`, :func:`embed`), the channel fidelity
-formula, and :func:`differential_seeds`, which every seeded sweep reads
-so ``REPRO_DIFFERENTIAL_SEEDS`` widens them all.
+formula, the per-shot tally :func:`per_shot_counts` that
+:func:`~repro.sim.sampler.sample_distribution` is compared with, and
+:func:`differential_seeds`, which every seeded sweep reads so
+``REPRO_DIFFERENTIAL_SEEDS`` widens them all.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from repro.sim.channels import (
     embedded_matrix,
 )
 from repro.sim.density_matrix import DensityMatrix, _apply_readout_confusion
+from repro.sim.sampler import Counts
 
 _NS_PER_US = 1000.0
 
@@ -626,3 +629,21 @@ def per_gate_distribution(device, circuit: QuantumCircuit) -> Dict[str, float]:
     for op in _greedy_fusion(stream):
         state.apply_superoperator(op.superop, op.qubits)
     return _readout(state, compact.measured_qubits(), readout)
+
+
+# ----------------------------------------------------------------------
+# Shot tally
+# ----------------------------------------------------------------------
+def per_shot_counts(
+    distribution: Dict[str, float], shots: int, rng: np.random.Generator
+) -> Counts:
+    """``sample_distribution`` with the draws tallied one shot at a time:
+    the same ``rng.choice`` call, keys inserted in order of first draw."""
+    keys = sorted(distribution)
+    probs = np.array([max(0.0, distribution[k]) for k in keys], dtype=float)
+    probs /= probs.sum()
+    counts: Counts = {}
+    for outcome in rng.choice(len(keys), size=shots, p=probs):
+        key = keys[int(outcome)]
+        counts[key] = counts.get(key, 0) + 1
+    return counts

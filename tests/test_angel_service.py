@@ -10,13 +10,16 @@ threads submitting, including a spec whose drift lands exactly on a
 calibration-refresh boundary. On top of
 that: cross-tenant probe dedup changes *who computes*, never *what*;
 deficit round-robin bounds a light tenant's queue waits under a heavy
-tenant's flood; and one tenant's flaky fault profile never perturbs
-another tenant's outcome.
+tenant's flood; one tenant's flaky fault profile never perturbs
+another tenant's outcome; and a program compiled once per chip day and
+reused by later requests leaves every outcome unchanged.
 """
 
+import gc
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -24,6 +27,7 @@ import pytest
 from repro.circuit import QuantumCircuit
 from repro.compiler import transpile
 from repro.core import Angel, AngelConfig
+from repro.core.angel import copycat_kit
 from repro.core.sequence import NativeGateSequence
 from repro.device.drift import DriftingValue
 from repro.device.native_gates import cnot_decomposition, hadamard_native
@@ -725,8 +729,9 @@ def test_clone_equals_fresh_create(recipe):
 def test_clones_share_no_mutable_state():
     recipe = _recipe(_SPECS["ghz"])
     memo = _ChipDayMemo()
-    first, second = memo.context(recipe), memo.context(recipe)
-    (template,) = memo._templates.values()
+    (first, _), (second, _) = memo.checkout(recipe), memo.checkout(recipe)
+    (day,) = memo._days.values()
+    template = day.template
     untouched = ExperimentContext.create(**recipe)
     # Move the first clone every way a request (or a test) can.
     circuit = _bell(first)
@@ -794,7 +799,7 @@ def test_memo_under_thread_contention_hands_out_exact_clones(monkeypatch):
         try:
             for step in range(4):
                 index = (offset + step) % len(recipes)
-                context = memo.context(recipes[index])
+                context, _ = memo.checkout(recipes[index])
                 _assert_same_context(context, references[index])
                 context.device.advance_time(3_600e6)  # private to the clone
         except BaseException as exc:  # noqa: BLE001 - reported below
@@ -832,6 +837,153 @@ def test_memo_hits_emit_clone_spans():
     names = [span.name for span in tracer.spans]
     assert names.count("context.create") == 1
     assert names.count("context.clone") == 1
+
+
+# ---------------------------------------------------------------------------
+# Compile memo: each program compiles once per chip day
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "opt_level, backend",
+    [(0, "local"), (1, "local"), (2, "local"), (1, "remote")],
+)
+def test_compile_memo_matches_standalone(opt_level, backend):
+    from repro.obs import Tracer
+    from repro.obs import runtime as obs
+
+    specs = [
+        replace(_SPECS[key], opt_level=opt_level, backend=backend)
+        for key in ("ghz", "bv")
+    ]
+    workload = {"alice": specs + specs, "bob": specs[::-1]}
+    tracer = Tracer()
+    previous = obs.install(tracer, None)
+    try:
+        # One worker: a program's later requests always find the
+        # artifact its first request kept.
+        outcomes = replay_workload(workload, num_workers=1)
+    finally:
+        obs.uninstall(previous)
+    for name, slots in outcomes.items():
+        for slot, spec in zip(slots, workload[name]):
+            assert not isinstance(slot, BaseException), slot
+            _assert_bit_identical(slot, _reference(spec))
+    memo = [
+        span.attributes["compile_memo"]
+        for span in tracer.spans
+        if span.name == "svc.request"
+    ]
+    # Each program compiles once; its other requests reuse the artifact.
+    assert len(memo) == 6 and memo.count(False) == 2
+
+
+def test_stored_artifacts_equal_a_fresh_compile():
+    specs = [
+        replace(_SPECS[key], opt_level=level)
+        for key in ("ghz", "bv", "boundary")
+        for level in (0, 2)
+    ]
+    with AngelService(num_workers=2) as service:
+        # Twice each, so requests that reused an artifact ran before
+        # it is compared: sharing it must not have changed it.
+        for spec in specs + specs:
+            service.submit("alice", spec)
+        service.drain(timeout=300)
+        days = dict(service._chip_days._days)
+    assert len(days) == 2
+    stored = 0
+    for key, day in days.items():
+        fresh = ExperimentContext.create(**dict(key))
+        for (name, level), artifact in day.artifacts.items():
+            assert artifact.compiled.device is day.template.device
+            compiled = transpile(
+                get_benchmark(name).build(),
+                fresh.device,
+                fresh.calibration,
+                optimization_level=level,
+            )
+            # An OptimizationReport compares by identity: check its dict.
+            assert replace(
+                artifact.compiled, device=fresh.device, opt_report=None
+            ) == replace(compiled, opt_report=None)
+            if level:
+                assert (
+                    artifact.compiled.opt_report.to_dict()
+                    == compiled.opt_report.to_dict()
+                )
+            kit = copycat_kit(compiled, AngelConfig())
+            assert artifact.kit == kit
+            assert artifact.kit.nativizer._segments == kit.nativizer._segments
+            stored += 1
+    assert stored == len(specs)
+
+
+def test_finished_requests_devices_are_collectable():
+    devices = []
+    service = AngelService(num_workers=1)
+    checkout = service._chip_days.checkout
+
+    def recording_checkout(recipe):
+        context, day = checkout(recipe)
+        devices.append(weakref.ref(context.device))
+        return context, day
+
+    service._chip_days.checkout = recording_checkout
+    with service:
+        for tenant in ("alice", "bob"):
+            service.submit(tenant, _SPECS["ghz"]).result(timeout=120)
+    gc.collect()
+    assert len(devices) == 2
+    assert [ref() for ref in devices] == [None, None]
+    (day,) = service._chip_days._days.values()
+    (artifact,) = day.artifacts.values()
+    assert artifact.compiled.device is day.template.device
+
+
+def test_failed_compile_stores_nothing(monkeypatch):
+    from repro.service import angel_service
+
+    calls = []
+
+    def failing_once(*args, **kwargs):
+        calls.append(args[0].name)
+        if len(calls) == 1:
+            raise RuntimeError("layout failed")
+        return transpile(*args, **kwargs)
+
+    monkeypatch.setattr(angel_service, "transpile", failing_once)
+    with AngelService(num_workers=1) as service:
+        with pytest.raises(RuntimeError, match="layout failed"):
+            service.submit("alice", _SPECS["ghz"]).result(timeout=120)
+        (day,) = service._chip_days._days.values()
+        assert day.artifacts == {}
+        first = service.submit("alice", _SPECS["ghz"]).result(timeout=120)
+        second = service.submit("bob", _SPECS["ghz"]).result(timeout=120)
+        assert list(day.artifacts) == [("GHZ_n4", 0)]
+    assert len(calls) == 2
+    for outcome in (first, second):
+        _assert_bit_identical(outcome, _reference(_SPECS["ghz"]))
+
+
+def test_chip_day_eviction_drops_its_artifacts(monkeypatch):
+    from repro.service import angel_service
+
+    monkeypatch.setattr(angel_service, "_CHIP_DAY_MEMO_SIZE", 1)
+    first, other = _SPECS["ghz"], replace(_SPECS["ghz"], seed=12)
+    with AngelService(num_workers=1) as service:
+        service.submit("alice", first).result(timeout=120)
+        (day,) = service._chip_days._days.values()
+        (artifact,) = day.artifacts.values()
+        evicted = (weakref.ref(artifact.compiled), weakref.ref(artifact.kit))
+        del day, artifact
+        service.submit("alice", other).result(timeout=120)
+        ((key, day),) = service._chip_days._days.items()
+        assert dict(key)["seed"] == 12
+        assert list(day.artifacts) == [("GHZ_n4", 0)]
+        del day
+        gc.collect()
+        assert [ref() for ref in evicted] == [None, None]
+        again = service.submit("alice", first).result(timeout=120)
+    _assert_bit_identical(again, _reference(first))
 
 
 # ---------------------------------------------------------------------------
@@ -892,13 +1044,13 @@ def test_close_timeout_bounds_the_call_and_threads_still_stop():
     service = AngelService(num_workers=1)
     # Hold the first round inside its first chip-day build.
     release = threading.Event()
-    build = service._chip_days.context
+    build = service._chip_days.checkout
 
     def held_build(recipe):
         release.wait(timeout=30)
         return build(recipe)
 
-    service._chip_days.context = held_build
+    service._chip_days.checkout = held_build
     handles = [
         service.submit(f"t{index}", spec)
         for index, spec in enumerate(

@@ -2,9 +2,14 @@
 its qualitative claim at reduced budget."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exceptions import ReproError
 from repro.experiments import (
     EXPERIMENTS,
@@ -123,6 +128,31 @@ class TestRegistry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be an integer\n"
+
+    def test_runner_module_runs_without_runtime_warning(self):
+        # ``-m repro.experiments.runner`` warns (and fails under ``-W
+        # error``) if importing the package already imported the runner.
+        source = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.experiments.runner",
+                "table2",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={
+                **os.environ,
+                "PYTHONPATH": source + (os.pathsep + path if path else ""),
+            },
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.startswith("== table2:")
 
 
 class TestMotivation:

@@ -13,6 +13,7 @@ from repro.sim.sampler import (
     total_shots,
     uniform_distribution,
 )
+from tests.oracle import differential_seeds, per_shot_counts
 
 
 class TestConversions:
@@ -46,6 +47,17 @@ class TestConversions:
     def test_sample_rejects_empty_mass(self):
         with pytest.raises(SimulationError):
             sample_distribution({"0": 0.0}, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shots", [64, 256, 1024])
+    @pytest.mark.parametrize("seed", differential_seeds(range(3)))
+    def test_tally_matches_per_shot_loop(self, seed, shots):
+        # Four outcomes, one of them rare, as a small device readout.
+        dist = {"00": 0.46, "01": 0.05, "10": 0.02, "11": 0.47}
+        counts = sample_distribution(dist, shots, np.random.default_rng(seed))
+        reference = per_shot_counts(dist, shots, np.random.default_rng(seed))
+        assert counts == reference
+        assert list(counts) == list(reference)
+        assert all(type(value) is int for value in counts.values())
 
     def test_negative_mass_clipped(self):
         counts = sample_distribution(

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.angel import Angel, AngelConfig
 from repro.experiments.context import ExperimentContext
+from repro.experiments.main_eval import fig18_main_evaluation
 from repro.programs.ghz import ghz
 from repro.service import FaultProfile, RetryPolicy, fault_profile
 
@@ -125,3 +126,31 @@ class TestAngelUnderFaults:
         remote = ctx_remote.ledgers()["remote"]
         assert remote["retries"] == 0
         assert remote["failures"] == 0
+
+    def test_zero_fault_remote_fig18_runs_every_job_remotely(self):
+        """Fig. 18 on the remote backend sends ANGEL's probes and the
+        runtime-best enumeration through the cloud service, not only
+        the final measurements; with no faults its rows and device
+        clock equal the local run's."""
+        budget = dict(
+            benchmarks=["GHZ_n4", "BV_n4"],
+            final_shots=64,
+            probe_shots=16,
+            runtime_best_shots=16,
+        )
+        ctx_local = ExperimentContext.create()
+        ctx_remote = ExperimentContext.create(
+            backend="remote", fault_profile="none"
+        )
+        local = fig18_main_evaluation(ctx_local, **budget)
+        remote = fig18_main_evaluation(ctx_remote, **budget)
+        assert remote.rows == local.rows
+        assert ctx_remote.device.clock_us == ctx_local.device.clock_us
+        ledgers = ctx_remote.ledgers()
+        assert ledgers["exec"]["jobs_by_tag"] == {
+            "probe": 14,
+            "measure": 6,
+            "enumerate": 54,
+        }
+        assert ledgers["service"]["completed"] == 74
+        assert ctx_remote.device.shared_executor is None
