@@ -96,7 +96,6 @@ def _compile_and_run(program, context, shots, probe_shots, compiled=None):
             context.device,
             context.calibration,
             AngelConfig(probe_shots=probe_shots, seed=_SEED),
-            executor=context.executor,
         )
         selection = angel.select(compiled)
         sequence = selection.sequence
@@ -189,7 +188,6 @@ def _time_ghz7_select(level, probe_shots):
             context.device,
             context.calibration,
             AngelConfig(probe_shots=probe_shots, seed=_SEED),
-            executor=context.executor,
         )
         start = time.perf_counter()
         selection = angel.select(compiled)

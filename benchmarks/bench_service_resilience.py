@@ -38,7 +38,6 @@ def _angel_run(ctx, probe_shots: int, seed: int = 3):
         ctx.device,
         ctx.calibration,
         AngelConfig(probe_shots=probe_shots, seed=seed),
-        executor=ctx.executor,
     )
     start = time.perf_counter()
     compiled, result = angel.compile_and_select(ghz(5))

@@ -7,7 +7,7 @@ paper reports. Run with::
     pytest benchmarks/ --benchmark-only -s
 
 Budgets are reduced relative to the full experiments so the whole
-harness completes in minutes; `repro.experiments.runner` runs the
+harness completes in minutes; `python -m repro experiments` runs the
 full-budget versions.
 """
 

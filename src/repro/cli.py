@@ -10,8 +10,9 @@ Commands:
   :class:`~repro.service.AngelService` compile service (fair
   scheduling across tenants, each request on its own device and
   executor, cross-tenant probe dedup).
-* ``experiments`` — regenerate paper artifacts (delegates to
-  :mod:`repro.experiments.runner`).
+* ``experiments`` — regenerate paper artifacts by id (the registry in
+  :mod:`repro.experiments`), e.g. ``python -m repro experiments
+  --stats fig18``.
 * ``device`` — print a device's topology and calibrated fidelity map.
 * ``suite`` — print the benchmark suite (Table I).
 * ``draw`` — ASCII-render a program.
@@ -31,7 +32,12 @@ from .core import Angel, AngelConfig, NativeGateSequence
 from .device.native_gates import NATIVE_TWO_QUBIT_GATES
 from .exceptions import ReproError
 from .exec import Job
-from .experiments import ExperimentContext, ledgers_to_text, run_experiment
+from .experiments import (
+    EXPERIMENTS,
+    ExperimentContext,
+    ledgers_to_text,
+    run_experiment,
+)
 from .metrics import success_rate_from_counts
 from .obs import JsonlSpanSink, MetricsRegistry, Tracer
 from .obs import runtime as obs
@@ -52,16 +58,25 @@ def _load_program(source: str) -> QuantumCircuit:
 
 
 def _make_context(args: argparse.Namespace) -> ExperimentContext:
+    """The context a command's run settings describe; ``experiments``
+    takes no chip-day flags and keeps the default chip day."""
+    chip_day = (
+        dict(
+            device_name=args.device,
+            seed=args.seed,
+            drift_hours=args.drift_hours,
+        )
+        if hasattr(args, "device")
+        else {}
+    )
     return ExperimentContext.create(
-        device_name=args.device,
-        seed=args.seed,
-        drift_hours=args.drift_hours,
-        backend=getattr(args, "backend", "local"),
-        fault_profile=getattr(args, "fault_profile", "none"),
-        fault_seed=getattr(args, "fault_seed", 0),
-        trace=getattr(args, "trace", None),
-        metrics=getattr(args, "metrics", False),
-        optimization_level=getattr(args, "opt_level", 0),
+        **chip_day,
+        backend=args.backend,
+        fault_profile=args.fault_profile,
+        fault_seed=args.fault_seed,
+        trace=args.trace,
+        metrics=args.metrics,
+        optimization_level=args.opt_level,
     )
 
 
@@ -70,14 +85,20 @@ def _finish_context(
 ) -> None:
     """Close the context, then print the metrics ledger if asked."""
     context.close()
-    if getattr(args, "metrics", False) and context.metrics_registry:
+    if args.metrics and context.metrics_registry:
         print("--- metrics ---")
         print(context.metrics_registry.to_text())
-    if getattr(args, "trace", None):
+    if args.trace:
         print(f"trace written to {args.trace}")
 
 
 def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
+    """The chip-day flags, then the run settings."""
+    _add_chip_day_arguments(parser)
+    _add_run_arguments(parser)
+
+
+def _add_chip_day_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--device",
         default="aspen-11",
@@ -93,6 +114,10 @@ def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
         default=30.0,
         help="hours of drift since the last full calibration",
     )
+
+
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """Where jobs run, how programs compile, and what the run records."""
     parser.add_argument(
         "--backend",
         default="local",
@@ -160,12 +185,16 @@ def _configure_compile_parser(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print the native circuit as OpenQASM",
     )
+    _add_stats_argument(parser)
+    _add_context_arguments(parser)
+
+
+def _add_stats_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--stats",
         action="store_true",
         help="print execution-service statistics (jobs/shots per phase)",
     )
-    _add_context_arguments(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,9 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_context_arguments(serve_parser)
 
     experiments_parser = sub.add_parser(
-        "experiments", help="regenerate paper artifacts"
+        "experiments",
+        help="regenerate paper artifacts, each on a fresh default chip day",
     )
-    experiments_parser.add_argument("ids", nargs="+", metavar="experiment-id")
+    experiments_parser.add_argument(
+        "ids",
+        nargs="+",
+        metavar="experiment-id",
+        choices=sorted(EXPERIMENTS),
+        help="paper artifact ids: " + ", ".join(sorted(EXPERIMENTS)),
+    )
+    _add_stats_argument(experiments_parser)
+    _add_run_arguments(experiments_parser)
 
     device_parser = sub.add_parser("device", help="device fidelity map")
     device_parser.add_argument("--max-links", type=int, default=None)
@@ -261,13 +299,11 @@ def _run_compile(
         f"{program.name}: {compiled.num_cnot_sites} CNOT sites on "
         f"{len(compiled.links_used())} links of {context.device.name}"
     )
-    executor = context.executor
     if args.policy == "angel":
         angel = Angel(
             context.device,
             context.calibration,
             AngelConfig(probe_shots=args.probe_shots, seed=args.seed),
-            executor=executor,
         )
         result = angel.select(compiled)
         sequence = result.sequence
@@ -291,7 +327,7 @@ def _run_compile(
         sequence = NativeGateSequence.uniform(compiled.sites, args.policy)
         print(f"fixed gate: {sequence.label()}")
     native = compiled.nativized(sequence, name_suffix=f"_{args.policy}")
-    result = executor.submit(Job(native, args.shots, tag="final"))
+    result = context.executor.submit(Job(native, args.shots, tag="final"))
     sr = success_rate_from_counts(ideal, result.counts)
     print(f"success rate over {args.shots} shots: {sr:.4f}")
     if args.stats:
@@ -315,6 +351,33 @@ def _command_device(args: argparse.Namespace) -> int:
         return 0
     finally:
         context.close()
+
+
+def _command_experiments(args: argparse.Namespace) -> int:
+    # A context (a fresh chip day per experiment, so its ledgers are
+    # the experiment's alone) only when a flag needs one; otherwise each
+    # experiment builds its own default.
+    needs_context = (
+        args.stats
+        or args.backend != "local"
+        or args.metrics
+        or args.trace is not None
+        or args.opt_level != 0
+    )
+    for experiment_id in args.ids:
+        context = _make_context(args) if needs_context else None
+        try:
+            print(run_experiment(experiment_id, context=context).to_text())
+            if context is not None:
+                if args.stats:
+                    print("--- execution-service stats ---")
+                    print(ledgers_to_text(context.ledgers()))
+                _finish_context(context, args)
+        finally:
+            if context is not None:
+                context.close()
+        print()
+    return 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -450,10 +513,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "serve":
             return _command_serve(args)
         if args.command == "experiments":
-            for experiment_id in args.ids:
-                print(run_experiment(experiment_id).to_text())
-                print()
-            return 0
+            return _command_experiments(args)
         if args.command == "device":
             return _command_device(args)
         if args.command == "suite":

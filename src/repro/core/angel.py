@@ -31,7 +31,7 @@ from ..device.device import RigettiAspenDevice
 from ..device.native_gates import NativeGateSet, cnot_decomposition
 from ..device.topology import Link
 from ..exceptions import CompilationError, SearchError
-from ..exec import BatchExecutor, Job, get_executor
+from ..exec import Job, get_executor
 from ..metrics import success_rate_from_counts
 from ..obs import runtime as obs
 from .copycat import DEFAULT_NON_CLIFFORD_BUDGET, CopyCat, build_copycat
@@ -125,9 +125,12 @@ class Angel:
         calibration: Vendor calibration data (reference initialization;
             possibly stale — that is the point).
         config: Framework tunables.
-        executor: Execution service to submit probe jobs through.
-            Defaults to the device's shared executor, which reproduces
-            the paper's one-probe-at-a-time semantics bit-for-bit.
+
+    Probe jobs go through the device's executor
+    (:func:`~repro.exec.get_executor`): its local executor, which
+    reproduces the paper's one-probe-at-a-time semantics bit-for-bit, or
+    the one a remote :class:`~repro.experiments.context.ExperimentContext`
+    bound to it.
     """
 
     def __init__(
@@ -135,14 +138,11 @@ class Angel:
         device: RigettiAspenDevice,
         calibration: CalibrationData,
         config: Optional[AngelConfig] = None,
-        executor: Optional[BatchExecutor] = None,
     ) -> None:
         self.device = device
         self.calibration = calibration
         self.config = config or AngelConfig()
-        self.executor = (
-            executor if executor is not None else get_executor(device)
-        )
+        self.executor = get_executor(device)
         self._rng = np.random.default_rng(self.config.seed)
 
     # ------------------------------------------------------------------

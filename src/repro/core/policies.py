@@ -25,7 +25,7 @@ from ..device.calibration import CalibrationData
 from ..device.device import RigettiAspenDevice
 from ..device.topology import Link
 from ..exceptions import SearchError
-from ..exec import BatchExecutor, Job, get_executor
+from ..exec import Job, get_executor
 from ..metrics import success_rate_from_counts
 from .sequence import NativeGateSequence, enumerate_sequences
 
@@ -118,7 +118,6 @@ def runtime_best(
     granularity: str = "site",
     ideal: Optional[Dict[str, float]] = None,
     seed: Optional[int] = None,
-    executor: Optional[BatchExecutor] = None,
 ) -> Tuple[SequenceEvaluation, List[SequenceEvaluation]]:
     """Exhaustively execute every sequence of the real program.
 
@@ -126,15 +125,14 @@ def runtime_best(
     program's correct output (we have it from the ideal simulator) and
     ``prod |options|`` device jobs, so it exists purely as an oracle to
     measure how much of the attainable gap ANGEL closes. The jobs go
-    through ``executor``, by default the device's shared executor.
+    through the device's executor (:func:`~repro.exec.get_executor`).
 
     Returns ``(best, all_evaluations)`` in enumeration order.
     """
     if ideal is None:
         ideal = compiled.ideal_distribution()
     options = compiled.gate_options()
-    if executor is None:
-        executor = get_executor(compiled.device)
+    executor = get_executor(compiled.device)
     evaluations: List[SequenceEvaluation] = []
     best: Optional[SequenceEvaluation] = None
     for number, sequence in enumerate(

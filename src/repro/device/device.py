@@ -443,21 +443,6 @@ class RigettiAspenDevice:
         self._log(executable, circuit.name, shots, seed, job_id, tag)
         return counts
 
-    def log_execution(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        seed: Optional[int] = None,
-        job_id: str = "",
-        tag: str = "",
-        qubits: Optional[List[int]] = None,
-    ) -> ExecutionRecord:
-        """Account one executed job: audit record plus clock advance."""
-        return self._log(
-            self.prepare(circuit), circuit.name, shots, seed, job_id, tag,
-            qubits,
-        )
-
     def _log(
         self,
         executable: Executable,
@@ -466,8 +451,8 @@ class RigettiAspenDevice:
         seed: Optional[int],
         job_id: str,
         tag: str,
-        qubits: Optional[List[int]] = None,
-    ) -> ExecutionRecord:
+    ) -> None:
+        """Account one executed job: audit record plus clock advance."""
         duration = (
             _JOB_OVERHEAD_US
             + shots * (executable.duration_us + _SHOT_OVERHEAD_US)
@@ -477,14 +462,13 @@ class RigettiAspenDevice:
             shots=shots,
             started_at_us=self.clock_us,
             duration_us=duration,
-            qubits=tuple(qubits) if qubits is not None else executable.qubits,
+            qubits=executable.qubits,
             seed=seed,
             job_id=job_id,
             tag=tag,
         )
         self.execution_log.append(record)
         self.advance_time(duration)
-        return record
 
     def _validate(self, circuit: QuantumCircuit) -> None:
         if not circuit.has_measurements:
@@ -712,7 +696,9 @@ class RigettiAspenDevice:
         cache = self.channel_cache
         if cache.values is not self.drift.current:
             cache.invalidate(self.drift_epoch, self.drift.current)
-        return self.sim_cache.distribution(executable, readout, self._channel)
+        return self.sim_cache.distribution(
+            executable, readout, self._channel, self.parameter_fingerprint
+        )
 
     # ------------------------------------------------------------------
     # Ground-truth fidelities (what an oracle — not the vendor — knows)

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compiler import transpile
 from ..compiler.nativization import nativize
 from ..core.angel import Angel, AngelConfig
 from ..core.copycat import build_copycat
@@ -58,7 +57,7 @@ def fig20_reference_ablation(
     random_srs: List[float] = []
     for name in benchmarks:
         spec = get_benchmark(name)
-        compiled = transpile(spec.build(), context.device, context.calibration)
+        compiled = context.transpile(spec.build())
         ideal = compiled.ideal_distribution()
         angel_na = Angel(
             context.device,
@@ -132,7 +131,7 @@ def ablation_non_clifford_budget(
     deterministic output rather than a uniform one.
     """
     context = context or ExperimentContext.create()
-    compiled = transpile(vqe_n4(), context.device, context.calibration)
+    compiled = context.transpile(vqe_n4())
     routed = compiled.scheduled
 
     def sweep(circuit) -> List[float]:
@@ -203,7 +202,7 @@ def ablation_probe_shots(
     """
     context = context or ExperimentContext.create()
     spec = get_benchmark(benchmark)
-    compiled = transpile(spec.build(), context.device, context.calibration)
+    compiled = context.transpile(spec.build())
     ideal = compiled.ideal_distribution()
     rows: List[Tuple] = []
     for shots in shot_budgets:
@@ -245,7 +244,7 @@ def ablation_link_order(
     rows: List[Tuple] = []
     for name in benchmarks:
         spec = get_benchmark(name)
-        compiled = transpile(spec.build(), context.device, context.calibration)
+        compiled = context.transpile(spec.build())
         ideal = compiled.ideal_distribution()
         per_order: Dict[str, float] = {}
         for order in ("program", "random"):

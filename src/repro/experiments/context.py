@@ -7,6 +7,12 @@ build a device, calibrate everything, then advance simulated wall-clock
 in steps while the calibration service refreshes only what its cadence
 allows. Every experiment in this package accepts a context so studies
 compose on the same device state.
+
+The context is the one owner of a run's settings: its backend (bound
+to the device as its executor, so every job on the device goes where
+the context says) and its optimization level (applied by
+:meth:`ExperimentContext.transpile`, through which every experiment
+compiles).
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ class ExperimentContext:
         fault_seed: Seed for the service's fault stream and the remote
             backend's backoff jitter.
         retry_policy: Remote-client resilience tunables (None = default).
+        optimization_level: Pre-routing optimization level every
+            :meth:`transpile` applies.
     """
 
     device: RigettiAspenDevice
@@ -68,9 +76,6 @@ class ExperimentContext:
         default=None, repr=False, compare=False
     )
     metrics_registry: Optional[MetricsRegistry] = field(
-        default=None, repr=False, compare=False
-    )
-    _remote_executor: Optional[BatchExecutor] = field(
         default=None, repr=False, compare=False
     )
     _obs_previous: Optional[tuple] = field(
@@ -183,7 +188,7 @@ class ExperimentContext:
                     registry=registry,
                 )
             previous = obs.install(tracer, registry)
-        return cls(
+        context = cls(
             device=device,
             service=service,
             rng=np.random.default_rng(seed * 7919 + calibration_seed),
@@ -196,6 +201,8 @@ class ExperimentContext:
             metrics_registry=registry,
             _obs_previous=previous,
         )
+        context._bind_executor()
+        return context
 
     def clone(self) -> "ExperimentContext":
         """An independent context in exactly this context's state.
@@ -203,21 +210,40 @@ class ExperimentContext:
         Device and calibration service are cloned (drift arrays, clock,
         epoch, every generator state, calibration records), so running
         or advancing the clone moves nothing in this context and vice
-        versa. The clone starts with no executors of its own yet and
-        without observability: a tracer or registry installed by
-        :meth:`create` stays with the original.
+        versa. The clone gets a fresh executor on its own device, like
+        :meth:`create`, and no observability: a tracer or registry
+        installed by :meth:`create` stays with the original.
         """
         device = self.device.clone()
-        return replace(
+        clone = replace(
             self,
             device=device,
             service=self.service.clone(device),
             rng=copy.deepcopy(self.rng),
             tracer=None,
             metrics_registry=None,
-            _remote_executor=None,
             _obs_previous=None,
             _closed=False,
+        )
+        clone._bind_executor()
+        return clone
+
+    def _bind_executor(self) -> None:
+        """Make this context's backend the device's one executor.
+
+        A remote context installs an executor over its own cloud
+        service as ``device.shared_executor``, so every job on the
+        device (ANGEL, runtime best, CDR, measurements) goes through the
+        service without being handed an executor. A local context keeps
+        the device's lazily created local executor.
+        """
+        if self.backend_name != "remote":
+            return
+        qpu_service = CloudQPUService(
+            self.device, self.fault_profile, seed=self.fault_seed
+        )
+        self.device.shared_executor = BatchExecutor(
+            RemoteBackend(qpu_service, self.retry_policy, seed=self.fault_seed)
         )
 
     # ------------------------------------------------------------------
@@ -246,27 +272,11 @@ class ExperimentContext:
 
     @property
     def executor(self) -> BatchExecutor:
-        """The execution service shared by everything using this device.
-
-        With ``backend_name="remote"`` this is a dedicated executor over
-        a :class:`~repro.service.RemoteBackend` (one cloud service per
-        context); otherwise the device's shared local executor.
-        """
-        if self.backend_name == "local":
-            return get_executor(self.device)
-        if self._remote_executor is None:
-            qpu_service = CloudQPUService(
-                self.device,
-                self.fault_profile if self.fault_profile is not None
-                else resolve_fault_profile("none"),
-                seed=self.fault_seed,
-            )
-            self._remote_executor = BatchExecutor(
-                RemoteBackend(
-                    qpu_service, self.retry_policy, seed=self.fault_seed
-                )
-            )
-        return self._remote_executor
+        """The one executor every job on this context's device goes
+        through: over a :class:`~repro.service.RemoteBackend` (one cloud
+        service per context) with ``backend_name="remote"``, otherwise
+        the device's local executor."""
+        return get_executor(self.device)
 
     def ledgers(self) -> Dict[str, Dict[str, Any]]:
         """Every count this context's components keep, read from them.
@@ -289,15 +299,19 @@ class ExperimentContext:
         return ledgers
 
     def close(self) -> None:
-        """Finalize observability.
+        """Finalize observability and release the executor.
 
         The context's :meth:`ledgers` are added, once, to its own
         registry (``metrics``/``trace``) or else to the registry active
-        when it closes; then the trace sink is flushed and closed, and
-        the previously installed tracer/registry pair (usually none) is
-        restored.
+        when it closes; then the device lets go of its executor, whose
+        backend holds the device, so a dropped context is freed by
+        reference counting; then the trace sink is flushed and closed,
+        and the previously installed tracer/registry pair (usually
+        none) is restored. Read :attr:`executor` and :meth:`ledgers`
+        before closing: afterwards the device would start a new local
+        executor.
 
-        Idempotent: every CLI/runner path closes through ``try/finally``
+        Idempotent: every CLI path closes through ``try/finally``
         (or the context-manager protocol), and error paths may have
         closed already by the time the happy-path cleanup runs.
         """
@@ -310,6 +324,7 @@ class ExperimentContext:
         if registry is not None:
             for prefix, ledger in self.ledgers().items():
                 registry.ingest(prefix, ledger)
+        self.device.shared_executor = None
         if self.tracer is not None:
             self.tracer.close()
         if self._obs_previous is not None:

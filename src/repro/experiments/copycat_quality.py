@@ -11,7 +11,6 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from ..circuit.circuit import QuantumCircuit
-from ..compiler import transpile
 from ..compiler.nativization import nativize
 from ..core.copycat import build_copycat
 from ..core.sequence import enumerate_sequences
@@ -82,7 +81,7 @@ def fig12_replacement_choice(
     """
     context = context or ExperimentContext.create()
     program = _fig12_program()
-    compiled = transpile(program, context.device, context.calibration)
+    compiled = context.transpile(program)
     routed = compiled.scheduled
 
     _, program_srs = _sequence_srs(context, compiled, routed, shots, exact)
@@ -138,7 +137,7 @@ def fig19_copycat_correlation(
     """
     context = context or ExperimentContext.create()
     program = linear_solver_n3()
-    compiled = transpile(program, context.device, context.calibration)
+    compiled = context.transpile(program)
     routed = compiled.scheduled
 
     _, program_srs = _sequence_srs(context, compiled, routed, shots, exact)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from ..compiler import transpile
 from ..core.angel import Angel, AngelConfig
 from ..core.policies import noise_adaptive_sequence
 from ..core.sequence import enumerate_sequences
@@ -122,7 +121,7 @@ def fig21_repeated_executions(
     example).
     """
     context = context or ExperimentContext.create()
-    compiled = transpile(ghz_n4(), context.device, context.calibration)
+    compiled = context.transpile(ghz_n4())
     ideal = compiled.ideal_distribution()
     options = compiled.gate_options()
     na_seq = noise_adaptive_sequence(compiled.sites, context.calibration, options)
@@ -191,7 +190,7 @@ def fig22_best_sequence_stability(
     the strong-drift regime where any learned sequence decays.
     """
     context = context or ExperimentContext.create()
-    compiled = transpile(ghz_n4(), context.device, context.calibration)
+    compiled = context.transpile(ghz_n4())
     ideal = compiled.ideal_distribution()
     options = compiled.gate_options()
     histogram: Dict[str, int] = {}

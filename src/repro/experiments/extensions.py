@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..compiler import transpile
 from ..core.angel import Angel, AngelConfig
 from ..core.cdr import CliffordDataRegression, parity_expectation
 from ..core.policies import noise_adaptive_sequence
@@ -41,7 +40,7 @@ def extension_cdr_composition(
     """
     context = context or ExperimentContext.create()
     spec = get_benchmark(benchmark)
-    compiled = transpile(spec.build(), context.device, context.calibration)
+    compiled = context.transpile(spec.build())
     ideal_value = parity_expectation(compiled.ideal_distribution())
 
     angel = Angel(
@@ -125,7 +124,7 @@ def extension_multi_pass(
     rows: List[Tuple] = []
     for name in benchmarks:
         spec = get_benchmark(name)
-        compiled = transpile(spec.build(), context.device, context.calibration)
+        compiled = context.transpile(spec.build())
         ideal = compiled.ideal_distribution()
         seed = int(context.rng.integers(2**31))
         for max_passes in passes:

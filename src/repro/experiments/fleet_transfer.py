@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..compiler import transpile
 from ..core.angel import Angel, AngelConfig
 from ..core.sequence import NativeGateSequence
 from ..exceptions import ReproError
@@ -118,11 +117,9 @@ def fleet_transfer_study(
         winner_label = ""
         survived_count = 0
         for index, ctx in enumerate(contexts):
-            compiled = transpile(circuit, ctx.device, ctx.calibration)
+            compiled = ctx.transpile(circuit)
             ideal = compiled.ideal_distribution()
-            angel = Angel(
-                ctx.device, ctx.calibration, config, executor=ctx.executor
-            )
+            angel = Angel(ctx.device, ctx.calibration, config)
             result = angel.select(compiled)
             local = result.sequence
             if index == 0:

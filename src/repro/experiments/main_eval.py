@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..compiler import transpile
 from ..core.angel import Angel, AngelConfig
 from ..core.policies import runtime_best
 from ..metrics import geometric_mean
@@ -57,7 +56,7 @@ def fig18_main_evaluation(
     angel_ratios: List[float] = []
     best_ratios: List[float] = []
     for spec in specs:
-        compiled = transpile(spec.build(), context.device, context.calibration)
+        compiled = context.transpile(spec.build())
         ideal = compiled.ideal_distribution()
         angel = Angel(
             context.device,
@@ -66,7 +65,6 @@ def fig18_main_evaluation(
                 probe_shots=probe_shots,
                 seed=int(context.rng.integers(2**31)),
             ),
-            executor=context.executor,
         )
         result = angel.select(compiled)
         baseline_sr = context.measured_success_rate(
@@ -86,7 +84,6 @@ def fig18_main_evaluation(
                 shots=runtime_best_shots,
                 granularity="link",
                 ideal=ideal,
-                executor=context.executor,
             )
             best_sr = context.measured_success_rate(
                 compiled.nativized(best.sequence, name_suffix="_rbest"),
@@ -225,7 +222,7 @@ def table1_suite(
     context = context or ExperimentContext.create()
     rows: List[Tuple] = []
     for spec in benchmark_suite():
-        compiled = transpile(spec.build(), context.device, context.calibration)
+        compiled = context.transpile(spec.build())
         rows.append(
             (
                 spec.name,
@@ -265,7 +262,7 @@ def table2_copycat_counts(
     context = context or ExperimentContext.create()
     rows: List[Tuple] = []
     for spec in benchmark_suite():
-        compiled = transpile(spec.build(), context.device, context.calibration)
+        compiled = context.transpile(spec.build())
         options = compiled.gate_options()
         exhaustive = 1
         for site in compiled.sites:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from ..compiler import transpile
 from ..compiler.mapping import Layout
 from ..core.policies import noise_adaptive_sequence
 from ..core.sequence import NativeGateSequence, enumerate_sequences
@@ -102,7 +101,7 @@ def fig3_ghz5_sweep(
     (the paper measures 3x on Aspen-11).
     """
     context = context or ExperimentContext.create()
-    compiled = transpile(ghz_n5(), context.device, context.calibration)
+    compiled = context.transpile(ghz_n5())
     ideal = compiled.ideal_distribution()
     options = compiled.gate_options()
     na_seq = noise_adaptive_sequence(compiled.sites, context.calibration, options)
@@ -156,11 +155,9 @@ def fig9_program_specific_optimum(
     combinations correlate only weakly across programs.
     """
     context = context or ExperimentContext.create()
-    ghz_compiled = transpile(ghz_n4(), context.device, context.calibration)
+    ghz_compiled = context.transpile(ghz_n4())
     layout = ghz_compiled.routed.initial_layout
-    vqe_compiled = transpile(
-        vqe_n4(), context.device, context.calibration, layout=layout
-    )
+    vqe_compiled = context.transpile(vqe_n4(), layout=layout)
 
     per_program: Dict[str, Dict[str, float]] = {}
     for name, compiled in (("GHZ_n4", ghz_compiled), ("VQE_n4", vqe_compiled)):

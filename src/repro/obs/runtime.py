@@ -15,7 +15,7 @@ no attribute dict, no context-manager allocation (``NULL_SPAN`` is one
 shared reusable instance). ``benchmarks/bench_obs_overhead.py`` pins
 that cost at < 2% of an uninstrumented GHZ-7 probe sweep.
 
-Installation is explicit and scoped: the CLI / runner /
+Installation is explicit and scoped: the CLI and
 ``ExperimentContext`` install a tracer + registry for one run and
 restore the previous pair on close, so a library embedder can nest
 observed regions. ``observed(...)`` is the context-manager form tests

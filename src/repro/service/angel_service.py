@@ -31,8 +31,7 @@ with fair scheduling and cross-tenant probe deduplication:
   ``svc.coalesce`` window on a thread pool. Nothing is merged across
   requests: each unit passes its request's one probe batch to the
   request's own executor (``BatchExecutor.submit_grouped`` with a single
-  group), and remote requests can window-align their batches
-  (:meth:`~repro.service.cloud.CloudQPUService.align_window`).
+  group).
 * **Dedup** — all request devices attach to one
   :class:`~repro.service.dedup.ProbeDistributionStore`, so identical
   probe distributions (same placement, circuit fingerprint, readout,
@@ -121,10 +120,6 @@ class RequestSpec:
     backend: str = "local"
     fault_profile: str = "none"
     fault_seed: int = 0
-    #: Window-aligned batch admission for remote backends (see
-    #: :meth:`CloudQPUService.align_window`). Part of the spec so the
-    #: standalone reference run takes the identical clock trajectory.
-    align_windows: bool = False
     #: Pre-routing optimization level (see :func:`repro.compiler.
     #: transpile`). Part of the spec — the service and the standalone
     #: reference transpile at the same level, so service-vs-standalone
@@ -277,9 +272,6 @@ class _Request:
             self.context, day = chip_days.checkout(recipe)
         try:
             self.executor = self.context.executor
-            backend = self.executor.backend
-            if hasattr(backend, "align_windows"):
-                backend.align_windows = spec.align_windows
             if store is not None:
                 store.attach(self.context.device)
             benchmark = get_benchmark(spec.program)
@@ -291,7 +283,6 @@ class _Request:
                     max_passes=spec.max_passes,
                     seed=spec.angel_seed,
                 ),
-                executor=self.executor,
             )
             key = (benchmark.name, spec.opt_level)
             artifact = None if day is None else chip_days.artifact(day, key)
@@ -399,6 +390,9 @@ class _ChipDay:
     __slots__ = ("template", "artifacts")
 
     def __init__(self, template: ExperimentContext) -> None:
+        # A template never runs, so it keeps no executor: a remote one
+        # would tie its device into a cycle that outlives eviction.
+        template.device.shared_executor = None
         self.template = template
         self.artifacts: Dict[Tuple[str, int], _CompileArtifact] = {}
 
@@ -687,6 +681,9 @@ class AngelService:
                     round_number = self.scheduler.rounds
                     self._round = [entry for _, entry in picked]
                 self._execute_round(round_number, picked)
+                # Waiting for work must not keep the finished round's
+                # requests (their devices and caches) alive.
+                del picked
         except BaseException as exc:
             # No handle may hang on a dead scheduler; the thread still
             # dies with the traceback (threading.excepthook reports it).

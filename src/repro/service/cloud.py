@@ -61,10 +61,6 @@ class ServiceStats:
     unavailable: int = 0
     recalibrations: int = 0
     queue_latency_us: float = 0.0
-    #: Batches that proactively waited for a fresh calibration window
-    #: (scheduled admission) instead of bouncing off the quota.
-    window_aligns: int = 0
-    window_align_wait_us: float = 0.0
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -78,8 +74,6 @@ class ServiceStats:
             "unavailable": self.unavailable,
             "recalibrations": self.recalibrations,
             "queue_latency_us": self.queue_latency_us,
-            "window_aligns": self.window_aligns,
-            "window_align_wait_us": self.window_align_wait_us,
         }
 
 
@@ -195,77 +189,6 @@ class CloudQPUService:
         self._window_jobs += num_jobs
         self.stats.submitted += num_jobs
 
-    def window_state(self) -> Dict[str, object]:
-        """Where the current calibration window stands (scheduler view)."""
-        profile = self.profile
-        now = self.device.clock_us
-        remaining_jobs: Optional[int] = None
-        if profile.max_jobs_per_window is not None:
-            remaining_jobs = max(
-                profile.max_jobs_per_window - self._window_jobs, 0
-            )
-        remaining_us: Optional[float] = None
-        if profile.window_us is not None:
-            remaining_us = max(
-                self._window_start_us + profile.window_us - now, 0.0
-            )
-        return {
-            "window_start_us": self._window_start_us,
-            "window_jobs": self._window_jobs,
-            "remaining_jobs": remaining_jobs,
-            "remaining_us": remaining_us,
-            "recalibrating_until_us": self._recalibrating_until_us,
-        }
-
-    def align_window(self, num_jobs: int) -> float:
-        """Wait (in simulated time) until ``num_jobs`` fit one window.
-
-        A batch that would bounce off the window quota or arrive during
-        recalibration instead *waits out* the remainder of the window
-        plus the recalibration gap, then lands at the start of a fresh
-        window. Drift accrues across the wait exactly as it would for a
-        client backing off, but no fault is raised — this is scheduled
-        admission, not failure recovery. Returns the simulated
-        microseconds waited (0 under a fault-free profile, whose window
-        is unbounded). Batches larger than a whole window's quota can
-        never fit and are left to :meth:`_admit`'s rate-limit error.
-        """
-        profile = self.profile
-        waited = 0.0
-        now = self.device.clock_us
-        if self._recalibrating_until_us is not None:
-            if now < self._recalibrating_until_us:
-                waited += self._recalibrating_until_us - now
-                self.wait(self._recalibrating_until_us - now)
-            self._recalibrating_until_us = None
-            self._window_start_us = self.device.clock_us
-            self._window_jobs = 0
-            now = self.device.clock_us
-        if profile.window_us is None:
-            return waited
-        window_expired = now - self._window_start_us >= profile.window_us
-        over_quota = (
-            profile.max_jobs_per_window is not None
-            and self._window_jobs + num_jobs > profile.max_jobs_per_window
-            and num_jobs <= profile.max_jobs_per_window
-        )
-        if window_expired or over_quota:
-            window_end = self._window_start_us + profile.window_us
-            target = max(window_end, now) + profile.recalibration_us
-            if target > now:
-                waited += target - now
-                self.wait(target - now)
-            self.stats.recalibrations += 1
-            self._window_start_us = self.device.clock_us
-            self._window_jobs = 0
-        if waited > 0:
-            self.stats.window_aligns += 1
-            self.stats.window_align_wait_us += waited
-            obs.event(
-                "service.window_align", jobs=num_jobs, waited_us=waited
-            )
-        return waited
-
     def _apply_latency(self) -> None:
         latency = self.profile.submission_latency_us
         if latency > 0:
@@ -313,11 +236,7 @@ class CloudQPUService:
         self._apply_latency()
         return self._execute_one(job)
 
-    def execute_batch(
-        self,
-        jobs: Sequence[Job],
-        align_window: bool = False,
-    ) -> BatchOutcome:
+    def execute_batch(self, jobs: Sequence[Job]) -> BatchOutcome:
         """Submit a batch; per-job faults are reported positionally.
 
         Admission (window/rate-limit) is all-or-nothing for the batch —
@@ -326,15 +245,9 @@ class CloudQPUService:
         the batch is dropped wholesale (the jobs never execute), which
         is how real batch endpoints fail when a queue worker dies
         mid-batch.
-
-        With ``align_window`` the batch first waits (simulated time) for
-        a calibration window it fits into — see :meth:`align_window` —
-        instead of risking a rate-limit bounce mid-window.
         """
         if not jobs:
             return BatchOutcome([], [])
-        if align_window:
-            self.align_window(len(jobs))
         self._admit(len(jobs))
         self._apply_latency()
         drop_from = len(jobs)

@@ -85,9 +85,7 @@ class ProbeDistributionStore:
         """Wire a device's simulation cache through this store: every
         distribution the device needs is looked up here first, under its
         parameter fingerprint, and published here once simulated."""
-        device.sim_cache.attach_shared_store(
-            self, device.parameter_fingerprint
-        )
+        device.sim_cache.attach_shared_store(self)
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

@@ -106,11 +106,6 @@ class RemoteBackend:
         policy: Retry/deadline/breaker tunables.
         seed: Seed for backoff jitter (kept separate from the service's
             fault stream and the device's physics).
-        align_windows: Ask the service for window-aligned batch
-            admission — batches that would bounce off the calibration
-            window's job quota instead wait (simulated time) for a
-            fresh window. Off by default: alignment changes the clock
-            trajectory, so it is opt-in for schedulers that own it.
     """
 
     def __init__(
@@ -118,11 +113,9 @@ class RemoteBackend:
         service: CloudQPUService,
         policy: Optional[RetryPolicy] = None,
         seed: int = 0,
-        align_windows: bool = False,
     ) -> None:
         self.service = service
         self.policy = policy or RetryPolicy()
-        self.align_windows = align_windows
         self._jitter_rng = np.random.default_rng(seed)
         # Client-side reliability counters: kept here only, read
         # out under ``remote`` (ExperimentContext.ledgers).
@@ -289,8 +282,7 @@ class RemoteBackend:
                     self.resubmitted += len(pending)
                 try:
                     outcome = self.service.execute_batch(
-                        [jobs[i] for i in pending],
-                        align_window=self.align_windows,
+                        [jobs[i] for i in pending]
                     )
                 except TransientServiceError as exc:
                     still_pending = pending  # whole batch bounced

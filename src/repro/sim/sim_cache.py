@@ -45,6 +45,8 @@ __all__ = ["SimulationCache"]
 
 #: Builds one per-gate channel from its key, at current values.
 ChannelSource = Callable[[Hashable], Superoperator]
+#: The device's physics fingerprint, read per store lookup.
+StateKey = Callable[[], object]
 
 
 class SimulationCache:
@@ -56,31 +58,26 @@ class SimulationCache:
 
     def __init__(self) -> None:
         self._shared_store = None
-        self._shared_key: Optional[Callable[[], object]] = None
         self.dist_hits = 0
         self.dist_misses = 0
         self.shared_publishes = 0
 
-    def attach_shared_store(
-        self, store, state_key: Callable[[], object]
-    ) -> None:
+    def attach_shared_store(self, store) -> None:
         """Consult/publish exact distributions through a shared store.
 
         ``store`` needs ``get(key)``/``put(key, distribution)`` (e.g.
-        :class:`~repro.service.dedup.ProbeDistributionStore`);
-        ``state_key`` is called per lookup and must change whenever this
-        device's physics change (the device's ``parameter_fingerprint``).
-        A hit is the exact dict the producing device computed, so it
-        serves any request whose device reaches the identical state.
+        :class:`~repro.service.dedup.ProbeDistributionStore`). A hit is
+        the exact dict the producing device computed, so it serves any
+        request whose device reaches the identical state.
         """
         self._shared_store = store
-        self._shared_key = state_key
 
     def distribution(
         self,
         executable: Executable,
         readout_errors: Optional[Sequence[Optional[ReadoutError]]],
         channel: ChannelSource,
+        state_key: StateKey,
     ) -> Dict[str, float]:
         """Exact noisy distribution, from the store or simulated.
 
@@ -89,11 +86,14 @@ class SimulationCache:
         ``channel`` builds (or fetches) the channel behind each of the
         executable's ``channel_keys`` at the current parameter values;
         it is called only when the distribution is simulated.
+        ``state_key`` is called only when a store is attached, and must
+        change whenever the device's physics change (the device's
+        ``parameter_fingerprint``).
         """
         key = None
         if self._shared_store is not None:
             key = (
-                self._shared_key(),
+                state_key(),
                 executable.digest,
                 self._readout_key(readout_errors),
             )
@@ -120,6 +120,7 @@ class SimulationCache:
         executables: Sequence[Executable],
         readout_errors: Optional[Sequence[Optional[ReadoutError]]],
         channel: ChannelSource,
+        state_key: StateKey,
     ) -> List[Dict[str, float]]:
         """:meth:`distribution` for several executables on one placement.
 
@@ -127,7 +128,7 @@ class SimulationCache:
         it as part of the ``sim.distribution`` layer.
         """
         return [
-            self.distribution(executable, readout_errors, channel)
+            self.distribution(executable, readout_errors, channel, state_key)
             for executable in executables
         ]
 

@@ -39,11 +39,8 @@ from repro.programs import get_benchmark
 from repro.service import (
     AdmissionError,
     AngelService,
-    CloudQPUService,
     DeficitRoundRobin,
-    FaultProfile,
     ProbeDistributionStore,
-    RateLimitError,
     RequestSpec,
     TenantConfig,
     TokenBucket,
@@ -458,79 +455,6 @@ def test_submit_grouped_empty_and_ragged_groups():
 
 
 # ---------------------------------------------------------------------------
-# Window-aware admission
-# ---------------------------------------------------------------------------
-#: Deterministic windows, no stochastic faults — isolates the alignment
-#: logic from fault injection.
-_WINDOWED = FaultProfile(
-    name="windowed",
-    window_us=10_000_000.0,
-    recalibration_us=500_000.0,
-    max_jobs_per_window=4,
-)
-
-
-def _window_jobs(device, count):
-    compiled = transpile(get_benchmark("GHZ_n4").build(), device)
-    native = compiled.nativized(
-        NativeGateSequence.uniform(compiled.sites, "cz")
-    )
-    return [
-        Job(native, 16, seed=200 + index, tag="probe")
-        for index in range(count)
-    ]
-
-
-def test_align_window_waits_out_quota():
-    device = aspen11(seed=31)
-    service = CloudQPUService(device, _WINDOWED)
-    jobs = _window_jobs(device, 2)
-    # Fill the window to one short of its quota: a 2-job batch bounces.
-    service.execute_batch(_window_jobs(device, 3))
-    with pytest.raises(RateLimitError):
-        service.execute_batch(jobs)
-    before = device.clock_us
-    waited = service.align_window(len(jobs))
-    assert waited > 0
-    assert device.clock_us > before
-    assert service.stats.window_aligns == 1
-    assert service.stats.window_align_wait_us == pytest.approx(waited)
-    outcome = service.execute_batch(jobs)
-    assert outcome.failed_indices == []
-
-
-def test_align_window_noop_when_window_fits():
-    device = aspen11(seed=31)
-    service = CloudQPUService(device, _WINDOWED)
-    before = device.clock_us
-    assert service.align_window(4) == 0.0
-    assert device.clock_us == before
-    assert service.stats.window_aligns == 0
-
-
-def test_align_window_noop_without_windows():
-    device = aspen11(seed=31)
-    service = CloudQPUService(device)  # ZERO_FAULTS: no windows
-    before = device.clock_us
-    assert service.align_window(10_000) == 0.0
-    assert device.clock_us == before
-    state = service.window_state()
-    assert state["remaining_jobs"] is None
-    assert state["remaining_us"] is None
-
-
-def test_execute_batch_align_window_flag():
-    device = aspen11(seed=37)
-    service = CloudQPUService(device, _WINDOWED)
-    service.execute_batch(_window_jobs(device, 3))
-    outcome = service.execute_batch(
-        _window_jobs(device, 2), align_window=True
-    )
-    assert outcome.failed_indices == []
-    assert service.stats.window_aligns == 1
-
-
-# ---------------------------------------------------------------------------
 # The stats read-out surfaces dedup
 # ---------------------------------------------------------------------------
 def test_stats_readout_surfaces_shared_distributions():
@@ -551,7 +475,6 @@ def test_stats_readout_surfaces_shared_distributions():
             AngelConfig(
                 probe_shots=spec.probe_shots, seed=spec.angel_seed
             ),
-            executor=context.executor,
         )
         angel.compile_and_select(get_benchmark(spec.program).build())
         cache = context.ledgers()["cache"]
@@ -937,6 +860,63 @@ def test_finished_requests_devices_are_collectable():
     (day,) = service._chip_days._days.values()
     (artifact,) = day.artifacts.values()
     assert artifact.compiled.device is day.template.device
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_standalone_request_frees_its_device_without_the_collector(
+    dedup, monkeypatch
+):
+    """A finished request's device goes by reference counting alone:
+    the closed context releases its executor, and the dedup store holds
+    nothing of the device."""
+    devices = []
+    create = ExperimentContext.create
+
+    def recording_create(**recipe):
+        context = create(**recipe)
+        devices.append(weakref.ref(context.device))
+        return context
+
+    monkeypatch.setattr(ExperimentContext, "create", recording_create)
+    store = ProbeDistributionStore() if dedup else None
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = run_standalone(_SPECS["ghz"], store=store)
+        (device,) = devices
+        assert device() is None
+    finally:
+        gc.enable()
+    assert outcome == _reference(_SPECS["ghz"])
+    if store is not None:
+        assert store.stats()["publishes"] == outcome.probes_run + 1
+
+
+def test_idle_service_frees_its_last_request_without_the_collector():
+    devices = []
+    service = AngelService(num_workers=1)
+    checkout = service._chip_days.checkout
+
+    def recording_checkout(recipe):
+        context, day = checkout(recipe)
+        devices.append(weakref.ref(context.device))
+        return context, day
+
+    service._chip_days.checkout = recording_checkout
+    gc.collect()
+    gc.disable()
+    try:
+        with service:
+            service.submit("alice", _SPECS["ghz"]).result(timeout=120)
+            (device,) = devices
+            # The scheduler lets go of the round once it has resolved
+            # the handle; poll briefly for it to get there.
+            deadline = time.monotonic() + 10.0
+            while device() is not None and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert device() is None
+    finally:
+        gc.enable()
 
 
 def test_failed_compile_stores_nothing(monkeypatch):

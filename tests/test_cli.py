@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import EXPERIMENTS, ExperimentResult
 
 
 class TestParser:
@@ -112,6 +113,49 @@ class TestCommands:
         assert main(["experiments", "table2"]) == 0
         out = capsys.readouterr().out
         assert "19.7K" in out
+
+    def test_experiments_build_a_context_only_when_a_flag_needs_one(
+        self, monkeypatch, capsys
+    ):
+        contexts = []
+
+        def record(context=None):
+            contexts.append(context)
+            return ExperimentResult("table2", "stub", ("a",), [(1,)])
+
+        monkeypatch.setitem(EXPERIMENTS, "table2", record)
+        assert main(["experiments", "table2"]) == 0
+        assert main(["experiments", "--fault-seed", "3", "table2"]) == 0
+        assert contexts == [None, None]
+        code = main(["experiments", "--opt-level", "2", "table2", "table2"])
+        assert code == 0
+        first, second = contexts[2:]
+        assert first is not second  # a fresh chip day per experiment
+        assert first.optimization_level == second.optimization_level == 2
+        assert first.backend_name == "local"
+
+    def test_experiments_stats_metrics_and_trace(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        code = main(
+            [
+                "experiments",
+                "--stats",
+                "--metrics",
+                "--trace",
+                str(trace),
+                "--backend",
+                "remote",
+                "ablation_shots",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        stats = out.index("--- execution-service stats ---")
+        assert out.index("== ablation_shots") < stats
+        assert stats < out.index("--- metrics ---")
+        assert out.rstrip().endswith(f"trace written to {trace}")
+        assert "service.completed" in out
+        assert trace.exists()
 
     def test_device_command(self, capsys):
         assert main(["device", "--max-links", "4", "--drift-hours", "1"]) == 0

@@ -1,21 +1,26 @@
 """Integration tests: every registered experiment runs and reproduces
 its qualitative claim at reduced budget."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.core import Angel
+from repro.core.sequence import NativeGateSequence
 from repro.exceptions import ReproError
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentContext,
     run_experiment,
 )
+from repro.programs import get_benchmark, ghz_n4
 
 QUICK = dict(seed=23, drift_hours=12.0)
 
@@ -31,6 +36,32 @@ class TestContext:
         # 6h: xy/cz refreshed at least once (4h cadence), cphase not.
         assert ctx.service.staleness_us("cphase") > 5 * 3_600e6
         assert ctx.service.staleness_us("cz") < 4 * 3_600e6
+
+    @pytest.mark.parametrize("backend", ["local", "remote"])
+    def test_closed_context_is_freed_without_the_collector(self, backend):
+        """``close`` releases the executor bound to the device (whose
+        backend holds the device), so dropping a closed context frees
+        its device by reference counting."""
+        gc.collect()
+        gc.disable()
+        try:
+            ctx = ExperimentContext.create(drift_hours=0.0, backend=backend)
+            assert ctx.executor is ctx.device.shared_executor
+            compiled = ctx.transpile(ghz_n4())
+            circuit = compiled.nativized(
+                NativeGateSequence.uniform(compiled.sites, "cz")
+            )
+            ctx.measured_success_rate(
+                circuit, compiled.ideal_distribution(), 16
+            )
+            del compiled, circuit
+            device = weakref.ref(ctx.device)
+            ctx.close()
+            assert ctx.device.shared_executor is None
+            del ctx
+            assert device() is None
+        finally:
+            gc.enable()
 
     def test_unknown_device(self):
         with pytest.raises(ReproError):
@@ -73,37 +104,21 @@ class TestRegistry:
     def test_runner_rejects_unknown_id_before_building(
         self, argv, monkeypatch, capsys
     ):
-        from repro.experiments import runner
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("context built for an invalid command")
-
-        monkeypatch.setattr(runner.ExperimentContext, "create", refuse)
-        monkeypatch.setitem(runner.EXPERIMENTS, "fig1c", refuse)
-        assert runner.main(argv) == 2
+        _refuse_to_build(monkeypatch)
+        assert _experiments_exit_code(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            "unknown experiment 'no_such_id'; known: "
-        )
-        assert all(name in captured.err for name in runner.EXPERIMENTS)
+        assert "invalid choice: 'no_such_id'" in captured.err
+        assert all(repr(name) in captured.err for name in EXPERIMENTS)
 
     def test_runner_treats_stray_flags_as_unknown_ids(
         self, monkeypatch, capsys
     ):
-        from repro.experiments import runner
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("context built for an invalid command")
-
-        monkeypatch.setattr(runner.ExperimentContext, "create", refuse)
-        assert runner.main(["--tenants", "2"]) == 2
+        _refuse_to_build(monkeypatch)
+        assert _experiments_exit_code(["--tenants", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert [line.split(";")[0] for line in captured.err.splitlines()] == [
-            "unknown experiment '--tenants'",
-            "unknown experiment '2'",
-        ]
+        assert "invalid choice: '2'" in captured.err
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -117,21 +132,33 @@ class TestRegistry:
     def test_runner_rejects_non_integer_flags_before_building(
         self, argv, flag, monkeypatch, capsys
     ):
-        from repro.experiments import runner
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("context built for an invalid command")
-
-        monkeypatch.setattr(runner.ExperimentContext, "create", refuse)
-        monkeypatch.setitem(runner.EXPERIMENTS, "fig1c", refuse)
-        assert runner.main(argv) == 2
+        _refuse_to_build(monkeypatch)
+        assert _experiments_exit_code(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {flag} must be an integer\n"
+        assert f"argument {flag}: invalid int value" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--backend", "bogus", "table2"],
+            ["--fault-profile", "bogus", "table2"],
+            ["--opt-level", "7", "table2"],
+            ["table2", "--trace"],
+            ["--device", "aspen-m-1", "table2"],
+        ],
+    )
+    def test_experiments_reject_bad_settings_before_building(
+        self, argv, monkeypatch, capsys
+    ):
+        _refuse_to_build(monkeypatch)
+        assert _experiments_exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: repro experiments")
 
     def test_runner_module_runs_without_runtime_warning(self):
-        # ``-m repro.experiments.runner`` warns (and fails under ``-W
-        # error``) if importing the package already imported the runner.
+        # The experiments command starts cleanly under ``-W error``.
         source = str(Path(repro.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
         completed = subprocess.run(
@@ -140,7 +167,8 @@ class TestRegistry:
                 "-W",
                 "error::RuntimeWarning",
                 "-m",
-                "repro.experiments.runner",
+                "repro",
+                "experiments",
                 "table2",
             ],
             capture_output=True,
@@ -153,6 +181,27 @@ class TestRegistry:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.startswith("== table2:")
+
+
+def _refuse_to_build(monkeypatch) -> None:
+    """Fail the test if a context is built or an experiment runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("context built for an invalid command")
+
+    monkeypatch.setattr(ExperimentContext, "create", refuse)
+    monkeypatch.setitem(EXPERIMENTS, "fig1c", refuse)
+
+
+def _experiments_exit_code(argv) -> int:
+    """``repro experiments ARGV``'s exit code (argparse exits on a
+    usage error)."""
+    from repro import cli
+
+    try:
+        return cli.main(["experiments", *argv])
+    except SystemExit as exit_:
+        return exit_.code
 
 
 class TestMotivation:
@@ -270,6 +319,24 @@ class TestMainEval:
         for row in result.rows:
             assert row[1] > 0  # baseline SR
             assert row[6] >= 3  # copycats executed
+
+    def test_fig18_compiles_at_the_context_opt_level(self):
+        """``--opt-level`` reaches the experiments: Fig. 18 probes the
+        level-2 compile of W-state, 5 CopyCats where level 0 needs 8."""
+        ctx = ExperimentContext.create(optimization_level=2)
+        compiled = ctx.transpile(get_benchmark("wstate_n4").build())
+        expected = Angel(ctx.device, ctx.calibration).expected_probe_count(
+            compiled
+        )
+        result = run_experiment(
+            "fig18",
+            context=ctx,
+            benchmarks=["wstate_n4"],
+            final_shots=64,
+            probe_shots=16,
+            include_runtime_best=False,
+        )
+        assert result.rows[0][6] == expected == 5
 
     def test_fig18_multi_quick(self):
         result = run_experiment(

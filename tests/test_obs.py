@@ -355,7 +355,6 @@ class TestIntegration:
                 context.device,
                 context.calibration,
                 AngelConfig(probe_shots=64, seed=5),
-                executor=context.executor,
             )
             _, result = angel.compile_and_select(ghz(3))
             assert "exec.jobs" not in registry.snapshot()["counters"]
@@ -442,7 +441,6 @@ class TestContextPlumbing:
                 context.device,
                 context.calibration,
                 AngelConfig(probe_shots=128, seed=1),
-                executor=context.executor,
             )
             result = angel.select(compiled)
         finally:
@@ -568,9 +566,10 @@ class TestLedgerReadout:
                 context.device,
                 context.calibration,
                 AngelConfig(probe_shots=64, seed=11),
-                executor=context.executor,
             )
             angel.compile_and_select(ghz(4))
+            # Closing releases the device's executor: read it first.
+            executor = context.executor
         finally:
             context.close()
         counters = context.metrics_registry.snapshot()["counters"]
@@ -593,11 +592,11 @@ class TestLedgerReadout:
             }
         ]
         assert duplicates == []
-        backend = context.executor.backend
+        backend = executor.backend
         assert backend.retries > 0
         assert counters["remote.retries"] == backend.retries
         assert counters["service.rejections"] == (
             backend.service.stats.rejections
         )
         assert counters["cache.misses"] == context.device.channel_cache.misses
-        assert counters["exec.jobs"] == context.executor.stats.jobs
+        assert counters["exec.jobs"] == executor.stats.jobs

@@ -14,8 +14,14 @@ Acceptance criteria pinned here (ISSUE 2):
 import pytest
 
 from repro.core.angel import Angel, AngelConfig
-from repro.experiments.context import ExperimentContext
-from repro.experiments.main_eval import fig18_main_evaluation
+from repro.experiments import (
+    ExperimentContext,
+    ablation_probe_shots,
+    extension_cdr_composition,
+    fig18_main_evaluation,
+    fig20_reference_ablation,
+    fig21_repeated_executions,
+)
 from repro.programs.ghz import ghz
 from repro.service import FaultProfile, RetryPolicy, fault_profile
 
@@ -25,9 +31,29 @@ def _angel_run(ctx, probe_shots=200, seed=3):
         ctx.device,
         ctx.calibration,
         AngelConfig(probe_shots=probe_shots, seed=seed),
-        executor=ctx.executor,
     )
     return angel, angel.compile_and_select(ghz(5))
+
+
+#: Experiments whose jobs a remote context must route through its cloud
+#: service without passing them an executor, at small budgets.
+REMOTE_ROUTED = {
+    "ablation_shots": (ablation_probe_shots, dict(shot_budgets=(64,))),
+    "fig20": (
+        fig20_reference_ablation,
+        dict(benchmarks=("GHZ_n4",), trials=1),
+    ),
+    "fig21": (fig21_repeated_executions, dict(iterations=1)),
+    "extension_cdr": (
+        extension_cdr_composition,
+        dict(
+            num_training=4,
+            training_shots=64,
+            target_shots=64,
+            probe_shots=64,
+        ),
+    ),
+}
 
 
 #: A harsh profile (40% per-job faults + batch drops) paired with a
@@ -153,4 +179,26 @@ class TestAngelUnderFaults:
             "enumerate": 54,
         }
         assert ledgers["service"]["completed"] == 74
-        assert ctx_remote.device.shared_executor is None
+        assert ctx_remote.device.shared_executor is ctx_remote.executor
+
+    @pytest.mark.parametrize("experiment", sorted(REMOTE_ROUTED))
+    def test_zero_fault_remote_experiment_runs_every_job_remotely(
+        self, experiment
+    ):
+        """The context binds its executor to its device, so ANGEL
+        probes built without an executor argument, and CDR's training
+        and target jobs, go through the cloud service too; with no
+        faults the rows and device clock equal the local run's."""
+        run, budget = REMOTE_ROUTED[experiment]
+        ctx_local = ExperimentContext.create()
+        ctx_remote = ExperimentContext.create(
+            backend="remote", fault_profile="none"
+        )
+        local = run(ctx_local, **budget)
+        remote = run(ctx_remote, **budget)
+        assert remote.rows == local.rows
+        assert ctx_remote.device.clock_us == ctx_local.device.clock_us
+        ledgers = ctx_remote.ledgers()
+        assert ledgers["service"]["completed"] == ledgers["exec"]["jobs"]
+        assert ledgers["exec"]["jobs"] == ctx_local.ledgers()["exec"]["jobs"]
+        assert ctx_remote.device.shared_executor is ctx_remote.executor
