@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,7 +108,18 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
 
 def cphase_matrix(theta: float) -> np.ndarray:
     """Controlled-phase ``diag(1, 1, 1, e^{i theta})``; CPHASE(pi) == CZ."""
-    return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * theta)]).astype(complex)
+    return np.array(cphase_entries(theta), dtype=complex)
+
+
+def cphase_entries(theta: float) -> List[List[complex]]:
+    """:func:`cphase_matrix` as nested lists of Python numbers, so many
+    of them stack with one ``np.array`` call."""
+    return [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, cmath.exp(1j * theta)],
+    ]
 
 
 def xy_matrix(theta: float) -> np.ndarray:
@@ -117,17 +128,19 @@ def xy_matrix(theta: float) -> np.ndarray:
     Acts only on the single-excitation subspace ``{|01>, |10>}``:
     ``XY(pi)`` is iSWAP, ``XY(pi/2)`` is sqrt(iSWAP).
     """
+    return np.array(xy_entries(theta), dtype=complex)
+
+
+def xy_entries(theta: float) -> List[List[complex]]:
+    """:func:`xy_matrix` as nested lists of Python numbers."""
     cos = math.cos(theta / 2.0)
     sin = math.sin(theta / 2.0)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, cos, 1j * sin, 0.0],
-            [0.0, 1j * sin, cos, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-        dtype=complex,
-    )
+    return [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, cos, 1j * sin, 0.0],
+        [0.0, 1j * sin, cos, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ]
 
 
 def _fixed(matrix: np.ndarray) -> Callable[..., np.ndarray]:

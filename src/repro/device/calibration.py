@@ -18,14 +18,17 @@ timestamps the records. Consumers (the noise-adaptive baseline, ANGEL's
 reference initialization) only ever see the possibly-stale records.
 
 An analytic sweep does everything that moves state when it runs: one
-estimation-noise draw per record, the timestamp, the cadence bookkeeping
-and the clock advance. The ground truth waits: each record keeps the
-sweep's parameter snapshot (the device's
-:attr:`~repro.device.drift.DriftState.current` list, which advance and
-field edits replace rather than write into) and evaluates its fidelity
-from it on first read — the value evaluating it at sweep time gives,
-bit for bit. Most records are overwritten by the next sweep of their
-gate before anyone reads them.
+estimation-noise draw per record (one ``standard_normal(n)`` call per
+sweep), the timestamp, the cadence bookkeeping and the clock advance.
+The ground truth waits: the sweep's records share one :class:`_Sweep`
+holding the device's noise layout, the sweep's keys and its parameter
+snapshot (the device's :attr:`~repro.device.drift.DriftState.current`
+list, which advance and field edits replace rather than write into).
+The first read of any of its records evaluates every fidelity of the
+sweep in one batched :class:`~repro.device.device.NoiseLayout` call —
+the values evaluating them at sweep time gives, bit for bit. Most
+sweeps are overwritten by the next sweep of their gate before anyone
+reads them, and a single-qubit sweep is rarely read at all.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,32 +121,70 @@ class CalibrationRecord:
         return now_us - self.timestamp_us
 
 
+class _Sweep:
+    """One analytic sweep's ground truths, evaluated together.
+
+    Holds ``evaluate`` — a batched fidelity method of the device's
+    immutable :class:`~repro.device.device.NoiseLayout`, never the live
+    device — with the sweep's keys and parameter snapshot.
+    :meth:`fidelities` evaluates every key in one call on first use,
+    stores the list, then drops the snapshot.
+
+    Evaluation is deterministic and idempotent: it reads only the
+    snapshot, which nothing writes. Threads that share a sweep (service
+    workers reading records of a memoized chip day that their clones
+    share) may each evaluate it; they store equal lists. The list is
+    read before the snapshot and stored before the snapshot is
+    dropped, so a reader that finds the snapshot gone finds the list.
+    """
+
+    __slots__ = ("_fidelities", "_pending")
+
+    def __init__(
+        self,
+        evaluate: Callable[[Sequence, Sequence[float]], List[float]],
+        keys: Sequence,
+        snapshot: Sequence[float],
+    ) -> None:
+        self._fidelities: Optional[List[float]] = None
+        self._pending = (evaluate, keys, snapshot)
+
+    def fidelities(self) -> List[float]:
+        fidelities = self._fidelities
+        if fidelities is not None:
+            return fidelities
+        pending = self._pending
+        if pending is None:  # another thread evaluated it meanwhile
+            return self._fidelities
+        evaluate, keys, snapshot = pending
+        fidelities = evaluate(keys, snapshot)
+        self._fidelities = fidelities
+        self._pending = None
+        return fidelities
+
+
 class _DeferredRecord(CalibrationRecord):
     """A record an analytic sweep published before evaluating its truth.
 
     The sweep drew the estimation noise and set the timestamp; the
-    record holds ``truth`` — a fidelity function of the device's
-    immutable :class:`~repro.device.device.NoiseLayout`, bound to the
-    sweep's parameter snapshot, never the live device — and that noise.
-    The first read of :attr:`value` computes ``min(1, max(0.25, truth()
-    + noise))``, stores it, drops the snapshot and turns the record into
-    a plain :class:`CalibrationRecord`, so every later read is a plain
-    slot read.
+    record holds its :class:`_Sweep`, its index in it and that noise.
+    The first read of :attr:`value` computes ``min(1, max(0.25, truth +
+    noise))`` from the sweep's fidelities (evaluating the whole sweep if
+    no record of it was read before), stores it, drops the sweep and
+    turns the record into a plain :class:`CalibrationRecord`, so every
+    later read is a plain slot read.
 
-    Resolution is deterministic and idempotent: it reads only the
-    snapshot, which nothing writes, and the stored noise. Two threads
-    that resolve one shared record (service workers reading records of a
-    memoized chip day that their clones share) compute and store the
-    same float; the value is stored before the snapshot is dropped.
+    Two threads that resolve one shared record compute and store the
+    same float; the value is stored before the sweep is dropped.
     """
 
     __slots__ = ()
 
     def __init__(
-        self, truth: Callable[[], float], noise: float, timestamp_us: float
+        self, sweep: _Sweep, index: int, noise: float, timestamp_us: float
     ) -> None:
         object.__setattr__(self, "timestamp_us", timestamp_us)
-        object.__setattr__(self, "_pending", (truth, noise))
+        object.__setattr__(self, "_pending", (sweep, index, noise))
 
     def __getattr__(self, name):
         # Reached only while the ``value`` slot is still empty.
@@ -153,8 +193,9 @@ class _DeferredRecord(CalibrationRecord):
         pending = self._pending
         if pending is None:  # another thread resolved it meanwhile
             return object.__getattribute__(self, "value")
-        truth, noise = pending
-        value = float(min(1.0, max(_FIDELITY_FLOOR, truth() + noise)))
+        sweep, index, noise = pending
+        truth = sweep.fidelities()[index]
+        value = float(min(1.0, max(_FIDELITY_FLOOR, truth + noise)))
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "__class__", CalibrationRecord)
         object.__setattr__(self, "_pending", None)
@@ -342,9 +383,10 @@ class CalibrationService:
     """Periodic benchmarking of a device, with per-gate cadence.
 
     In analytic mode a sweep draws each record's estimation noise and
-    stamps it at sweep time, and the ground truth is evaluated from the
-    sweep's parameter snapshot on the record's first read (see
-    :class:`_DeferredRecord`). Single-qubit records are deferred the
+    stamps it at sweep time, and the ground truth of the whole sweep is
+    evaluated from its parameter snapshot on the first read of any of
+    its records (see :class:`_Sweep` and :class:`_DeferredRecord`).
+    Single-qubit records are deferred the
     same way in every mode; readout records, and the two-qubit records of
     the mirror and IRB protocols (which run circuits on the device), are
     computed when measured.
@@ -404,19 +446,19 @@ class CalibrationService:
 
         Costs simulated wall time, so calibrating itself lets the device
         drift — as on real hardware. In analytic mode the records are
-        deferred: noise drawn and timestamp set now, ground truth
-        evaluated from this sweep's snapshot on first read.
+        deferred: noise drawn and timestamp set now, ground truth of
+        every link evaluated from this sweep's snapshot on the first
+        read of any of them.
         """
         links = self.device.links_supporting(gate_name)
         records = self.data.two_qubit
         if self.mode == "analytic":
-            fidelity = self.device.noise_layout.pulse_fidelity
-            snapshot = self.device.drift.current
-            for link in links:
-                records[(link, gate_name)] = self._defer(
-                    partial(fidelity, link, gate_name, snapshot),
-                    self.estimation_noise_std,
-                )
+            self._defer(
+                records,
+                [(link, gate_name) for link in links],
+                self.device.noise_layout.pulse_fidelities,
+                self.estimation_noise_std,
+            )
             self.device.advance_time(_CALIBRATION_SWEEP_US)
         else:
             for link in links:
@@ -428,12 +470,23 @@ class CalibrationService:
         return len(links)
 
     def _defer(
-        self, truth: Callable[[], float], noise_std: float
-    ) -> CalibrationRecord:
-        """Draw one record's estimation noise and stamp it now; *truth*
-        (bound to the sweep's snapshot) waits for the first read."""
-        noise = noise_std * float(self._rng.standard_normal())
-        return _DeferredRecord(truth, noise, self.device.clock_us)
+        self,
+        records: Dict,
+        keys: List,
+        evaluate: Callable[[Sequence, Sequence[float]], List[float]],
+        noise_std: float,
+    ) -> None:
+        """Publish a deferred record under each of *keys*: estimation
+        noise drawn (one draw per key, in order) and stamped now; the
+        ground truth waits for the first read, as one
+        ``evaluate(keys, snapshot)`` call."""
+        if not keys:
+            return
+        sweep = _Sweep(evaluate, keys, self.device.drift.current)
+        draws = self._rng.standard_normal(len(keys)).tolist()
+        now = self.device.clock_us
+        for index, (key, draw) in enumerate(zip(keys, draws)):
+            records[key] = _DeferredRecord(sweep, index, noise_std * draw, now)
 
     def _benchmark(self, link: Link, gate_name: str) -> float:
         """Run the mirror or IRB protocol on the device now."""
@@ -456,14 +509,13 @@ class CalibrationService:
         )
 
     def calibrate_single_qubit(self) -> None:
-        """Deferred RX records for every qubit, from one snapshot."""
-        fidelity = self.device.noise_layout.rx_fidelity
-        snapshot = self.device.drift.current
-        for qubit in self.device.topology.qubits:
-            self.data.single_qubit[qubit] = self._defer(
-                partial(fidelity, qubit, snapshot),
-                0.3 * self.estimation_noise_std,
-            )
+        """Deferred RX records for every qubit, as one sweep."""
+        self._defer(
+            self.data.single_qubit,
+            list(self.device.topology.qubits),
+            self.device.noise_layout.rx_fidelities,
+            0.3 * self.estimation_noise_std,
+        )
 
     def calibrate_readout(self) -> None:
         for qubit in self.device.topology.qubits:

@@ -17,11 +17,11 @@ application-optimal one.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..circuit.gates import cphase_matrix, rx_matrix, xy_matrix
+from ..circuit.gates import cphase_entries, rx_matrix, xy_entries
 from ..exceptions import DeviceError
 from ..linalg import kron_n
 from ..sim.channels import ReadoutError
@@ -32,10 +32,12 @@ __all__ = [
     "QubitNoiseParameters",
     "TwoQubitGateNoiseParameters",
     "coherent_error_unitary",
+    "coherent_error_unitaries",
     "single_qubit_coherent_error",
 ]
 
-_ZZ_GENERATOR = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
+_ZZ_DIAGONAL = np.array([1.0, -1.0, -1.0, 1.0], dtype=complex)
+_DIAGONAL = np.arange(4)
 
 
 class _Slot:
@@ -161,22 +163,42 @@ def coherent_error_unitary(
 
     ``U_err = G(eps) * exp(-i zeta ZZ / 2)`` where ``G`` is the pulse's
     own gate family (the two factors commute for all three Rigetti
-    natives, so the order is immaterial).
+    natives, so the order is immaterial). A batch of one of
+    :func:`coherent_error_unitaries`.
     """
-    zz_phase = _zz_unitary(zz_error)
-    if gate_name in ("cz", "cphase"):
-        return cphase_matrix(over_rotation) @ zz_phase
-    if gate_name == "xy":
-        return xy_matrix(over_rotation) @ zz_phase
-    raise DeviceError(f"unknown two-qubit native gate {gate_name!r}")
+    return coherent_error_unitaries([(gate_name, over_rotation, zz_error)])[0]
 
 
-def _zz_unitary(zeta: float) -> np.ndarray:
-    if abs(zeta) < 1e-15:
-        return np.eye(4, dtype=complex)
-    return np.diag(
-        np.exp(-1j * (zeta / 2.0) * np.diag(_ZZ_GENERATOR))
-    ).astype(complex)
+def coherent_error_unitaries(
+    errors: Sequence[Tuple[str, float, float]]
+) -> np.ndarray:
+    """:func:`coherent_error_unitary` of each ``(gate, over_rotation,
+    zz_error)``, as one ``(N, 4, 4)`` stack.
+
+    Each ``G(eps)`` is its gate's entries from Python scalars, and each
+    ZZ phase ``exp(-i zeta/2 diag(ZZ))`` (exactly the identity for
+    ``|zeta| < 1e-15``); the stacks are built and multiplied with one
+    array call each.
+    """
+    families = []
+    phases = []
+    for gate_name, over_rotation, zeta in errors:
+        if gate_name in ("cz", "cphase"):
+            families.append(cphase_entries(over_rotation))
+        elif gate_name == "xy":
+            families.append(xy_entries(over_rotation))
+        else:
+            raise DeviceError(f"unknown two-qubit native gate {gate_name!r}")
+        phases.append(None if abs(zeta) < 1e-15 else -1j * (zeta / 2.0))
+    diagonals = np.ones((len(errors), 4), dtype=complex)
+    rotated = [i for i, phase in enumerate(phases) if phase is not None]
+    if rotated:
+        diagonals[rotated] = np.exp(
+            np.array([phases[i] for i in rotated])[:, None] * _ZZ_DIAGONAL
+        )
+    zz_phase = np.zeros((len(errors), 4, 4), dtype=complex)
+    zz_phase[:, _DIAGONAL, _DIAGONAL] = diagonals
+    return np.array(families, dtype=complex) @ zz_phase
 
 
 def single_qubit_coherent_error(over_rotation: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from ..device.calibration import CalibrationData, CalibrationService
 from ..device.device import RigettiAspenDevice
 from ..device.presets import DEFAULT_PROFILE, NoiseProfile, aspen11, aspen_m1
 from ..device.topology import Link
-from ..exceptions import ReproError
+from ..exceptions import ExecutionError, ReproError
 from ..exec import BatchExecutor, Job, get_executor
 from ..metrics import success_rate
 from ..obs import JsonlSpanSink, MetricsRegistry, Tracer
@@ -275,8 +275,22 @@ class ExperimentContext:
         """The one executor every job on this context's device goes
         through: over a :class:`~repro.service.RemoteBackend` (one cloud
         service per context) with ``backend_name="remote"``, otherwise
-        the device's local executor."""
+        the device's local executor.
+
+        Raises:
+            ExecutionError: Once the context is closed (a late job
+                would otherwise start a new local executor, bypassing a
+                remote context's cloud service).
+        """
+        self._check_open("executor")
         return get_executor(self.device)
+
+    def _check_open(self, what: str) -> None:
+        if self._closed:
+            raise ExecutionError(
+                f"cannot read {what} of a closed context; read it before "
+                "close()"
+            )
 
     def ledgers(self) -> Dict[str, Dict[str, Any]]:
         """Every count this context's components keep, read from them.
@@ -287,6 +301,10 @@ class ExperimentContext:
         cache's keys ``dist_``-prefixed); on the remote backend,
         ``remote`` holds the client's retry counters and ``service``
         the cloud service's :class:`~repro.service.cloud.ServiceStats`.
+
+        Raises:
+            ExecutionError: Once the context is closed; :meth:`close`
+                has added the ledgers to a registry, if one was active.
         """
         executor = self.executor
         cache = self.device.channel_cache.stats()
@@ -308,8 +326,8 @@ class ExperimentContext:
         reference counting; then the trace sink is flushed and closed,
         and the previously installed tracer/registry pair (usually
         none) is restored. Read :attr:`executor` and :meth:`ledgers`
-        before closing: afterwards the device would start a new local
-        executor.
+        before closing: afterwards both raise
+        :class:`~repro.exceptions.ExecutionError`.
 
         Idempotent: every CLI path closes through ``try/finally``
         (or the context-manager protocol), and error paths may have
@@ -317,13 +335,13 @@ class ExperimentContext:
         """
         if self._closed:
             return
-        self._closed = True
         registry = self.metrics_registry
         if registry is None:
             registry = obs.active_registry()
         if registry is not None:
             for prefix, ledger in self.ledgers().items():
                 registry.ingest(prefix, ledger)
+        self._closed = True
         self.device.shared_executor = None
         if self.tracer is not None:
             self.tracer.close()

@@ -14,10 +14,13 @@ whenever that list has been replaced since — an edited noise parameter
 replaces it too — so a cached entry can never outlive the parameter
 values it was built from.
 
-The cache is deliberately generic — ``get(key, factory)`` — so it lives
-below the device layer (which knows the physics constructors) without
-importing it. Its counters are kept here only: ``--stats`` and the
-metrics registry read them under ``cache`` through
+The cache is deliberately generic — ``get_many(keys, build)`` looks up
+a job's whole key tuple and hands every miss to one ``build`` call (the
+device builds them stacked, one array call per channel kind) — so it
+lives below the device layer (which knows the physics constructors)
+without importing it. Hits and misses are still counted per key. Its
+counters are kept here only: ``--stats`` and the metrics registry read
+them under ``cache`` through
 :meth:`~repro.experiments.context.ExperimentContext.ledgers`, whether
 the channel was built for an executor job or an exact sweep.
 """
@@ -25,7 +28,7 @@ the channel was built for an executor job or an exact sweep.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Sequence
 
 __all__ = ["ChannelCache"]
 
@@ -64,27 +67,40 @@ class ChannelCache:
         return len(self._entries)
 
     def get(self, key: Hashable, factory: Callable[[], Any]) -> Any:
-        """Return the cached value for *key*, building it on first use.
+        """Return the cached value for *key*, building it on first use."""
+        return self.get_many((key,), lambda missing: [factory()])[0]
 
-        A full cache evicts its least recently used entry rather than
-        dropping the whole working set. Hits refresh recency, so
-        non-uniform reuse (hot per-gate entries among one-shot prefix or
-        distribution keys) keeps the hot set resident — the reason this
-        is LRU and not the cheaper FIFO.
+    def get_many(
+        self,
+        keys: Sequence[Hashable],
+        build: Callable[[List[Hashable]], Sequence[Any]],
+    ) -> List[Any]:
+        """The cached value of each of *keys* (distinct), with every miss
+        built by one ``build(missing keys)`` call and then cached.
+
+        Hits and misses are counted per key. A full cache evicts its
+        least recently used entry rather than dropping the whole working
+        set. Hits refresh recency, so non-uniform reuse (hot per-gate
+        entries among one-shot prefix or distribution keys) keeps the
+        hot set resident — the reason this is LRU and not the cheaper
+        FIFO.
         """
-        try:
-            value = self._entries[key]
-        except KeyError:
-            self.misses += 1
-            while len(self._entries) >= self._max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            value = factory()
-            self._entries[key] = value
-            return value
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return value
+        entries = self._entries
+        values = [entries.get(key) for key in keys]
+        missing = [i for i, value in enumerate(values) if value is None]
+        self.hits += len(keys) - len(missing)
+        for key, value in zip(keys, values):
+            if value is not None:
+                entries.move_to_end(key)
+        if missing:
+            self.misses += len(missing)
+            built = build([keys[i] for i in missing])
+            for index, value in zip(missing, built):
+                while len(entries) >= self._max_entries:
+                    entries.popitem(last=False)
+                    self.evictions += 1
+                entries[keys[index]] = values[index] = value
+        return values
 
     def invalidate(self, epoch: int, values: Any = None) -> None:
         """Drop every entry: the parameters they encode no longer hold.

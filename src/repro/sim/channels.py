@@ -3,17 +3,29 @@
 These are the noise primitives the simulated device composes per gate:
 depolarizing (incoherent scrambling), T1/T2 thermal relaxation, coherent
 error (a unitary map — the *state-dependent* component central to the
-paper's argument), and classical readout bit-flip confusion. Each is a
-:class:`Superoperator` built in closed form (``from_unitary``,
-``depolarized``, :func:`thermal_superoperator`); the Kraus-operator
-constructions they replaced are the tests' oracle (``tests/oracle.py``).
+paper's argument), and classical readout bit-flip confusion. Each is
+built in closed form, over a stack of maps at once: :func:`unitary_maps`,
+:func:`depolarized_maps`, :func:`thermal_maps` and :func:`tensor_stack`
+take ``(N, ...)`` arrays or N parameter sets and return ``(N, d^2,
+d^2)`` matrices, so a device builds every map of one kind in a job or a
+calibration sweep with one array call. The per-map forms
+(:meth:`Superoperator.from_unitary`, :meth:`Superoperator.depolarized`,
+:func:`thermal_superoperator`, :func:`tensor_maps`) are those calls on a
+stack of one. The Kraus-operator constructions they replaced are the
+tests' oracle (``tests/oracle.py``).
+
+Only the matrix algebra is stacked. Every scalar a map reads — decay
+rates, coherences, depolarizing weights — is Python float math per map,
+and stacked elementwise products, ``np.matmul`` over stacks and
+``np.trace`` along stacked axes give each map the bits the per-map
+computation gives (``tests/test_noise_batch.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -21,8 +33,12 @@ from ..exceptions import SimulationError
 
 __all__ = [
     "Superoperator",
+    "unitary_maps",
+    "depolarized_maps",
+    "thermal_maps",
     "thermal_superoperator",
     "tensor_maps",
+    "tensor_stack",
     "embedded_matrix",
     "ReadoutError",
 ]
@@ -58,11 +74,7 @@ class Superoperator:
 
     @classmethod
     def from_unitary(cls, unitary: np.ndarray) -> "Superoperator":
-        unitary = np.asarray(unitary, dtype=complex)
-        dim = unitary.shape[0]
-        # np.kron(U, conj(U)) as one broadcast product: same values.
-        matrix = unitary[:, None, :, None] * unitary.conj()[None, :, None, :]
-        return cls(matrix.reshape(dim * dim, dim * dim))
+        return cls(unitary_maps(np.asarray(unitary, dtype=complex)))
 
     def then(self, later: "Superoperator") -> "Superoperator":
         """The map applying this superoperator first, then *later*."""
@@ -79,14 +91,37 @@ class Superoperator:
         ``q = d^2 p / (d^2 - 1)``, and ``S`` preserves the trace, so the
         composition is ``(1 - q) S + q |vec(I/d)><vec(I)|``.
         """
-        _check_probability(probability)
-        dim = self.dim
-        white = dim * dim * probability / (dim * dim - 1)
-        identity = np.eye(dim).ravel()
         return Superoperator(
-            (1.0 - white) * self.matrix
-            + white * np.outer(identity / dim, identity)
+            depolarized_maps(self.matrix[None], [probability])[0]
         )
+
+
+def unitary_maps(unitaries: np.ndarray) -> np.ndarray:
+    """``U (x) conj(U)`` of each unitary in a stack (the last two axes).
+
+    ``np.kron(U, conj(U))`` as one broadcast product: the same values.
+    """
+    dim = unitaries.shape[-1]
+    maps = (
+        unitaries[..., :, None, :, None]
+        * unitaries.conj()[..., None, :, None, :]
+    )
+    return maps.reshape(unitaries.shape[:-2] + (dim * dim, dim * dim))
+
+
+def depolarized_maps(
+    maps: np.ndarray, probabilities: Sequence[float]
+) -> np.ndarray:
+    """Each trace-preserving map ``maps[i]`` followed by depolarizing
+    noise ``probabilities[i]`` (see :meth:`Superoperator.depolarized`)."""
+    dim = int(round(math.sqrt(maps.shape[-1])))
+    whites = []
+    for probability in probabilities:
+        _check_probability(probability)
+        whites.append(dim * dim * probability / (dim * dim - 1))
+    white = np.array(whites)[:, None, None]
+    identity = np.eye(dim).ravel()
+    return (1.0 - white) * maps + white * np.outer(identity / dim, identity)
 
 
 def tensor_maps(maps: Sequence[Superoperator]) -> Superoperator:
@@ -97,19 +132,22 @@ def tensor_maps(maps: Sequence[Superoperator]) -> Superoperator:
     at their register positions, and one broadcast product tensors them.
     """
     return Superoperator(
-        _tensor_matrices([superop.matrix for superop in maps])
+        tensor_stack([superop.matrix for superop in maps])
     )
 
 
-def _tensor_matrices(matrices: Sequence[np.ndarray]) -> np.ndarray:
+def tensor_stack(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`tensor_maps` of single-qubit matrices, or of stacks of
+    them: ``matrices[q]`` is qubit q's ``(..., 4, 4)`` array, and the
+    leading axes broadcast."""
     count = len(matrices)
     total = 1.0
     for qubit, matrix in enumerate(matrices):
         shape = [1] * (4 * count)
         shape[qubit::count] = [2] * 4
-        total = total * matrix.reshape(shape)
+        total = total * matrix.reshape(matrix.shape[:-2] + tuple(shape))
     dim = 2**count
-    return total.reshape(dim * dim, dim * dim)
+    return total.reshape(total.shape[: -4 * count] + (dim * dim, dim * dim))
 
 
 def embedded_matrix(
@@ -119,7 +157,7 @@ def embedded_matrix(
     *num_qubits* register (identity maps on the other qubits)."""
     matrices = [_IDENTITY] * num_qubits
     matrices[position] = matrix
-    return _tensor_matrices(matrices)
+    return tensor_stack(matrices)
 
 
 _IDENTITY = np.eye(4, dtype=complex)
@@ -136,11 +174,27 @@ def thermal_superoperator(
     populations relax toward ``|0>`` by ``gamma`` and coherences shrink
     by ``c = sqrt(1 - gamma) sqrt(1 - lambda)``.
     """
-    gamma, lam = _thermal_rates(duration, t1, t2)
-    coherence = math.sqrt(1.0 - gamma) * math.sqrt(1.0 - lam)
-    matrix = np.diag([1.0, coherence, coherence, 1.0 - gamma]).astype(complex)
-    matrix[0, 3] = gamma
-    return Superoperator(matrix)
+    return Superoperator(thermal_maps([(duration, t1, t2)])[0])
+
+
+#: Flat positions of ``1, gamma, c, c, 1 - gamma`` in a thermal map.
+_THERMAL_SLOTS = [0, 3, 5, 10, 15]
+
+
+def thermal_maps(
+    relaxations: Sequence[Tuple[float, float, float]]
+) -> np.ndarray:
+    """:func:`thermal_superoperator` of each ``(duration, T1, T2)``, as
+    one ``(N, 4, 4)`` stack: the map
+    ``[[1,0,0,gamma],[0,c,0,0],[0,0,c,0],[0,0,0,1-gamma]]``."""
+    entries = []
+    for duration, t1, t2 in relaxations:
+        gamma, lam = _thermal_rates(duration, t1, t2)
+        coherence = math.sqrt(1.0 - gamma) * math.sqrt(1.0 - lam)
+        entries.append((1.0, gamma, coherence, coherence, 1.0 - gamma))
+    maps = np.zeros((len(entries), 16), dtype=complex)
+    maps[:, _THERMAL_SLOTS] = entries
+    return maps.reshape(len(entries), 4, 4)
 
 
 def _thermal_rates(duration: float, t1: float, t2: float):

@@ -56,16 +56,16 @@ def sample_distribution(
         raise SimulationError("distribution has no probability mass")
     probs /= norm
     draws = rng.choice(len(keys), size=shots, p=probs)
-    # Keys in order of first draw, as a per-shot tally would insert them.
-    drawn, first, tallies = np.unique(
-        draws, return_index=True, return_counts=True
-    )
-    order = np.argsort(first)
+    # Keys in order of first draw, as a per-shot tally would insert them:
+    # each key's count, and the index of the first shot that drew it.
+    tallies = np.bincount(draws, minlength=len(keys))
+    first = np.full(len(keys), shots)
+    np.minimum.at(first, draws, np.arange(shots))
+    drawn = np.flatnonzero(tallies)
+    order = drawn[np.argsort(first[drawn])]
     return {
         keys[index]: count
-        for index, count in zip(
-            drawn[order].tolist(), tallies[order].tolist()
-        )
+        for index, count in zip(order.tolist(), tallies[order].tolist())
     }
 
 

@@ -6,8 +6,10 @@ the one simulator that computes it, from the circuit's prepared
 fusion-planned once per circuit by
 :meth:`~repro.device.device.RigettiAspenDevice.prepare`), in one path:
 
-1. **Build** each distinct per-gate channel at the current parameter
-   values, through the device's channel cache.
+1. **Build** the executable's distinct per-gate channels at the current
+   parameter values: one call to the device's channel source for the
+   whole ``channel_keys`` tuple, which serves cached channels from the
+   channel cache and builds the rest with one stacked call per kind.
 2. **Fold** them along the executable's fusion plan
    (:func:`~repro.sim.circuit_compiler.fold`), cutting the ``O(4^n)``
    contraction count before any state work.
@@ -37,14 +39,17 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .channels import ReadoutError, Superoperator
 from .circuit_compiler import Executable, fold
 from .density_matrix import DensityMatrix, _apply_readout_confusion
 
 __all__ = ["SimulationCache"]
 
-#: Builds one per-gate channel from its key, at current values.
-ChannelSource = Callable[[Hashable], Superoperator]
+#: The per-gate channel matrices behind a tuple of channel keys, at
+#: current values, in key order.
+ChannelSource = Callable[[Tuple[Hashable, ...]], Sequence[np.ndarray]]
 #: The device's physics fingerprint, read per store lookup.
 StateKey = Callable[[], object]
 
@@ -76,16 +81,17 @@ class SimulationCache:
         self,
         executable: Executable,
         readout_errors: Optional[Sequence[Optional[ReadoutError]]],
-        channel: ChannelSource,
+        channels: ChannelSource,
         state_key: StateKey,
     ) -> Dict[str, float]:
         """Exact noisy distribution, from the store or simulated.
 
         The result is the measured-qubit marginal after readout
         confusion, big-endian keys, outcomes of ``p <= 1e-14`` dropped.
-        ``channel`` builds (or fetches) the channel behind each of the
-        executable's ``channel_keys`` at the current parameter values;
-        it is called only when the distribution is simulated.
+        ``channels`` builds (or fetches) the channels behind the
+        executable's whole ``channel_keys`` tuple at the current
+        parameter values, in one call, made only when the distribution
+        is simulated.
         ``state_key`` is called only when a store is attached, and must
         change whenever the device's physics change (the device's
         ``parameter_fingerprint``).
@@ -102,10 +108,7 @@ class SimulationCache:
                 self.dist_hits += 1
                 return shared
         self.dist_misses += 1
-        matrices = [
-            channel(channel_key).matrix
-            for channel_key in executable.channel_keys
-        ]
+        matrices = channels(executable.channel_keys)
         state = DensityMatrix(len(executable.qubits))
         for qubits, matrix in fold(executable.blocks, matrices):
             state.apply_superoperator(Superoperator(matrix), qubits)
@@ -119,7 +122,7 @@ class SimulationCache:
         self,
         executables: Sequence[Executable],
         readout_errors: Optional[Sequence[Optional[ReadoutError]]],
-        channel: ChannelSource,
+        channels: ChannelSource,
         state_key: StateKey,
     ) -> List[Dict[str, float]]:
         """:meth:`distribution` for several executables on one placement.
@@ -128,7 +131,7 @@ class SimulationCache:
         it as part of the ``sim.distribution`` layer.
         """
         return [
-            self.distribution(executable, readout_errors, channel, state_key)
+            self.distribution(executable, readout_errors, channels, state_key)
             for executable in executables
         ]
 

@@ -14,9 +14,16 @@ compare it with:
 * the **per-gate path** (:func:`per_gate_distribution`): the circuit
   relabelled onto a compact register of new ``Gate`` objects, with idle
   markers per moment on an idle-noise device, lowered into one fused
-  channel per gate built from the device's noise layout without its
-  channel cache, fused greedily by composing one ``Superoperator`` per
-  step, evolved and read out.
+  channel per gate built one key at a time by :func:`build_channel`
+  (without the channel cache or the drift-free memo), fused greedily by
+  composing one ``Superoperator`` per step, evolved and read out.
+
+The per-key noise maps (:func:`rx_noise`, :func:`pulse_noise`,
+:func:`fused_idle`, :func:`noise_map`) and fidelities
+(:func:`pulse_fidelity`, :func:`rx_fidelity`, :func:`average_fidelity`)
+are the constructions the device's batched ``NoiseLayout`` replaced, one
+map per call with the per-map depolarizing and relaxation formulas; the
+stacked builds must equal them bit for bit.
 
 It also holds the Kraus channel constructors and their superoperator
 conversions (:func:`from_kraus`, :func:`embed`), the channel fidelity
@@ -37,8 +44,10 @@ import numpy as np
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import circuit_moments
-from repro.circuit.gates import Gate
+from repro.circuit.gates import Gate, gate_matrix
 from repro.device.noise_parameters import (
+    QubitNoiseParameters,
+    TwoQubitGateNoiseParameters,
     coherent_error_unitary,
     single_qubit_coherent_error,
 )
@@ -51,6 +60,7 @@ from repro.sim.channels import (
     _check_probability,
     _thermal_rates,
     embedded_matrix,
+    tensor_maps,
 )
 from repro.sim.density_matrix import DensityMatrix, _apply_readout_confusion
 from repro.sim.sampler import Counts
@@ -217,6 +227,161 @@ def channel_average_fidelity(
         fid_e += abs(np.trace(u_dag @ np.asarray(kraus))) ** 2
     fid_e /= d**2
     return float((d * fid_e + 1) / (d + 1))
+
+
+# ----------------------------------------------------------------------
+# Per-key noise maps and fidelities
+# ----------------------------------------------------------------------
+_T1, _T2, _RX_DEPOLARIZING, _RX_OVER_ROTATION = (
+    QubitNoiseParameters.FIELDS.index(name)
+    for name in ("t1_us", "t2_us", "rx_depolarizing", "rx_over_rotation")
+)
+_OVER_ROTATION, _ZZ_ERROR, _DEPOLARIZING = (
+    TwoQubitGateNoiseParameters.FIELDS.index(name)
+    for name in ("over_rotation", "zz_error", "depolarizing")
+)
+
+
+def _values(device, values):
+    return device.drift.current if values is None else values
+
+
+def thermal_map(duration: float, t1: float, t2: float) -> Superoperator:
+    """One relaxation map ``[[1,0,0,g],[0,c,0,0],[0,0,c,0],[0,0,0,1-g]]``."""
+    gamma, lam = _thermal_rates(duration, t1, t2)
+    coherence = math.sqrt(1.0 - gamma) * math.sqrt(1.0 - lam)
+    matrix = np.diag([1.0, coherence, coherence, 1.0 - gamma]).astype(complex)
+    matrix[0, 3] = gamma
+    return Superoperator(matrix)
+
+
+def depolarized(superop: Superoperator, probability: float) -> Superoperator:
+    """A trace-preserving map, then depolarizing noise *probability*:
+    ``(1 - q) S + q |vec(I/d)><vec(I)|``, ``q = d^2 p / (d^2 - 1)``."""
+    _check_probability(probability)
+    dim = superop.dim
+    white = dim * dim * probability / (dim * dim - 1)
+    identity = np.eye(dim).ravel()
+    return Superoperator(
+        (1.0 - white) * superop.matrix
+        + white * np.outer(identity / dim, identity)
+    )
+
+
+def coherent_error(gate_name: str, over: float, zz: float) -> np.ndarray:
+    """One pulse's coherent error ``G(eps) exp(-i zeta ZZ / 2)``, from
+    its gate's matrix and a diagonal ZZ phase (the identity for
+    ``|zeta| < 1e-15``)."""
+    if abs(zz) < 1e-15:
+        zz_phase = np.eye(4, dtype=complex)
+    else:
+        zz_phase = np.diag(
+            np.exp(-1j * (zz / 2.0) * np.array([1, -1, -1, 1], dtype=complex))
+        ).astype(complex)
+    family = gate_matrix("cphase" if gate_name == "cz" else gate_name, over)
+    return family @ zz_phase
+
+
+def relaxation_times(device, phys: int, values=None) -> Tuple[float, float]:
+    """Qubit *phys*'s ``(T1, T2)``, with T2 clipped to ``2 T1``."""
+    values = _values(device, values)
+    offset = device.qubit_params[phys].offset
+    t1 = values[offset + _T1]
+    return t1, min(values[offset + _T2], 2 * t1)
+
+
+def fused_idle(device, phys: int, duration_us: float, values=None):
+    """The relaxation of *phys* over *duration_us*."""
+    return thermal_map(duration_us, *relaxation_times(device, phys, values))
+
+
+def noise_map(
+    error: np.ndarray, depolarizing: float, relaxation: Superoperator
+) -> Superoperator:
+    """One pulse's noise ``N = T D (E x conj(E))``, applied after its ``U``."""
+    noise = Superoperator.from_unitary(error)
+    if depolarizing > 0:
+        noise = depolarized(noise, depolarizing)
+    return noise.then(relaxation)
+
+
+def rx_noise(device, phys: int, values=None) -> Superoperator:
+    """The noise map trailing every ``rx`` pulse on *phys*."""
+    values = _values(device, values)
+    params = device.qubit_params[phys]
+    over = values[params.offset + _RX_OVER_ROTATION]
+    return noise_map(
+        single_qubit_coherent_error(over if abs(over) > 1e-12 else 0.0),
+        values[params.offset + _RX_DEPOLARIZING],
+        fused_idle(device, phys, params.rx_duration_ns / _NS_PER_US, values),
+    )
+
+
+def pulse_noise(device, gate_name: str, phys_pair, values=None):
+    """The noise map trailing one entangling pulse, qubits in order."""
+    values = _values(device, values)
+    params = device.gate_params[(make_link(*phys_pair), gate_name)]
+    over = values[params.offset + _OVER_ROTATION]
+    zz = values[params.offset + _ZZ_ERROR]
+    duration = params.duration_ns / _NS_PER_US
+    return noise_map(
+        coherent_error(gate_name, over, zz)
+        if abs(over) > 1e-12 or abs(zz) > 1e-12
+        else np.eye(4),
+        values[params.offset + _DEPOLARIZING],
+        tensor_maps(
+            [fused_idle(device, q, duration, values) for q in phys_pair]
+        ),
+    )
+
+
+def average_fidelity(noise: Superoperator) -> float:
+    """Average fidelity of ``N U`` against ``U``: ``Re Tr(N) / d^2`` is the
+    entanglement fidelity."""
+    dim = noise.dim
+    entanglement = float(np.trace(noise.matrix).real) / (dim * dim)
+    return (dim * entanglement + 1.0) / (dim + 1.0)
+
+
+def pulse_fidelity(device, link, gate_name: str, values=None) -> float:
+    """Average gate fidelity of one entangling pulse on *link*."""
+    return average_fidelity(
+        pulse_noise(device, gate_name, make_link(*link), values)
+    )
+
+
+def rx_fidelity(device, qubit: int, values=None) -> float:
+    """Average fidelity of one RX(pi/2) pulse on *qubit*."""
+    return average_fidelity(rx_noise(device, qubit, values))
+
+
+def crosstalk_superop(zeta: float) -> Superoperator:
+    """The spectator coupling ``exp(-i zeta ZZ / 2)`` as a superoperator."""
+    return Superoperator.from_unitary(_crosstalk_unitary(zeta))
+
+
+def build_channel(device, key, values=None) -> Superoperator:
+    """The fused channel behind one channel key, built alone: the gate's
+    ``U (x) conj(U)`` followed by its noise map (``rz`` noiseless), an
+    idle marker's relaxation, or the crosstalk coupling."""
+    kind = key[0]
+    if kind == "fused-1q":
+        _, name, params, phys = key
+        superop = Superoperator.from_unitary(gate_matrix(name, *params))
+        if name == "rz":
+            return superop
+        return superop.then(rx_noise(device, phys, values))
+    if kind == "fused-2q":
+        _, name, params, phys_pair = key
+        return Superoperator.from_unitary(gate_matrix(name, *params)).then(
+            pulse_noise(device, name, phys_pair, values)
+        )
+    if kind == "fused-idle":
+        _, phys, params = key
+        return fused_idle(device, phys, params[0] / _NS_PER_US, values)
+    if kind == "xtalk-superop":
+        return crosstalk_superop(device.crosstalk_zz)
+    raise SimulationError(f"unknown channel key {key!r}")
 
 
 # ----------------------------------------------------------------------
@@ -542,30 +707,25 @@ def _fused_gate_compiler(device, used: List[int]):
     each entangling pulse."""
     phys_of = dict(enumerate(used))
     values = device.drift.current
-    layout = device.noise_layout
 
     def compiler(gate: Gate):
         if gate.name == "idle":
             duration_us = gate.params[0] / _NS_PER_US
             if duration_us <= 0:
                 return ()
-            idle = layout._fused_idle(
-                phys_of[gate.qubits[0]], duration_us, values
-            )
+            idle = fused_idle(device, phys_of[gate.qubits[0]], duration_us)
             return ((idle, gate.qubits),)
         superop = Superoperator.from_unitary(gate.matrix())
         if gate.num_qubits == 1:
             if gate.name != "rz":
                 phys = phys_of[gate.qubits[0]]
-                superop = superop.then(layout._rx_noise(phys, values))
+                superop = superop.then(rx_noise(device, phys, values))
             return ((superop, gate.qubits),)
         pair = (phys_of[gate.qubits[0]], phys_of[gate.qubits[1]])
-        noise = layout._pulse_noise(gate.name, pair, values)
+        noise = pulse_noise(device, gate.name, pair, values)
         operations = [(superop.then(noise), gate.qubits)]
         if device.crosstalk_zz:
-            crosstalk = Superoperator.from_unitary(
-                _crosstalk_unitary(device.crosstalk_zz)
-            )
+            crosstalk = crosstalk_superop(device.crosstalk_zz)
             operations.extend(
                 (crosstalk, spectator_pair)
                 for spectator_pair in _crosstalk_pairs(

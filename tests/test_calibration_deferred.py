@@ -1,9 +1,10 @@
 """Deferred analytic calibration records against the eager sweep.
 
 An analytic calibration sweep draws each record's estimation noise and
-stamps it at sweep time, but evaluates the ground truth only when the
-record is first read, from the parameter snapshot the sweep kept. Before
-that, every sweep evaluated the truth of every link on the spot. That
+stamps it at sweep time, but evaluates the ground truth only when one of
+its records is first read: then every link of the sweep, in one batched
+call, from the parameter snapshot the sweep kept. Before that, every
+sweep evaluated the truth of every link on the spot. That
 eager sweep survives here only, as :class:`_EagerCalibrationService`,
 the oracle: patched into :meth:`ExperimentContext.create`, it builds the
 same chip day the old way, and every record, the calibration generator
@@ -86,15 +87,17 @@ def eager(monkeypatch):
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Count every ground-truth fidelity evaluation (pulse and RX)."""
+    """Record every ground-truth fidelity evaluation (pulse and RX): one
+    ``(Hilbert dimension, fidelities evaluated)`` entry per batched
+    call, that is per sweep evaluated."""
     calls = []
-    average = device_module._average_fidelity
+    average = device_module._average_fidelities
 
     def counted(noise):
-        calls.append(noise.dim)
+        calls.append((int(round(noise.shape[-1] ** 0.5)), len(noise)))
         return average(noise)
 
-    monkeypatch.setattr(device_module, "_average_fidelity", counted)
+    monkeypatch.setattr(device_module, "_average_fidelities", counted)
     return calls
 
 
@@ -175,18 +178,26 @@ def test_create_evaluates_nothing_and_each_read_evaluates_once(evaluations):
     context = ExperimentContext.create(drift_hours=30.0)
     assert evaluations == []
     data = context.calibration
+    device = context.device
     two_qubit = sorted(data.two_qubit)[:10]
     single_qubit = sorted(data.single_qubit)[:3]
     first = [data.two_qubit[key].value for key in two_qubit]
     first += [data.single_qubit[qubit].value for qubit in single_qubit]
-    # Hilbert dimension per evaluation: 4 for a pulse, 2 for an RX.
-    assert evaluations == [4] * len(two_qubit) + [2] * len(single_qubit)
+    # Each gate's published records come from its last sweep, so the
+    # first read of each gate evaluates that whole sweep once, and the
+    # first RX read the one single-qubit sweep. Hilbert dimension per
+    # evaluation: 4 for a pulse sweep, 2 for the RX sweep.
+    gates = list(dict.fromkeys(gate for _, gate in two_qubit))
+    assert len(gates) > 1
+    assert evaluations == [
+        (4, len(device.links_supporting(gate))) for gate in gates
+    ] + [(2, len(device.topology.qubits))]
     again = [data.two_qubit[key].value for key in two_qubit]
     again += [data.single_qubit[qubit].value for qubit in single_qubit]
     assert again == first
     repr(data.two_qubit[two_qubit[0]])
     assert data.two_qubit[two_qubit[0]] == data.two_qubit[two_qubit[0]]
-    assert len(evaluations) == len(two_qubit) + len(single_qubit)
+    assert len(evaluations) == len(gates) + 1
 
 
 def test_30h_request_evaluates_at_most_one_fidelity_per_published_record(
@@ -199,8 +210,15 @@ def test_30h_request_evaluates_at_most_one_fidelity_per_published_record(
     records = len(context.calibration.two_qubit)
     assert evaluations == []
     run_standalone(spec)
-    assert 0 < len(evaluations) <= records == 128
-    assert set(evaluations) == {4}  # pulse records only; RX never read
+    fidelities = sum(count for _, count in evaluations)
+    assert 0 < fidelities <= records == 128
+    # Pulse sweeps only, each evaluated whole; RX never read.
+    assert {dim for dim, _ in evaluations} == {4}
+    sweep_sizes = {
+        len(context.device.links_supporting(gate))
+        for gate in context.device.native_gates.two_qubit
+    }
+    assert {count for _, count in evaluations} <= sweep_sizes
 
 
 @pytest.mark.parametrize("template_first", [True, False])

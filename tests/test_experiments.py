@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro.core import Angel
 from repro.core.sequence import NativeGateSequence
-from repro.exceptions import ReproError
+from repro.exceptions import ExecutionError, ReproError
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentContext,
@@ -62,6 +62,35 @@ class TestContext:
             assert device() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("backend", ["local", "remote"])
+    def test_closed_context_refuses_late_reads(self, backend):
+        """After ``close`` the executor and the ledgers raise, rather
+        than attach a fresh local executor to the device; ``close``
+        itself read the ledgers before it marked the context closed."""
+        ctx = ExperimentContext.create(
+            drift_hours=0.0, backend=backend, metrics=True
+        )
+        compiled = ctx.transpile(ghz_n4())
+        circuit = compiled.nativized(
+            NativeGateSequence.uniform(compiled.sites, "cz")
+        )
+        ctx.measured_success_rate(circuit, compiled.ideal_distribution(), 16)
+        prefixes = set(ctx.ledgers())
+        ctx.close()
+        for late_read in (lambda: ctx.executor, ctx.ledgers):
+            with pytest.raises(ExecutionError, match="closed context"):
+                late_read()
+            assert ctx.device.shared_executor is None
+        ctx.close()  # idempotent
+        counters = ctx.metrics_registry.snapshot()["counters"]
+        assert counters["exec.jobs"] == 1
+        assert {name.split(".")[0] for name in counters} == prefixes
+        assert prefixes == (
+            {"exec", "cache", "remote", "service"}
+            if backend == "remote"
+            else {"exec", "cache"}
+        )
 
     def test_unknown_device(self):
         with pytest.raises(ReproError):
